@@ -63,7 +63,6 @@ from .symexpr import (
     SymbolKind,
     equals_canonical,
     normal_order,
-    normalize,
     substitute,
 )
 from .textio import (

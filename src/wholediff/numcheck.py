@@ -56,9 +56,6 @@ class NumericBinding:
             raise UnboundSymbolError(name)
         return complex(self.values[name])
 
-    def with_values(self, **over) -> "NumericBinding":
-        return NumericBinding(values={**self.values, **over}, opaques=self.opaques)
-
 
 def evaluate(e, b: NumericBinding) -> complex:
     """IEEE-double evaluation of an expression under a binding."""

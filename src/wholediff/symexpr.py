@@ -869,11 +869,6 @@ _E_ONE = Expr._raw(_POLY_ONE, _POLY_ONE)
 # ---------------------------------------------------------------------------
 
 
-def normalize(e) -> Expr:
-    """Expressions are canonical by construction; exposed for API parity."""
-    return Expr._coerce(e)
-
-
 def substitute(e: Expr, bindings: Mapping[Symbol, Expr]) -> Expr:
     return Expr._coerce(e).substitute(bindings)
 
@@ -1048,7 +1043,3 @@ def _expand_mono(coeff: QC, factors, mode: str) -> Expr:
             total = total + assemble(dict(zip(slots, perm)))
         return total / len(perms)
     return assemble(dict(zip(slots, reps)))
-
-
-def has_rep_atoms(e: Expr) -> bool:
-    return any(isinstance(a, RepAtom) for a in e.atoms())

@@ -1,17 +1,25 @@
-"""Text formats: expression grammar, operator literals, dependency-context
-files, and printers (text, json, latex).
+"""Text formats: one grammar for expressions and operator literals,
+dependency-context files, and printers (text, json, latex).
 
-Expression grammar (precedence loosest to tightest): `+ -`, `* /`, unary
-minus, `^` (right-associative).  Identifiers are [A-Za-z_][A-Za-z0-9_]*;
-numbers are exact decimal rationals; `i` is the imaginary unit; `sqrt(x)`
-is x^(1/2); `f(a,b,...)` applies an opaque function to symbol arguments;
-`D[f,v,...]` is a plain partial of an opaque function (repeat a variable
-for higher order).
+Grammar (one token stream, one parser; `expr` serves expressions and the
+sub-expressions of context files, `operator` serves operator literals):
 
-Operator grammar: `W[v]` whole derivative, `D[v]` plain derivative,
-parenthesized expressions (or numbers) as coefficients; juxtaposition or
-`*` composes left-to-right with the leftmost factor acting last; `+`/`-`
-form sums.
+  expr     := term (('+' | '-') term)*
+  term     := unary (('*' | '/') unary)*
+  unary    := '-' unary | power
+  power    := atom ('^' unary)?               right-assoc; rational exponent
+  atom     := NUM | '(' expr ')' | 'i' | 'sqrt' '(' expr ')'
+            | 'D' '[' ID (',' ID)+ ']'        plain partial of an opaque
+            | ID '(' ID (',' ID)* ')'         opaque application
+            | ID
+  operator := '-'? opterm (('+' | '-') opterm)*
+  opterm   := opfactor ('*'? opfactor)*       leftmost factor acts last
+  opfactor := ('W' | 'D') '[' ID ']' | NUM | '(' expr ')'
+
+ID is [A-Za-z_][A-Za-z0-9_]*; NUM is an exact decimal rational; `i` is the
+imaginary unit.  `D[f,v,...]` repeats a variable for higher order.  In an
+operator, `W[v]` is the whole and `D[v]` the plain derivative, and a
+number or parenthesized expression multiplies.
 
 Context files are line-based statements with `#` comments:
   independent <id>+            param <id>+             dependent <id>
@@ -30,6 +38,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .depctx import ORDERING_MODES, DependencyContext
+from .diffop import DifferentialOperator, compose
 from .errors import ContextError, ParseError
 from .scalars import QC
 from .symexpr import (
@@ -74,16 +83,17 @@ class Token:
     span: SourceSpan
 
 
-def _lex(text: str) -> List[Token]:
+def _lex(text: str, pos: int = 0, end: Optional[int] = None) -> List[Token]:
+    """Tokens of text[pos:end]; spans index into the whole of `text`."""
+    end = len(text) if end is None else end
     out = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
+    while pos < end:
+        m = _TOKEN_RE.match(text, pos, end)
         if m is None:
-            rest = text[pos:].lstrip()
+            rest = text[pos:end].lstrip()
             if not rest:
                 break
-            at = len(text) - len(rest)
+            at = end - len(rest)
             raise ParseError(
                 f"unexpected character {rest[0]!r}", SourceSpan(at, at + 1)
             )
@@ -93,32 +103,35 @@ def _lex(text: str) -> List[Token]:
                 out.append(Token(kind, tok, SourceSpan(m.start(kind), m.end(kind))))
                 break
         pos = m.end()
-    out.append(Token("end", "", SourceSpan(len(text), len(text))))
+    out.append(Token("end", "", SourceSpan(end, end)))
     return out
 
 
-def _decimal_fraction(text: str) -> Fraction:
-    return Fraction(text)
-
-
 # ---------------------------------------------------------------------------
-# Expression parser
+# Parser: expressions, operator literals and context sub-expressions
 # ---------------------------------------------------------------------------
 
 
 class _ExprParser:
+    """Recursive descent over one token stream.  `parse(self.sum_)` reads an
+    expression, `parse(self.operator)` an operator literal over `ctx`.
+    Unknown identifiers are declared with kind `declare`, or rejected when
+    it is None."""
+
     def __init__(
         self,
         tokens: List[Token],
         symbols: Dict[str, Symbol],
         opaques: Dict[str, Tuple[Symbol, ...]],
-        lenient: bool,
+        declare: Optional[SymbolKind] = None,
+        ctx: Optional[DependencyContext] = None,
     ):
         self.toks = tokens
         self.pos = 0
         self.symbols = symbols
         self.opaques = opaques
-        self.lenient = lenient
+        self.declare = declare
+        self.ctx = ctx
 
     def peek(self) -> Token:
         return self.toks[self.pos]
@@ -138,12 +151,14 @@ class _ExprParser:
         t = self.peek()
         return t.kind == "op" and t.text in texts
 
-    def parse(self) -> Expr:
-        e = self.sum_()
+    def parse(self, production):
+        out = production()
         t = self.peek()
         if t.kind != "end":
             raise ParseError(f"unexpected {t.text!r}", t.span)
-        return e
+        return out
+
+    # -- expressions ---------------------------------------------------------
 
     def sum_(self) -> Expr:
         e = self.term()
@@ -172,19 +187,14 @@ class _ExprParser:
         if not self.at_op("^"):
             return base
         caret = self.next()
-        exp_expr = self.unary() if self.at_op("-") else self.power_operand()
-        exp = _as_rational(exp_expr, caret.span)
+        exp = _as_rational(self.unary(), caret.span)
         return base ** (int(exp) if exp.denominator == 1 else exp)
-
-    def power_operand(self) -> Expr:
-        # right-associative: the exponent may itself carry a ^
-        return self.power()
 
     def atom(self) -> Expr:
         t = self.peek()
         if t.kind == "num":
             self.next()
-            return Expr.const(QC(_decimal_fraction(t.text)))
+            return Expr.const(QC(Fraction(t.text)))
         if self.at_op("("):
             self.next()
             e = self.sum_()
@@ -213,11 +223,9 @@ class _ExprParser:
     def resolve(self, name: str, span: SourceSpan) -> Symbol:
         sym = self.symbols.get(name)
         if sym is None:
-            if self.lenient:
-                sym = Symbol(name, SymbolKind.PARAMETER)
-                self.symbols[name] = sym
-            else:
+            if self.declare is None:
                 raise ParseError(f"unknown identifier '{name}'", span)
+            sym = self.symbols[name] = Symbol(name, self.declare)
         return sym
 
     def symbol_arg(self) -> Symbol:
@@ -275,6 +283,59 @@ class _ExprParser:
             raise ParseError("D[...] needs at least one variable", d_tok.span)
         return Expr.atom(PartialAtom(fn, args, tuple(orders)))
 
+    # -- operator literals ---------------------------------------------------
+
+    def operator(self) -> DifferentialOperator:
+        negate = self.at_op("-")
+        if negate:
+            self.next()
+        total = None
+        while True:
+            tm = -self.op_term() if negate else self.op_term()
+            total = tm if total is None else total + tm
+            if not self.at_op("+", "-"):
+                return total
+            negate = self.next().text == "-"
+
+    def op_term(self) -> DifferentialOperator:
+        acc = self.op_factor()
+        while True:
+            if self.at_op("*"):
+                self.next()
+            elif self.peek().kind not in ("id", "num") and not self.at_op("("):
+                return acc
+            acc = compose(acc, self.op_factor())
+
+    def op_factor(self) -> DifferentialOperator:
+        t = self.peek()
+        if t.text in ("W", "D") and self.toks[self.pos + 1].text == "[":
+            return self.generator()
+        if t.kind == "num" or self.at_op("("):
+            return DifferentialOperator.multiplication(self.ctx, self.atom())
+        raise ParseError(
+            f"expected an operator factor, found {t.text or 'end of input'!r}", t.span
+        )
+
+    def generator(self) -> DifferentialOperator:
+        mode = "whole" if self.next().text == "W" else "plain"
+        self.next()  # '['
+        vtok = self.peek()
+        if vtok.kind != "id":
+            raise ParseError("expected a variable name", vtok.span)
+        self.next()
+        v = self.ctx.find_symbol(vtok.text)
+        if v is None:
+            raise ParseError(
+                f"derivative variable '{vtok.text}' is not in the context", vtok.span
+            )
+        if mode == "whole" and not self.ctx.is_independent(v):
+            raise ParseError(
+                f"whole derivative needs an independent variable, '{v.name}' is not",
+                vtok.span,
+            )
+        self.expect_op("]")
+        return DifferentialOperator.generator(self.ctx, v, mode)
+
 
 def _as_rational(e: Expr, span: SourceSpan) -> Fraction:
     c = e.as_constant()
@@ -289,10 +350,12 @@ def parse_expr(
     opaques: Optional[Dict[str, Tuple[Symbol, ...]]] = None,
     lenient: bool = False,
 ) -> Expr:
-    """Parse an expression over the given symbols into canonical form."""
+    """Parse an expression over the given symbols into canonical form;
+    `lenient` declares unknown identifiers as parameters."""
     table = {s.name: s for s in symbols}
-    p = _ExprParser(_lex(text), table, dict(opaques or {}), lenient)
-    return p.parse()
+    declare = SymbolKind.PARAMETER if lenient else None
+    p = _ExprParser(_lex(text), table, opaques or {}, declare)
+    return p.parse(p.sum_)
 
 
 def context_symbol_table(ctx: DependencyContext):
@@ -307,129 +370,12 @@ def parse_expr_in_context(text: str, ctx: DependencyContext, lenient=False) -> E
     return parse_expr(text, syms, opaques, lenient)
 
 
-# ---------------------------------------------------------------------------
-# Operator parser
-# ---------------------------------------------------------------------------
-
-
-def parse_operator(text: str, ctx: DependencyContext):
+def parse_operator(text: str, ctx: DependencyContext) -> DifferentialOperator:
     """Parse an operator literal; products compose left-to-right with the
     leftmost factor acting last."""
-    from .diffop import DifferentialOperator, compose
-
     syms, opaques = context_symbol_table(ctx)
-    toks = _lex(text)
-    pos = [0]
-
-    def peek():
-        return toks[pos[0]]
-
-    def advance():
-        t = toks[pos[0]]
-        pos[0] += 1
-        return t
-
-    def at_op(*texts):
-        t = peek()
-        return t.kind == "op" and t.text in texts
-
-    def generator(name_tok: Token):
-        mode = "whole" if name_tok.text == "W" else "plain"
-        advance()  # '['
-        vtok = peek()
-        if vtok.kind != "id":
-            raise ParseError("expected a variable name", vtok.span)
-        advance()
-        v = ctx.find_symbol(vtok.text)
-        if v is None:
-            raise ParseError(
-                f"derivative variable '{vtok.text}' is not in the context", vtok.span
-            )
-        if mode == "whole" and not ctx.is_independent(v):
-            raise ParseError(
-                f"whole derivative needs an independent variable, '{v.name}' is not",
-                vtok.span,
-            )
-        t = peek()
-        if t.kind != "op" or t.text != "]":
-            raise ParseError("expected ']'", t.span)
-        advance()
-        return DifferentialOperator.generator(ctx, v, mode)
-
-    def factor():
-        t = peek()
-        if t.kind == "id" and t.text in ("W", "D"):
-            nxt = toks[pos[0] + 1]
-            if nxt.kind == "op" and nxt.text == "[":
-                advance()
-                return generator(t)
-        if t.kind == "num":
-            advance()
-            coeff = Expr.const(QC(_decimal_fraction(t.text)))
-            return DifferentialOperator.multiplication(ctx, coeff)
-        if t.kind == "op" and t.text == "(":
-            advance()
-            depth = 1
-            start = pos[0]
-            while depth:
-                u = advance()
-                if u.kind == "end":
-                    raise ParseError("unbalanced '('", t.span)
-                if u.kind == "op" and u.text == "(":
-                    depth += 1
-                elif u.kind == "op" and u.text == ")":
-                    depth -= 1
-            inner = toks[start : pos[0] - 1] + [toks[-1]]
-            sub = _ExprParser(
-                [Token(k.kind, k.text, k.span) for k in inner],
-                {s.name: s for s in syms},
-                dict(opaques),
-                False,
-            )
-            e = sub.sum_()
-            nxt = sub.peek()
-            if nxt.kind != "end":
-                raise ParseError(f"unexpected {nxt.text!r}", nxt.span)
-            return DifferentialOperator.multiplication(ctx, e)
-        raise ParseError(
-            f"expected an operator factor, found {t.text or 'end of input'!r}", t.span
-        )
-
-    from .diffop import DifferentialOperator as DO
-
-    def term():
-        acc = factor()
-        while True:
-            if at_op("*"):
-                advance()
-                acc = compose(acc, factor())
-                continue
-            t = peek()
-            if (t.kind == "id" and (t.text in ("W", "D") or True)) or (
-                t.kind == "op" and t.text == "("
-            ) or t.kind == "num":
-                acc = compose(acc, factor())
-                continue
-            return acc
-
-    total = None
-    negate = False
-    if at_op("-"):
-        advance()
-        negate = True
-    while True:
-        tm = term()
-        if negate:
-            tm = -tm
-        total = tm if total is None else total + tm
-        if at_op("+", "-"):
-            negate = advance().text == "-"
-            continue
-        break
-    t = peek()
-    if t.kind != "end":
-        raise ParseError(f"unexpected {t.text!r}", t.span)
-    return total
+    p = _ExprParser(_lex(text), {s.name: s for s in syms}, opaques, ctx=ctx)
+    return p.parse(p.operator)
 
 
 # ---------------------------------------------------------------------------
@@ -449,10 +395,10 @@ def parse_context(text: str) -> DependencyContext:
     independents: List[str] = []
     params: List[str] = []
     dependents: List[str] = []
-    reps: List[Tuple[str, str, str, int]] = []
-    cons: List[Tuple[str, str, int]] = []
+    reps: List[Tuple[str, str, int, int]] = []
+    cons: List[Tuple[str, int, int]] = []
     opqs: List[Tuple[str, List[str], int]] = []
-    comms: List[Tuple[str, str, str, int]] = []
+    comms: List[Tuple[str, str, int, int]] = []
     ordering = None
 
     offset = 0
@@ -475,11 +421,11 @@ def parse_context(text: str) -> DependencyContext:
             continue
         m = _REP_RE.match(stripped)
         if m:
-            reps.append((m.group(1), m.group(2), m.group(3), start + m.start(3)))
+            reps.append((m.group(1), m.group(2), start + m.start(3), start + m.end(3)))
             continue
         m = _CON_RE.match(stripped)
         if m:
-            cons.append((m.group(1), m.group(2), start + m.start(1)))
+            cons.append((m.group(2), start + m.start(1), start + m.end(1)))
             continue
         m = _OPQ_RE.match(stripped)
         if m:
@@ -487,7 +433,7 @@ def parse_context(text: str) -> DependencyContext:
             continue
         m = _COMM_RE.match(stripped)
         if m:
-            comms.append((m.group(1), m.group(2), m.group(3), start + m.start(3)))
+            comms.append((m.group(1), m.group(2), start + m.start(3), start + m.end(3)))
             continue
         m = _ORD_RE.match(stripped)
         if m:
@@ -537,34 +483,23 @@ def parse_context(text: str) -> DependencyContext:
 
     opq_map = {f.name: args for f, args in sym_opaques}
 
-    def parse_sub(src: str, at: int, lenient_comm=False) -> Expr:
-        try:
-            tbl = dict(table)
-            p = _ExprParser(_lex(src), tbl, opq_map, False)
-            if lenient_comm:
-                p.lenient = True
-            e = p.parse()
-            if lenient_comm:
-                for name, s in tbl.items():
-                    if name not in table:
-                        table[name] = Symbol(name, SymbolKind.COMMUTATOR)
-                e = parse_expr(src, table.values(), opq_map)
-            return e
-        except ParseError as exc:
-            raise ParseError(exc.message, exc.span.shifted(at)) from None
+    def parse_sub(at: int, end: int, declare: Optional[SymbolKind] = None) -> Expr:
+        # Sub-expressions are lexed in place, so error spans index into `text`.
+        p = _ExprParser(_lex(text, at, end), table, opq_map, declare)
+        return p.parse(p.sum_)
 
     ctable = CommutatorTable()
-    for a, b, src, at in comms:
+    for a, b, at, end in comms:
         for n in (a, b):
             if n not in table:
                 raise ParseError(f"unknown identifier '{n}'", SourceSpan(at, at + len(n)))
-        ctable.declare(table[a], table[b], parse_sub(src, at, lenient_comm=True))
+        ctable.declare(table[a], table[b], parse_sub(at, end, SymbolKind.COMMUTATOR))
 
     constraints = []
-    for src, dep, at in cons:
+    for dep, at, end in cons:
         if dep not in table:
             raise ParseError(f"unknown dependent '{dep}'", SourceSpan(at, at + len(dep)))
-        constraints.append((parse_sub(src, at), table[dep]))
+        constraints.append((parse_sub(at, end), table[dep]))
 
     if ordering is None:
         ordering = "operator" if comms else "commuting"
@@ -578,11 +513,11 @@ def parse_context(text: str) -> DependencyContext:
         commutators=ctable,
         ordering_mode=ordering,
     )
-    for dep, indep, src, at in reps:
+    for dep, indep, at, end in reps:
         for n in (dep, indep):
             if n not in table:
                 raise ParseError(f"unknown identifier '{n}'", SourceSpan(at, at + len(n)))
-        ctx.declare_representation(table[dep], table[indep], parse_sub(src, at))
+        ctx.declare_representation(table[dep], table[indep], parse_sub(at, end))
 
     errors = [d for d in ctx.validate() if d.level == "error"]
     if errors:
@@ -591,168 +526,189 @@ def parse_context(text: str) -> DependencyContext:
 
 
 # ---------------------------------------------------------------------------
-# Printers
+# Printers: one walk over num/den -> monomial -> atom, one renderer per format
 # ---------------------------------------------------------------------------
 
 
-def _frac_str(f: Fraction) -> str:
-    return str(f)
+def _render(e: Expr, r):
+    num = r.poly([_render_mono(c, word, r) for c, word in e._num])
+    if e.den_is_one():
+        return num
+    return r.quotient(num, r.poly([_render_mono(c, word, r) for c, word in e._den]))
 
 
-def _coeff_text(c: QC) -> Tuple[str, bool]:
-    """(rendered coefficient, needs-parens-when-multiplied)"""
-    if c.im == 0:
-        return _frac_str(c.re), False
-    if c.re == 0:
-        if c.im == 1:
-            return "i", False
-        if c.im == -1:
-            return "-i", False
-        return f"{_frac_str(c.im)}*i", False
-    return f"({_frac_str(c.re)} + {_frac_str(c.im)}*i)", False
+def _render_mono(c: QC, word, r):
+    return r.mono(c, [(_render_atom(a, r), n) for a, n in word])
 
 
-def _atom_text(a) -> str:
+def _render_atom(a, r):
     if isinstance(a, SymbolAtom):
-        return a.symbol.name
+        return r.name(a.symbol.name)
     if isinstance(a, OpaqueAtom):
-        return f"{a.fn.name}({','.join(s.name for s in a.args)})"
+        return r.opaque(a.fn.name, [s.name for s in a.args])
     if isinstance(a, PartialAtom):
-        vars_ = []
-        for s, n in a.orders:
-            vars_.extend([s.name] * n)
-        return f"D[{a.fn.name},{','.join(vars_)}]"
+        return r.partial(a)
     if isinstance(a, PowAtom):
-        if a.exp == Fraction(1, 2):
-            return f"sqrt({_expr_text(a.base)})"
-        return f"({_expr_text(a.base)})^({a.exp})"
+        return r.pow(_render(a.base, r), a.exp)
     if isinstance(a, RepAtom):
-        return f"({_expr_text(a.expansion)})"
+        return r.group(_render(a.expansion, r))
     raise TypeError(f"unprintable atom {a!r}")
 
 
-def _mono_text(c: QC, word) -> str:
-    nums, dens = [], []
-    for a, e in word:
-        text = _atom_text(a)
-        if e >= 0:
-            nums.append(text if e == 1 else f"{text}^{e}")
+class _InfixRenderer:
+    """Shared by the text and LaTeX renderers: terms joined by ` + `/` - `."""
+
+    def poly(self, terms) -> str:
+        if not terms:
+            return "0"
+        out = terms[0]
+        for p in terms[1:]:
+            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
+        return out
+
+
+class _TextRenderer(_InfixRenderer):
+    def name(self, name: str) -> str:
+        return name
+
+    def opaque(self, fn: str, args) -> str:
+        return f"{fn}({','.join(args)})"
+
+    def partial(self, a: PartialAtom) -> str:
+        vars_ = [s.name for s, n in a.orders for _ in range(n)]
+        return f"D[{a.fn.name},{','.join(vars_)}]"
+
+    def pow(self, base: str, exp: Fraction) -> str:
+        if exp == Fraction(1, 2):
+            return f"sqrt({base})"
+        return f"({base})^({exp})"
+
+    def group(self, inner: str) -> str:
+        return f"({inner})"
+
+    def mono(self, c: QC, factors) -> str:
+        nums = [t if n == 1 else f"{t}^{n}" for t, n in factors if n > 0]
+        dens = [t if n == -1 else f"{t}^{-n}" for t, n in factors if n < 0]
+        cs = _coeff_text(c)
+        if not nums:
+            head = cs
+        elif cs == "1":
+            head = "*".join(nums)
+        elif cs == "-1":
+            head = "-" + "*".join(nums)
         else:
-            dens.append(text if e == -1 else f"{text}^{-e}")
-    cs, _ = _coeff_text(c)
-    if not nums:
-        head = cs
-    elif cs == "1":
-        head = "*".join(nums)
-    elif cs == "-1":
-        head = "-" + "*".join(nums)
-    else:
-        head = "*".join([cs] + nums)
-    for d in dens:
-        head += f"/{d}"
-    return head
+            head = "*".join([cs] + nums)
+        return head + "".join(f"/{d}" for d in dens)
+
+    def quotient(self, num: str, den: str) -> str:
+        return f"({num})/({den})"
 
 
-def _poly_text(monos) -> str:
-    if not monos:
-        return "0"
-    parts = [_mono_text(c, w) for c, w in monos]
-    out = parts[0]
-    for p in parts[1:]:
-        if p.startswith("-"):
-            out += f" - {p[1:]}"
-        else:
-            out += f" + {p}"
-    return out
+class _LatexRenderer(_InfixRenderer):
+    def name(self, name: str) -> str:
+        m = re.match(r"^([A-Za-z]+)(\d+)$", name)
+        if m:
+            return f"{m.group(1)}_{{{m.group(2)}}}"
+        return name
 
+    def opaque(self, fn: str, args) -> str:
+        return f"{self.name(fn)}({', '.join(self.name(s) for s in args)})"
 
-def _expr_text(e: Expr) -> str:
-    num = _poly_text(e._num)
-    if e.den_is_one():
-        return num
-    den = _poly_text(e._den)
-    return f"({num})/({den})"
-
-
-def _expr_json(e: Expr):
-    def const_node(c: QC):
-        return {"const": {"re": _frac_str(c.re), "im": _frac_str(c.im)}}
-
-    def atom_node(a):
-        if isinstance(a, SymbolAtom):
-            return {"sym": a.symbol.name}
-        if isinstance(a, OpaqueAtom):
-            return {"opaque": {"fn": a.fn.name, "args": [s.name for s in a.args]}}
-        if isinstance(a, PartialAtom):
-            return {
-                "partial": {
-                    "fn": a.fn.name,
-                    "args": [s.name for s in a.args],
-                    "orders": [[s.name, n] for s, n in a.orders],
-                }
-            }
-        if isinstance(a, PowAtom):
-            return {"pow": {"base": poly_or_frac(a.base), "exp": str(a.exp)}}
-        if isinstance(a, RepAtom):
-            return poly_or_frac(a.expansion)
-        raise TypeError(f"unprintable atom {a!r}")
-
-    def mono_node(c, word):
-        factors = []
-        if c != QC(1):
-            factors.append(const_node(c))
-        for a, n in word:
-            node = atom_node(a)
-            if n != 1:
-                node = {"pow": {"base": node, "exp": str(n)}}
-            factors.append(node)
-        if not factors:
-            return const_node(QC(1))
-        if len(factors) == 1:
-            return factors[0]
-        return {"mul": factors}
-
-    def poly_node(monos):
-        if not monos:
-            return const_node(QC(0))
-        terms = [mono_node(c, w) for c, w in monos]
-        return terms[0] if len(terms) == 1 else {"add": terms}
-
-    def poly_or_frac(x: Expr):
-        if x.den_is_one():
-            return poly_node(x._num)
-        return {"div": {"num": poly_node(x._num), "den": poly_node(x._den)}}
-
-    return poly_or_frac(e)
-
-
-def _atom_latex(a) -> str:
-    if isinstance(a, SymbolAtom):
-        return _name_latex(a.symbol.name)
-    if isinstance(a, OpaqueAtom):
-        return f"{_name_latex(a.fn.name)}({', '.join(_name_latex(s.name) for s in a.args)})"
-    if isinstance(a, PartialAtom):
+    def partial(self, a: PartialAtom) -> str:
         total = a.total_order
-        top = r"\partial" + (f"^{{{total}}}" if total > 1 else "") + " " + _name_latex(a.fn.name)
+        top = r"\partial" + (f"^{{{total}}}" if total > 1 else "") + " " + self.name(a.fn.name)
         bottom = r"\,".join(
-            r"\partial " + _name_latex(s.name) + (f"^{{{n}}}" if n > 1 else "")
+            r"\partial " + self.name(s.name) + (f"^{{{n}}}" if n > 1 else "")
             for s, n in a.orders
         )
         return rf"\frac{{{top}}}{{{bottom}}}"
-    if isinstance(a, PowAtom):
-        if a.exp == Fraction(1, 2):
-            return rf"\sqrt{{{_expr_latex(a.base)}}}"
-        return rf"\left({_expr_latex(a.base)}\right)^{{{a.exp}}}"
-    if isinstance(a, RepAtom):
-        return rf"\left({_expr_latex(a.expansion)}\right)"
-    raise TypeError(f"unprintable atom {a!r}")
+
+    def pow(self, base: str, exp: Fraction) -> str:
+        if exp == Fraction(1, 2):
+            return rf"\sqrt{{{base}}}"
+        return rf"\left({base}\right)^{{{exp}}}"
+
+    def group(self, inner: str) -> str:
+        return rf"\left({inner}\right)"
+
+    def mono(self, c: QC, factors) -> str:
+        nums = [t if n == 1 else f"{t}^{{{n}}}" for t, n in factors if n > 0]
+        dens = [t if n == -1 else f"{t}^{{{-n}}}" for t, n in factors if n < 0]
+        cs = _coeff_latex(c)
+        thin = r"\,"
+        body = thin.join(nums) if nums else "1"
+        if dens:
+            body = rf"\frac{{{body}}}{{{thin.join(dens)}}}"
+        elif not nums:
+            return cs
+        if cs == "1":
+            return body
+        if cs == "-1":
+            return "-" + body
+        return rf"{cs}\,{body}"
+
+    def quotient(self, num: str, den: str) -> str:
+        return rf"\frac{{{num}}}{{{den}}}"
 
 
-def _name_latex(name: str) -> str:
-    m = re.match(r"^([A-Za-z]+)(\d+)$", name)
-    if m:
-        return f"{m.group(1)}_{{{m.group(2)}}}"
-    return name
+class _JsonRenderer:
+    """Builds the JSON tree; monomial factors keep their canonical order."""
+
+    def name(self, name: str):
+        return {"sym": name}
+
+    def opaque(self, fn: str, args):
+        return {"opaque": {"fn": fn, "args": args}}
+
+    def partial(self, a: PartialAtom):
+        return {
+            "partial": {
+                "fn": a.fn.name,
+                "args": [s.name for s in a.args],
+                "orders": [[s.name, n] for s, n in a.orders],
+            }
+        }
+
+    def pow(self, base, exp):
+        return {"pow": {"base": base, "exp": str(exp)}}
+
+    def group(self, inner):
+        return inner
+
+    @staticmethod
+    def const(c: QC):
+        return {"const": {"re": str(c.re), "im": str(c.im)}}
+
+    def mono(self, c: QC, factors):
+        nodes = [] if c == QC(1) else [self.const(c)]
+        nodes += [t if n == 1 else self.pow(t, n) for t, n in factors]
+        if not nodes:
+            return self.const(QC(1))
+        return nodes[0] if len(nodes) == 1 else {"mul": nodes}
+
+    def poly(self, terms):
+        if not terms:
+            return self.const(QC(0))
+        return terms[0] if len(terms) == 1 else {"add": terms}
+
+    def quotient(self, num, den):
+        return {"div": {"num": num, "den": den}}
+
+
+_TEXT = _TextRenderer()
+_RENDERERS = {"text": _TEXT, "json": _JsonRenderer(), "latex": _LatexRenderer()}
+
+
+def _coeff_text(c: QC) -> str:
+    if c.im == 0:
+        return str(c.re)
+    if c.re == 0:
+        if c.im == 1:
+            return "i"
+        if c.im == -1:
+            return "-i"
+        return f"{c.im}*i"
+    return f"({c.re} + {c.im}*i)"
 
 
 def _coeff_latex(c: QC) -> str:
@@ -773,56 +729,13 @@ def _coeff_latex(c: QC) -> str:
     return rf"\left({frac(c.re)} + {frac(c.im)}i\right)"
 
 
-def _mono_latex(c: QC, word) -> str:
-    factors, inverse = [], []
-    for a, e in word:
-        t = _atom_latex(a)
-        if e >= 1:
-            factors.append(t if e == 1 else f"{t}^{{{e}}}")
-        else:
-            inverse.append(t if e == -1 else f"{t}^{{{-e}}}")
-    cs = _coeff_latex(c)
-    body = r"\,".join(factors) if factors else "1"
-    if inverse:
-        body = rf"\frac{{{body}}}{{{_join_latex(inverse)}}}"
-    elif not factors:
-        return cs
-    if cs == "1":
-        return body
-    if cs == "-1":
-        return "-" + body
-    return rf"{cs}\,{body}"
-
-
-def _join_latex(parts) -> str:
-    return r"\,".join(parts)
-
-
-def _poly_latex(monos) -> str:
-    if not monos:
-        return "0"
-    parts = [_mono_latex(c, w) for c, w in monos]
-    out = parts[0]
-    for p in parts[1:]:
-        out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-    return out
-
-
-def _expr_latex(e: Expr) -> str:
-    if e.den_is_one():
-        return _poly_latex(e._num)
-    return rf"\frac{{{_poly_latex(e._num)}}}{{{_poly_latex(e._den)}}}"
-
-
 def print_expr(e: Expr, format: str = "text") -> str:
     e = Expr._coerce(e)
-    if format == "text":
-        return _expr_text(e)
-    if format == "json":
-        return json.dumps(_expr_json(e), separators=(", ", ": "))
-    if format == "latex":
-        return _expr_latex(e)
-    raise ValueError(f"unknown format {format!r}")
+    r = _RENDERERS.get(format)
+    if r is None:
+        raise ValueError(f"unknown format {format!r}")
+    out = _render(e, r)
+    return json.dumps(out, separators=(", ", ": ")) if format == "json" else out
 
 
 def print_operator(op) -> str:
@@ -835,13 +748,10 @@ def print_operator(op) -> str:
         if c is not None and c == QC(1) and gen_text:
             parts.append(gen_text)
         elif gen_text:
-            parts.append(f"({_expr_text(coeff)})*{gen_text}")
+            parts.append(f"({_render(coeff, _TEXT)})*{gen_text}")
         else:
-            parts.append(f"({_expr_text(coeff)})")
-    out = parts[0]
-    for p in parts[1:]:
-        out += f" + {p}"
-    return out
+            parts.append(f"({_render(coeff, _TEXT)})")
+    return " + ".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -858,12 +768,12 @@ def serialize_context(ctx: DependencyContext) -> str:
     for s in ctx.dependents:
         lines.append(f"dependent {s.name}")
     for g, dep in ctx.constraints:
-        lines.append(f"constraint {_expr_text(g)} = 0 solves {dep.name}")
+        lines.append(f"constraint {_render(g, _TEXT)} = 0 solves {dep.name}")
     for (depn, indepn), rep in sorted(ctx.representations.items()):
-        lines.append(f"representation d{depn}/d{indepn} = {_expr_text(rep.expr)}")
+        lines.append(f"representation d{depn}/d{indepn} = {_render(rep.expr, _TEXT)}")
     for f, args in ctx.opaques:
         lines.append(f"opaque {f.name}({','.join(a.name for a in args)})")
     for a, b, v in sorted(ctx.commutators.pairs(), key=lambda t: (t[0].name, t[1].name)):
-        lines.append(f"commutator [{a.name},{b.name}] = {_expr_text(v)}")
+        lines.append(f"commutator [{a.name},{b.name}] = {_render(v, _TEXT)}")
     lines.append(f"ordering {ctx.ordering_mode}")
     return "\n".join(lines) + "\n"

@@ -20,7 +20,6 @@ from .symexpr import (
     RepAtom,
     Symbol,
     expand_rep_atoms,
-    has_rep_atoms,
     normal_order,
 )
 

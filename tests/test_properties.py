@@ -66,8 +66,7 @@ def _rand_expr(rng, pool, depth=2):
     return a * b
 
 
-def test_whole_partial_linearity(ms_commuting):
-    ctx = ms_commuting
+def check_whole_partial_linearity(ctx):
     pool = _expr_pool(ctx)
     ps, _, _ = _symbols(ctx)
     rng = random.Random(101)
@@ -82,8 +81,7 @@ def test_whole_partial_linearity(ms_commuting):
         assert equals_canonical(lhs, rhs)
 
 
-def test_whole_partial_leibniz_commuting(ms_commuting):
-    ctx = ms_commuting
+def check_whole_partial_leibniz_commuting(ctx):
     pool = _expr_pool(ctx)
     ps, _, _ = _symbols(ctx)
     rng = random.Random(202)
@@ -96,8 +94,7 @@ def test_whole_partial_leibniz_commuting(ms_commuting):
         assert equals_canonical(lhs, rhs)
 
 
-def test_plain_mixed_partials_commute(ms_commuting):
-    ctx = ms_commuting
+def check_plain_mixed_partials_commute(ctx):
     pool = _expr_pool(ctx)
     ps, m, E = _symbols(ctx)
     allv = ps + [m, E]
@@ -131,8 +128,7 @@ def _op_pool_inputs(ctx):
     return coeffs, ps + [E]
 
 
-def test_commutator_antisymmetry(ms_commuting):
-    ctx = ms_commuting
+def check_commutator_antisymmetry(ctx):
     coeffs, genvars = _op_pool_inputs(ctx)
     rng = random.Random(404)
     zero = DifferentialOperator.zero(ctx)
@@ -143,8 +139,7 @@ def test_commutator_antisymmetry(ms_commuting):
         assert op_equals(commutator(A, A), zero)
 
 
-def test_commutator_bilinearity(ms_commuting):
-    ctx = ms_commuting
+def check_commutator_bilinearity(ctx):
     coeffs, genvars = _op_pool_inputs(ctx)
     rng = random.Random(505)
     for _ in range(N_CASES):
@@ -159,8 +154,7 @@ def test_commutator_bilinearity(ms_commuting):
         )
 
 
-def test_commutator_jacobi(ms_commuting):
-    ctx = ms_commuting
+def check_commutator_jacobi(ctx):
     coeffs, genvars = _op_pool_inputs(ctx)
     rng = random.Random(606)
     zero = DifferentialOperator.zero(ctx)
@@ -176,8 +170,7 @@ def test_commutator_jacobi(ms_commuting):
         assert op_equals(J, zero)
 
 
-def test_mixed_whole_derivatives_commuting_mode(ms_commuting):
-    ctx = ms_commuting
+def check_mixed_whole_derivatives_commuting_mode(ctx):
     pool = _expr_pool(ctx)
     ps, _, _ = _symbols(ctx)
     rng = random.Random(707)
@@ -206,7 +199,7 @@ def test_mixed_difference_agrees_with_operator_commutator():
             assert equals_canonical(lhs, apply(C, e))
 
 
-def test_mixed_difference_noncommutative_closed_forms():
+def check_mixed_difference_noncommutative_closed_forms():
     for mode in ("paper", "operator"):
         ctx = build_mass_shell(MassShellScenario(ordering_mode=mode))
         ps, m, E = _symbols(ctx)
@@ -224,6 +217,55 @@ def test_mixed_difference_noncommutative_closed_forms():
                 if mode == "operator":
                     want = want - kij / EE ** 2 * fEE
                 assert equals_canonical(got, want)
+
+
+# The seeded properties that criterion 9 of test_acceptance also asserts.
+# conftest's `property_outcomes` runs each at most once per session, on the
+# commuting mass shell, and the tests below and criterion 9 share the result.
+PROPERTIES = {
+    "whole_partial_linearity": check_whole_partial_linearity,
+    "whole_partial_leibniz_commuting": check_whole_partial_leibniz_commuting,
+    "plain_mixed_partials_commute": check_plain_mixed_partials_commute,
+    "commutator_antisymmetry": check_commutator_antisymmetry,
+    "commutator_bilinearity": check_commutator_bilinearity,
+    "commutator_jacobi": check_commutator_jacobi,
+    "mixed_whole_derivatives_commuting_mode": check_mixed_whole_derivatives_commuting_mode,
+    "mixed_difference_noncommutative_closed_forms": (
+        lambda ctx: check_mixed_difference_noncommutative_closed_forms()
+    ),
+}
+
+
+def test_whole_partial_linearity(property_outcomes):
+    property_outcomes.check("whole_partial_linearity")
+
+
+def test_whole_partial_leibniz_commuting(property_outcomes):
+    property_outcomes.check("whole_partial_leibniz_commuting")
+
+
+def test_plain_mixed_partials_commute(property_outcomes):
+    property_outcomes.check("plain_mixed_partials_commute")
+
+
+def test_commutator_antisymmetry(property_outcomes):
+    property_outcomes.check("commutator_antisymmetry")
+
+
+def test_commutator_bilinearity(property_outcomes):
+    property_outcomes.check("commutator_bilinearity")
+
+
+def test_commutator_jacobi(property_outcomes):
+    property_outcomes.check("commutator_jacobi")
+
+
+def test_mixed_whole_derivatives_commuting_mode(property_outcomes):
+    property_outcomes.check("mixed_whole_derivatives_commuting_mode")
+
+
+def test_mixed_difference_noncommutative_closed_forms(property_outcomes):
+    property_outcomes.check("mixed_difference_noncommutative_closed_forms")
 
 
 # -- hypothesis-driven kernel invariants ------------------------------------

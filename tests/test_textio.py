@@ -1,9 +1,10 @@
-import json
 from fractions import Fraction
 
 import pytest
 
 from conftest import field_of
+from wholediff import MassShellScenario, build_mass_shell, momentum_momentum_commutator
+from wholediff.cli import main as cli_main
 from wholediff.diffop import apply, commutator, op_equals
 from wholediff.errors import ContextError, ParseError
 from wholediff.symexpr import Expr, Symbol, SymbolKind, equals_canonical
@@ -17,7 +18,7 @@ from wholediff.textio import (
     print_operator,
     serialize_context,
 )
-from wholediff.wholederiv import whole_partial
+from wholediff.wholederiv import whole_partial, whole_partial_raw
 
 p1 = Symbol("p1", SymbolKind.INDEPENDENT)
 p2 = Symbol("p2", SymbolKind.INDEPENDENT)
@@ -106,15 +107,187 @@ def test_round_trip_text():
         assert equals_canonical(e, parse_expr(t, SYMS, OPQ)), (s, t)
 
 
-def test_print_examples():
-    assert print_expr(Expr.symbol(p1) / Expr.symbol(E)) == "p1/E"
-    doc = json.loads(print_expr(Expr.const(Fraction(2, 3)), "json"))
-    assert doc == {"const": {"re": "2/3", "im": "0"}}
-    fe = Expr.opaque(f, (p1, p2, p3, E))
-    assert print_expr(fe.diff_plain(E), "latex") == r"\frac{\partial f}{\partial E}"
-    lat2 = print_expr(fe.diff_plain(E).diff_plain(E), "latex")
-    assert lat2 == r"\frac{\partial^{2} f}{\partial E^{2}}"
-    assert r"\frac" in print_expr(Expr.symbol(p1) / Expr.symbol(E), "latex")
+def _raw_whole_p1():
+    ctx = build_mass_shell(MassShellScenario(ordering_mode="commuting"))
+    return whole_partial_raw(field_of(ctx), ctx.find_symbol("p1"), ctx)
+
+
+def _commutator_p1_p2(mode, feynman=False):
+    ctx = build_mass_shell(MassShellScenario(ordering_mode=mode, feynman=feynman))
+    return momentum_momentum_commutator(ctx, 1, 2)
+
+
+# (id, source text or builder, text, latex, json): every atom kind and
+# coefficient shape, with the printings the package produced when the
+# corpus was recorded.
+PRINT_CORPUS = [
+    (
+        "quotient",
+        "p1/E",
+        "p1/E",
+        r"\frac{p_{1}}{E}",
+        '{"mul": [{"pow": {"base": {"sym": "E"}, "exp": "-1"}}, {"sym": "p1"}]}',
+    ),
+    (
+        "rational",
+        "2/3",
+        "2/3",
+        r"\frac{2}{3}",
+        '{"const": {"re": "2/3", "im": "0"}}',
+    ),
+    (
+        "zero",
+        "0",
+        "0",
+        "0",
+        '{"const": {"re": "0", "im": "0"}}',
+    ),
+    (
+        "sqrt",
+        "sqrt(m^2 + p1^2)",
+        "sqrt(m^2 + p1^2)",
+        r"\sqrt{m^{2} + p_{1}^{2}}",
+        '{"pow": {"base": {"add": [{"pow": {"base": {"sym": "m"}, "exp": "2"}}, {"pow": {"base": {"sym": "p1"}, "exp": "2"}}]}, "exp": "1/2"}}',
+    ),
+    (
+        "pow_3_2",
+        "(m^2 + p1^2)^(3/2)",
+        "m^2*sqrt(m^2 + p1^2) + p1^2*sqrt(m^2 + p1^2)",
+        r"m^{2}\,\sqrt{m^{2} + p_{1}^{2}} + p_{1}^{2}\,\sqrt{m^{2} + p_{1}^{2}}",
+        '{"add": [{"mul": [{"pow": {"base": {"sym": "m"}, "exp": "2"}}, {"pow": {"base": {"add": [{"pow": {"base": {"sym": "m"}, "exp": "2"}}, {"pow": {"base": {"sym": "p1"}, "exp": "2"}}]}, "exp": "1/2"}}]}, {"mul": [{"pow": {"base": {"sym": "p1"}, "exp": "2"}}, {"pow": {"base": {"add": [{"pow": {"base": {"sym": "m"}, "exp": "2"}}, {"pow": {"base": {"sym": "p1"}, "exp": "2"}}]}, "exp": "1/2"}}]}]}',
+    ),
+    (
+        "complex_coeff",
+        "(1/2 + 1/3*i)*p1",
+        "(1/2 + 1/3*i)*p1",
+        r"\left(\frac{1}{2} + \frac{1}{3}i\right)\,p_{1}",
+        '{"mul": [{"const": {"re": "1/2", "im": "1/3"}}, {"sym": "p1"}]}',
+    ),
+    (
+        "minus_i",
+        "-i",
+        "-i",
+        "-i",
+        '{"const": {"re": "0", "im": "-1"}}',
+    ),
+    (
+        "imag_terms",
+        "3/2*i*p2 - i*E + 1",
+        "1 - i*E + 3/2*i*p2",
+        r"1 - i\,E + \frac{3}{2}i\,p_{2}",
+        '{"add": [{"const": {"re": "1", "im": "0"}}, {"mul": [{"const": {"re": "0", "im": "-1"}}, {"sym": "E"}]}, {"mul": [{"const": {"re": "0", "im": "3/2"}}, {"sym": "p2"}]}]}',
+    ),
+    (
+        "negative_power",
+        "-3/4*p1*p2^2/E^3",
+        "-3/4*p1*p2^2/E^3",
+        r"-\frac{3}{4}\,\frac{p_{1}\,p_{2}^{2}}{E^{3}}",
+        '{"mul": [{"const": {"re": "-3/4", "im": "0"}}, {"pow": {"base": {"sym": "E"}, "exp": "-3"}}, {"sym": "p1"}, {"pow": {"base": {"sym": "p2"}, "exp": "2"}}]}',
+    ),
+    (
+        "sum_denominator",
+        "(p1 + m)/(E^2 - m^2)",
+        "(m + p1)/(E^2 - m^2)",
+        r"\frac{m + p_{1}}{E^{2} - m^{2}}",
+        '{"div": {"num": {"add": [{"sym": "m"}, {"sym": "p1"}]}, "den": {"add": [{"pow": {"base": {"sym": "E"}, "exp": "2"}}, {"mul": [{"const": {"re": "-1", "im": "0"}}, {"pow": {"base": {"sym": "m"}, "exp": "2"}}]}]}}}',
+    ),
+    (
+        "opaque",
+        "f(p1,p2,p3,E)",
+        "f(p1,p2,p3,E)",
+        "f(p_{1}, p_{2}, p_{3}, E)",
+        '{"opaque": {"fn": "f", "args": ["p1", "p2", "p3", "E"]}}',
+    ),
+    (
+        "partial_first",
+        "D[f,E]",
+        "D[f,E]",
+        r"\frac{\partial f}{\partial E}",
+        '{"partial": {"fn": "f", "args": ["p1", "p2", "p3", "E"], "orders": [["E", 1]]}}',
+    ),
+    (
+        "partial_mixed",
+        "D[f,p1,E]",
+        "D[f,E,p1]",
+        r"\frac{\partial^{2} f}{\partial E\,\partial p_{1}}",
+        '{"partial": {"fn": "f", "args": ["p1", "p2", "p3", "E"], "orders": [["E", 1], ["p1", 1]]}}',
+    ),
+    (
+        "partial_repeated",
+        "D[f,E,E]/E",
+        "D[f,E,E]/E",
+        r"\frac{\frac{\partial^{2} f}{\partial E^{2}}}{E}",
+        '{"mul": [{"pow": {"base": {"sym": "E"}, "exp": "-1"}}, {"partial": {"fn": "f", "args": ["p1", "p2", "p3", "E"], "orders": [["E", 2]]}}]}',
+    ),
+    (
+        "cube_root",
+        "(m^2 + p1^2)^(1/3)",
+        "(m^2 + p1^2)^(1/3)",
+        r"\left(m^{2} + p_{1}^{2}\right)^{1/3}",
+        '{"pow": {"base": {"add": [{"pow": {"base": {"sym": "m"}, "exp": "2"}}, {"pow": {"base": {"sym": "p1"}, "exp": "2"}}]}, "exp": "1/3"}}',
+    ),
+    (
+        "sqrt_of_quotient",
+        "sqrt(1/(E + m))",
+        "sqrt((1)/(E + m))",
+        r"\sqrt{\frac{1}{E + m}}",
+        '{"pow": {"base": {"div": {"num": {"const": {"re": "1", "im": "0"}}, "den": {"add": [{"sym": "E"}, {"sym": "m"}]}}}, "exp": "1/2"}}',
+    ),
+    (
+        "minus_reciprocal",
+        "-1/E",
+        "-1/E",
+        r"-\frac{1}{E}",
+        '{"mul": [{"const": {"re": "-1", "im": "0"}}, {"pow": {"base": {"sym": "E"}, "exp": "-1"}}]}',
+    ),
+    (
+        "imaginary_over_monomial",
+        "2*i/E",
+        "2*i/E",
+        r"2i\,\frac{1}{E}",
+        '{"mul": [{"const": {"re": "0", "im": "2"}}, {"pow": {"base": {"sym": "E"}, "exp": "-1"}}]}',
+    ),
+    (
+        "complex_over_sum",
+        "(1 + i)/(p1 + E)",
+        "((1 + 1*i))/(E + p1)",
+        r"\frac{\left(1 + 1i\right)}{E + p_{1}}",
+        '{"div": {"num": {"const": {"re": "1", "im": "1"}}, "den": {"add": [{"sym": "E"}, {"sym": "p1"}]}}}',
+    ),
+    (
+        "rep_marker",
+        _raw_whole_p1,
+        "D[f,E]*(p1/E) + D[f,p1]",
+        r"\frac{\partial f}{\partial E}\,\left(\frac{p_{1}}{E}\right) + \frac{\partial f}{\partial p_{1}}",
+        '{"add": [{"mul": [{"partial": {"fn": "f", "args": ["p1", "p2", "p3", "E"], "orders": [["E", 1]]}}, {"mul": [{"pow": {"base": {"sym": "E"}, "exp": "-1"}}, {"sym": "p1"}]}]}, {"partial": {"fn": "f", "args": ["p1", "p2", "p3", "E"], "orders": [["p1", 1]]}}]}',
+    ),
+    (
+        "commutator_operator",
+        lambda: _commutator_p1_p2("operator"),
+        "kappa12*D[f,E]/E^3 - kappa12*D[f,E,E]/E^2",
+        r"\frac{kappa_{12}\,\frac{\partial f}{\partial E}}{E^{3}} - \frac{kappa_{12}\,\frac{\partial^{2} f}{\partial E^{2}}}{E^{2}}",
+        '{"add": [{"mul": [{"pow": {"base": {"sym": "E"}, "exp": "-3"}}, {"sym": "kappa12"}, {"partial": {"fn": "f", "args": ["p1", "p2", "p3", "E"], "orders": [["E", 1]]}}]}, {"mul": [{"const": {"re": "-1", "im": "0"}}, {"pow": {"base": {"sym": "E"}, "exp": "-2"}}, {"sym": "kappa12"}, {"partial": {"fn": "f", "args": ["p1", "p2", "p3", "E"], "orders": [["E", 2]]}}]}]}',
+    ),
+    (
+        "commutator_paper_feynman",
+        lambda: _commutator_p1_p2("paper", feynman=True),
+        "i*B3*D[f,E]/E^3",
+        r"i\,\frac{B_{3}\,\frac{\partial f}{\partial E}}{E^{3}}",
+        '{"mul": [{"const": {"re": "0", "im": "1"}}, {"sym": "B3"}, {"pow": {"base": {"sym": "E"}, "exp": "-3"}}, {"partial": {"fn": "f", "args": ["p1", "p2", "p3", "E"], "orders": [["E", 1]]}}]}',
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "build, text, latex, json_text",
+    [row[1:] for row in PRINT_CORPUS],
+    ids=[row[0] for row in PRINT_CORPUS],
+)
+def test_print_examples(build, text, latex, json_text):
+    e = parse_expr(build, SYMS, OPQ) if isinstance(build, str) else build()
+    assert print_expr(e) == text
+    assert print_expr(e, "latex") == latex
+    assert print_expr(e, "json") == json_text
 
 
 def test_parse_operator_generators(ms_commuting):
@@ -138,6 +311,28 @@ def test_parse_operator_unknown_variable(ms_commuting):
     assert "not in the context" in str(exc.value)
     with pytest.raises(ParseError):
         parse_operator("W[E]", ms_commuting)  # whole needs independent
+
+
+@pytest.mark.parametrize(
+    "literal, span, message",
+    [
+        ("( ) (", (2, 3), "expected an expression, found ')'"),
+        ("(D[)f,E])*D[p1]*W[p2]", (3, 4), "expected a symbol name"),
+        ("(p1 p2) D[E]", (4, 6), "expected ')'"),
+        ("(p1/E", (5, 5), "expected ')'"),
+        ("W[p1", (4, 4), "expected ']'"),
+    ],
+    ids=["empty-group", "partial-in-group", "juxtaposed-coefficient", "unclosed-group",
+         "unclosed-generator"],
+)
+def test_parse_operator_error_spans(ms_commuting, tmp_path, literal, span, message):
+    with pytest.raises(ParseError) as exc:
+        parse_operator(literal, ms_commuting)
+    assert (exc.value.span.start, exc.value.span.end) == span
+    assert str(exc.value) == f"{message} (at {span[0]}..{span[1]})"
+    ctx_file = tmp_path / "ms.ctx"
+    ctx_file.write_text(MASS_SHELL_SRC)
+    assert cli_main(["commutator", str(ctx_file), "--a", literal, "--b", "D[E]"]) == 2
 
 
 def test_print_operator_round_trip(ms_commuting):
@@ -177,6 +372,24 @@ def test_serialize_context_round_trip():
     assert [s.name for s in ctx2.independents] == ["p1", "p2", "p3"]
     rep = ctx2.representation(ctx2.find_symbol("E"), ctx2.find_symbol("p2"))
     assert equals_canonical(rep, parse_expr_in_context("p2/E", ctx2))
+
+
+@pytest.mark.parametrize(
+    "src, offending",
+    [
+        (MASS_SHELL_SRC.replace("= p1/E", "= p1/qq"), "qq"),
+        (MASS_SHELL_SRC.replace("- m^2 = 0", "- m^2) = 0"), ")"),
+        (MASS_SHELL_SRC + "commutator [p1,p2] = kappa12 + @\n", "@"),
+    ],
+    ids=["representation", "constraint", "commutator"],
+)
+def test_parse_context_sub_expression_error_spans(tmp_path, src, offending):
+    with pytest.raises(ParseError) as exc:
+        parse_context(src)
+    assert src[exc.value.span.start : exc.value.span.end] == offending
+    ctx_file = tmp_path / "bad.ctx"
+    ctx_file.write_text(src)
+    assert cli_main(["derive", str(ctx_file), "--expr", "E", "--wrt", "p1"]) == 2
 
 
 def test_parse_context_semantic_errors():
