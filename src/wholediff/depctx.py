@@ -13,7 +13,12 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import ContextError, DegenerateConstraintError, RootSolveError
+from .errors import (
+    ContextError,
+    DegenerateConstraintError,
+    EvaluationError,
+    RootSolveError,
+)
 from .symexpr import (
     CommutatorTable,
     Expr,
@@ -23,6 +28,11 @@ from .symexpr import (
 )
 
 ORDERING_MODES = ("commuting", "operator", "paper")
+
+# Root-solve bracket on the positive sheet (mirrored for the negative one),
+# and the smallest admissible |dependent| in an on-shell sample.
+_BRACKET = (1e-6, 1e3)
+_MIN_DEPENDENT = 1e-6
 
 
 @dataclass(frozen=True)
@@ -209,6 +219,15 @@ class DependencyContext:
                     ok = self._numeric_agreement(declared.expr, derived, samples, seed, tol)
                 except (RootSolveError, ContextError):
                     continue
+                except EvaluationError as exc:
+                    diags.append(
+                        Diagnostic(
+                            "warning",
+                            f"declared representation d{u.name}/d{v.name} was not checked "
+                            f"against the constraint-derived form: {exc}",
+                        )
+                    )
+                    continue
                 if not ok:
                     diags.append(
                         Diagnostic(
@@ -247,32 +266,26 @@ def sample_on_shell(
     seed: int,
     sign: int = +1,
     overrides: Optional[Dict[str, float]] = None,
-    bracket: Tuple[float, float] = (1e-6, 1e3),
-    min_dependent: float = 1e-6,
 ) -> List[Dict[str, complex]]:
     """Deterministic numeric bindings on the constraint surface.
 
     Independents are drawn uniformly from [-2, 2], parameters from
     [1/2, 2]; each sample uses its own RNG stream derived from (seed,
-    index).  Dependents with |value| < min_dependent trigger a redraw."""
+    index).  Dependents with |value| < 1e-6 trigger a redraw."""
     import numpy as np
 
     out = []
     for k in range(count):
         rng = np.random.default_rng([seed, k])
         for _attempt in range(64):
-            vals: Dict[str, complex] = {}
-            for s in ctx.independents:
-                vals[s.name] = float(rng.uniform(-2.0, 2.0))
-            for s in ctx.parameters:
-                vals[s.name] = float(rng.uniform(0.5, 2.0))
+            vals = _draw_free(ctx, rng)
             if overrides:
                 vals.update(overrides)
             try:
-                dep_vals = solve_dependents(ctx, vals, sign=sign, bracket=bracket)
+                dep_vals = solve_dependents(ctx, vals, sign=sign)
             except RootSolveError:
                 continue
-            if all(abs(v) >= min_dependent for v in dep_vals.values()):
+            if all(abs(v) >= _MIN_DEPENDENT for v in dep_vals.values()):
                 vals.update(dep_vals)
                 break
         else:
@@ -283,12 +296,22 @@ def sample_on_shell(
     return out
 
 
+def _draw_free(ctx: DependencyContext, rng) -> Dict[str, complex]:
+    """Independents uniform in [-2, 2], then parameters uniform in [1/2, 2],
+    in declaration order."""
+    vals: Dict[str, complex] = {}
+    for s in ctx.independents:
+        vals[s.name] = float(rng.uniform(-2.0, 2.0))
+    for s in ctx.parameters:
+        vals[s.name] = float(rng.uniform(0.5, 2.0))
+    return vals
+
+
 def solve_dependents(
     ctx: DependencyContext,
     vals: Dict[str, complex],
     sign: int = +1,
     near: Optional[Dict[str, float]] = None,
-    bracket: Tuple[float, float] = (1e-6, 1e3),
 ) -> Dict[str, float]:
     """Solve each dependent from its constraint at the given independent and
     parameter values.  Linear and pure-quadratic constraints are solved in
@@ -299,12 +322,12 @@ def solve_dependents(
         if g is None:
             raise RootSolveError(f"no constraint solves dependent '{u.name}'")
         out[u.name] = _solve_one(
-            ctx, g, u, {**vals, **out}, sign, None if near is None else near.get(u.name), bracket
+            g, u, {**vals, **out}, sign, None if near is None else near.get(u.name)
         )
     return out
 
 
-def _solve_one(ctx, g: Expr, u: Symbol, vals, sign, near, bracket) -> float:
+def _solve_one(g: Expr, u: Symbol, vals, sign, near) -> float:
     from .numcheck import NumericBinding, evaluate
 
     gu = g.diff_plain(u)
@@ -339,7 +362,7 @@ def _solve_one(ctx, g: Expr, u: Symbol, vals, sign, near, bracket) -> float:
 
     from scipy.optimize import brentq
 
-    lo, hi = bracket
+    lo, hi = _BRACKET
     if sign < 0:
         lo, hi = -hi, -lo
     if near is not None:

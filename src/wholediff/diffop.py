@@ -125,19 +125,17 @@ class DifferentialOperator:
 
 
 def _merge_terms(terms) -> Tuple[Tuple[Expr, Tuple[DerivativeGenerator, ...]], ...]:
-    buckets: Dict[tuple, Expr] = {}
-    order: List[tuple] = []
+    buckets: Dict[tuple, Tuple[List[Expr], tuple]] = {}
     for coeff, gens in terms:
         gens = tuple(gens)
         key = tuple((g.mode, g.variable.name) for g in gens)
-        if key in buckets:
-            buckets[key] = (buckets[key][0] + coeff, gens)
-        else:
-            buckets[key] = (coeff, gens)
-            order.append(key)
+        coeffs = buckets[key][0] if key in buckets else []
+        coeffs.append(coeff)
+        buckets[key] = (coeffs, gens)
     out = []
-    for key in sorted(order, key=lambda k: (len(k), k)):
-        coeff, gens = buckets[key]
+    for key in sorted(buckets, key=lambda k: (len(k), k)):
+        coeffs, gens = buckets[key]
+        coeff = Expr.sum(coeffs)
         if not coeff.is_zero():
             out.append((coeff, gens))
     return tuple(out)
@@ -148,17 +146,13 @@ def apply(A: DifferentialOperator, e) -> Expr:
     representation markers are resolved per the context's ordering mode at
     the end of each term."""
     ctx = A.context
-    total = Expr.zero()
+    terms = []
     for coeff, gens in A.terms:
         cur = Expr._coerce(e)
         for g in reversed(gens):
             cur = derive_raw(cur, g.variable, g.mode, ctx)
-        total = total + finalize(coeff * cur, ctx)
-    if ctx.commutators:
-        from .symexpr import normal_order
-
-        total = normal_order(total, ctx.commutators)
-    return total
+        terms.append(finalize(coeff * cur, ctx))
+    return Expr.sum(terms)
 
 
 def compose(A: DifferentialOperator, B: DifferentialOperator) -> DifferentialOperator:
@@ -199,17 +193,18 @@ def expand_to_plain(A: DifferentialOperator) -> DifferentialOperator:
     coefficients are pushed to the left, and each term's plain-generator
     product is sorted (plain partials commute)."""
     ctx = A.context
-    total = DifferentialOperator.zero(ctx)
+    terms = []
     for c, gens in A.terms:
         acc = DifferentialOperator.multiplication(ctx, c)
         for g in gens:
             acc = compose(acc, _elementary_plain(g, ctx))
-        total = total + acc
-    sorted_terms = [
-        (c, tuple(sorted(g, key=lambda d: d.variable.name)))
-        for c, g in total.terms
-    ]
-    return DifferentialOperator(ctx, sorted_terms)
+        terms.extend(acc.terms)
+    # Merge per written generator order first, then per sorted order: the
+    # order of additions fixes the form of sum-denominator coefficients.
+    merged = DifferentialOperator(ctx, terms).terms
+    return DifferentialOperator(
+        ctx, [(c, tuple(sorted(g, key=lambda d: d.variable.name))) for c, g in merged]
+    )
 
 
 def _elementary_plain(g: DerivativeGenerator, ctx) -> DifferentialOperator:

@@ -7,9 +7,9 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
-from .depctx import DependencyContext, sample_on_shell, solve_dependents
+from .depctx import DependencyContext, _draw_free, sample_on_shell, solve_dependents
 from .errors import (
     EvaluationError,
     SingularityError,
@@ -41,7 +41,6 @@ class OpaqueFn:
 
     fn: Callable[..., complex]
     partials: Dict[tuple, Callable[..., complex]] = field(default_factory=dict)
-    fd_step: float = DEFAULT_FD_STEP
 
 
 @dataclass
@@ -106,7 +105,7 @@ def _eval_atom(a, b: NumericBinding) -> complex:
         if analytic is not None:
             return complex(analytic(*args))
         names = [s.name for s in a.args]
-        return _fd_partial(closure.fn, names, args, list(idx), closure.fd_step)
+        return _fd_partial(closure.fn, names, args, list(idx), DEFAULT_FD_STEP)
     if isinstance(a, RepAtom):
         return evaluate(a.expansion, b)
     raise EvaluationError(f"cannot evaluate atom {a!r}")
@@ -276,24 +275,18 @@ def _fmt_complex(z) -> Optional[str]:
 class SamplerSpec:
     """Sampling strategy: 'on-shell' with a sheet sign, or 'box' drawing
     every non-opaque symbol from fixed ranges (dependents included,
-    off-shell)."""
+    off-shell, sign times uniform in [1/2, 2])."""
 
     kind: str = "on-shell"  # "on-shell" | "box"
     sign: int = +1
-    dependent_range: Tuple[float, float] = (0.5, 2.0)
 
     def draw(self, ctx: DependencyContext, index: int, seed: int) -> Dict[str, complex]:
         import numpy as np
 
         rng = np.random.default_rng([seed, index])
-        vals: Dict[str, complex] = {}
-        for s in ctx.independents:
-            vals[s.name] = float(rng.uniform(-2.0, 2.0))
-        for s in ctx.parameters:
-            vals[s.name] = float(rng.uniform(0.5, 2.0))
-        lo, hi = self.dependent_range
+        vals = _draw_free(ctx, rng)
         for s in ctx.dependents:
-            vals[s.name] = float(self.sign) * float(rng.uniform(lo, hi))
+            vals[s.name] = float(self.sign) * float(rng.uniform(0.5, 2.0))
         return vals
 
 
@@ -307,8 +300,6 @@ def verify_identity(
     seed: int = 0,
     samples: int = 100,
     opaques: Optional[Dict[str, OpaqueFn]] = None,
-    eval_lhs: Optional[Callable[[NumericBinding], complex]] = None,
-    eval_rhs: Optional[Callable[[NumericBinding], complex]] = None,
 ) -> VerificationReport:
     """Evaluate both sides at seeded samples; a sample fails when both the
     absolute and the relative error exceed their tolerances.  Evaluation
@@ -325,8 +316,8 @@ def verify_identity(
     for k, vals in enumerate(points):
         binding = NumericBinding(values=dict(vals), opaques=dict(opaques or {}))
         try:
-            lv = eval_lhs(binding) if eval_lhs is not None else evaluate(lhs, binding)
-            rv = eval_rhs(binding) if eval_rhs is not None else evaluate(rhs, binding)
+            lv = evaluate(lhs, binding)
+            rv = evaluate(rhs, binding)
         except EvaluationError as exc:
             failures += 1
             diags.append(FailureDiagnostic(k, dict(vals), None, None, error=str(exc)))

@@ -7,13 +7,21 @@ factors with integer exponents.  Factors whose commutativity classes are
 disjoint may be reordered; factors sharing a nonzero class keep their
 written order (a trace-monoid canonical form).  Non-integer rational
 powers and opaque-function material live in dedicated atoms.
+
+Every sum of several terms goes through Expr.sum: the numerators of the
+terms with denominator 1 are merged in one pass, the terms with a sum
+denominator are added one by one in the order given, and that partial sum
+is added to the merged part last.  The order matters: there is no
+multivariate GCD (_cancel_content strips only common monomials), so the
+canonical form of a sum over different sum denominators depends on the
+order of the additions.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence, Tuple
+from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
     NormalOrderError,
@@ -308,14 +316,6 @@ def _poly_merge(monos) -> tuple:
     return tuple(out)
 
 
-def _poly_add(p, q):
-    return _poly_merge(list(p) + list(q))
-
-
-def _poly_neg(p):
-    return tuple((-c, f) for c, f in p)
-
-
 def _poly_key(p):
     return tuple((_mono_fkey(f), c.key) for c, f in p)
 
@@ -338,42 +338,21 @@ def _poly_has_word(p):
 def _mono_expr(coeff: QC, letters) -> "Expr":
     """Canonical Expr equal to coeff * ordered product of letters.
 
-    Power atoms whose accumulated exponent becomes an integer are
-    expanded, which may turn the monomial into a sum or a fraction."""
+    A power atom raised to an exponent other than 1 is recomputed by
+    Expr.__pow__ (integer part expanded, residue in one atom), which may
+    turn the monomial into a sum or a fraction."""
     if coeff.is_zero():
         return Expr.zero()
-    word = _canonical_word(letters)
     kept = []
     expansions = []
-    for a, e in word:
-        if isinstance(a, PowAtom):
-            total = a.exp * e
-            if total.denominator == 1:
-                expansions.append(a.base ** int(total))
-                continue
-            if e != 1:
-                # keep the fractional residue in (0, 1); the integer part
-                # expands so b^(1/2) and b^(-1/2) share one atom
-                n = total.numerator // total.denominator
-                kept.append((PowAtom(a.base, total - n), 1))
-                if n:
-                    expansions.append(a.base ** n)
-                continue
-        kept.append((a, e))
+    for a, e in _canonical_word(letters):
+        if isinstance(a, PowAtom) and e != 1:
+            expansions.append(_atom_power(a, e))
+        else:
+            kept.append((a, e))
     out = Expr._raw(((coeff, tuple(kept)),), _POLY_ONE)
     for ex in expansions:
         out = out * ex
-    return out
-
-
-def _residue_pow(base: "Expr", q: Fraction) -> "Expr":
-    """base^q with the fractional part of q kept in a single atom whose
-    exponent lies in (0, 1); the integer part multiplies out exactly."""
-    n = q.numerator // q.denominator
-    r = q - n
-    out = Expr.atom(PowAtom(base, r))
-    if n:
-        out = out * base ** n
     return out
 
 
@@ -384,19 +363,7 @@ def _poly_expr(p) -> "Expr":
 
 def _mul_poly_expr(p, q) -> "Expr":
     """Product of two canonical polynomials, as an Expr."""
-    simple = []
-    extra = None
-    for c1, f1 in p:
-        for c2, f2 in q:
-            e = _mono_expr(c1 * c2, list(f1) + list(f2))
-            if e.den_is_one():
-                simple.extend(e._num)
-            else:
-                extra = e if extra is None else extra + e
-    out = _poly_expr(_poly_merge(simple))
-    if extra is not None:
-        out = out + extra
-    return out
+    return Expr.sum(_mono_expr(c1 * c2, f1 + f2) for c1, f1 in p for c2, f2 in q)
 
 
 # ---------------------------------------------------------------------------
@@ -435,12 +402,9 @@ class Expr:
         if den == _POLY_ONE:
             return cls._raw(num, _POLY_ONE)
         if len(den) == 1:
-            invc, invf = _mono_inverse(den[0])
-            total = None
-            for c, f in num:
-                t = _mono_expr(c * invc, list(f) + list(invf))
-                total = t if total is None else total + t
-            return total
+            dc, df = den[0]
+            invc, invf = dc.inverse(), tuple((a, -e) for a, e in reversed(df))
+            return cls.sum(_mono_expr(c * invc, f + invf) for c, f in num)
         if _poly_has_word(den):
             raise UnsupportedExpressionError(
                 "sum denominators containing noncommuting symbols are not supported"
@@ -462,6 +426,27 @@ class Expr:
     @classmethod
     def one(cls):
         return _E_ONE
+
+    @classmethod
+    def sum(cls, terms: Iterable["Expr"]) -> "Expr":
+        """Sum of the terms, in one pass over them (see the module docstring).
+
+        A term with denominator 1 is released once its monomials are taken,
+        so a generator of terms keeps few of them alive at a time."""
+        merged = []
+        rest = None
+        count = 0
+        for count, t in enumerate(terms, 1):
+            if t.den_is_one():
+                merged.extend(t._num)
+            else:
+                rest = t if rest is None else rest + t
+        if count == 1:
+            return t
+        out = cls._raw(_poly_merge(merged), _POLY_ONE)
+        if rest is None:
+            return out
+        return rest if not out._num else out + rest
 
     @classmethod
     def const(cls, value) -> "Expr":
@@ -560,7 +545,7 @@ class Expr:
     def __add__(self, other):
         other = Expr._coerce(other)
         if self._den == other._den:
-            return Expr._from_fraction(_poly_add(self._num, other._num), self._den)
+            return Expr._from_fraction(_poly_merge(self._num + other._num), self._den)
         a = _mul_poly_expr(self._num, other._den)
         b = _mul_poly_expr(other._num, self._den)
         num = a + b
@@ -570,7 +555,7 @@ class Expr:
     __radd__ = __add__
 
     def __neg__(self):
-        return Expr._raw(_poly_neg(self._num), self._den)
+        return Expr._raw(tuple((-c, f) for c, f in self._num), self._den)
 
     def __sub__(self, other):
         return self + (-Expr._coerce(other))
@@ -634,25 +619,14 @@ class Expr:
                 if q > 0:
                     return Expr.zero()
                 raise ZeroDivisionError("zero to a negative power")
-        single = self._single_pow_atom()
-        if single is not None:
-            total = single.exp * q
-            if total.denominator == 1:
-                return single.base ** int(total)
-            return _residue_pow(single.base, total)
-        return _residue_pow(self, q)
-
-    def _single_pow_atom(self):
-        if (
-            self.den_is_one()
-            and len(self._num) == 1
-            and self._num[0][0].is_one()
-            and len(self._num[0][1]) == 1
-            and self._num[0][1][0][1] == 1
-            and isinstance(self._num[0][1][0][0], PowAtom)
-        ):
-            return self._num[0][1][0][0]
-        return None
+        single = _single_atom(self)
+        if isinstance(single, PowAtom):
+            return single.base ** (single.exp * q)
+        # The fractional part of q stays in one atom with exponent in (0, 1),
+        # so b^(1/2) and b^(-1/2) share it; the integer part multiplies out.
+        n = q.numerator // q.denominator
+        out = Expr.atom(PowAtom(self, q - n))
+        return out * self ** n if n else out
 
     def sqrt(self) -> "Expr":
         return self ** Fraction(1, 2)
@@ -702,12 +676,6 @@ class Expr:
             return f"Expr<{self._key!r}>"
 
 
-def _mono_inverse(mono):
-    c, f = mono
-    inv = [(a, -e) for a, e in reversed(f)]
-    return c.inverse(), tuple(inv)
-
-
 def _cancel_content(num, den):
     """Remove plain commuting atom powers common to every monomial of both
     polynomials (power atoms excluded to keep this a pure poly operation)."""
@@ -749,7 +717,7 @@ def _cancel_content(num, den):
 
 
 def _poly_diff(p, v) -> "Expr":
-    total = Expr.zero()
+    terms = []
     for c, f in p:
         for i, (a, e) in enumerate(f):
             da = a.diff(v)
@@ -760,8 +728,8 @@ def _poly_diff(p, v) -> "Expr":
             if e != 1:
                 mid = mid * _atom_power(a, e - 1)
             suffix = _mono_expr(ONE, f[i + 1 :])
-            total = total + prefix * mid * da * suffix
-    return total
+            terms.append(prefix * mid * da * suffix)
+    return Expr.sum(terms)
 
 
 def _atom_power(a: Atom, e: int) -> Expr:
@@ -773,13 +741,13 @@ def _atom_power(a: Atom, e: int) -> Expr:
 
 
 def _subst_poly(p, bindings) -> Expr:
-    total = Expr.zero()
+    terms = []
     for c, f in p:
         term = Expr.const(c)
         for a, e in f:
             term = term * _subst_atom(a, bindings) ** e
-        total = total + term
-    return total
+        terms.append(term)
+    return Expr.sum(terms)
 
 
 def _subst_atom(a: Atom, bindings) -> Expr:
@@ -820,17 +788,18 @@ def _subst_atom(a: Atom, bindings) -> Expr:
     raise TypeError(a)
 
 
-def _as_bare_symbol(e: Expr) -> Optional[Symbol]:
-    if (
-        e.den_is_one()
-        and len(e._num) == 1
-        and e._num[0][0].is_one()
-        and len(e._num[0][1]) == 1
-        and e._num[0][1][0][1] == 1
-        and isinstance(e._num[0][1][0][0], SymbolAtom)
-    ):
-        return e._num[0][1][0][0].symbol
+def _single_atom(e: Expr) -> Optional[Atom]:
+    """The atom a when e is exactly a (coefficient 1, exponent 1), else None."""
+    if e.den_is_one() and len(e._num) == 1:
+        c, f = e._num[0]
+        if c.is_one() and len(f) == 1 and f[0][1] == 1:
+            return f[0][0]
     return None
+
+
+def _as_bare_symbol(e: Expr) -> Optional[Symbol]:
+    a = _single_atom(e)
+    return a.symbol if isinstance(a, SymbolAtom) else None
 
 
 def _check_cycles(bindings):
@@ -925,12 +894,14 @@ def normal_order(e, commutators: CommutatorTable) -> Expr:
         raise UnsupportedExpressionError(
             "cannot normal-order an expression with noncommuting denominator"
         )
-    total = Expr.zero()
-    for c, f in e._num:
-        total = total + _normal_order_mono(c, f, commutators, _kappa_degree(f))
-    if e.den_is_one():
-        return total
-    return total / _poly_expr(e._den)
+    return _map_num(e, lambda c, f: _normal_order_mono(c, f, commutators, _kappa_degree(f)))
+
+
+def _map_num(e: Expr, fn) -> Expr:
+    """Sum of fn(coeff, factors) over the numerator monomials of e, divided
+    by the denominator of e."""
+    out = Expr.sum(fn(c, f) for c, f in e._num)
+    return out if e.den_is_one() else out / _poly_expr(e._den)
 
 
 def _normal_order_mono(coeff: QC, factors, comms: CommutatorTable, budget: int) -> Expr:
@@ -945,13 +916,13 @@ def _normal_order_mono(coeff: QC, factors, comms: CommutatorTable, budget: int) 
         else:
             word.append((a, e))
 
-    result = Expr.zero()
+    terms = []
     stack = [(coeff, tuple(word), budget)]
     while stack:
         c, w, b = stack.pop()
         idx = _first_inversion(w)
         if idx is None:
-            result = result + _mono_expr(c, w)
+            terms.append(_mono_expr(c, w))
             continue
         a1, _ = w[idx]
         a2, _ = w[idx + 1]
@@ -967,17 +938,8 @@ def _normal_order_mono(coeff: QC, factors, comms: CommutatorTable, budget: int) 
         prefix = _mono_expr(ONE, w[:idx])
         suffix = _mono_expr(ONE, w[idx + 2 :])
         branch = Expr.const(c) * prefix * comm * suffix
-        result = result + _normal_order_expr(branch, comms, b + 1)
-    return result
-
-
-def _normal_order_expr(e: Expr, comms: CommutatorTable, budget: int) -> Expr:
-    total = Expr.zero()
-    for c, f in e._num:
-        total = total + _normal_order_mono(c, f, comms, budget)
-    if e.den_is_one():
-        return total
-    return total / _poly_expr(e._den)
+        terms.append(_map_num(branch, lambda c2, f2: _normal_order_mono(c2, f2, comms, b + 1)))
+    return Expr.sum(terms)
 
 
 def _first_inversion(word):
@@ -999,12 +961,7 @@ def expand_rep_atoms(e, mode: str = "operator") -> Expr:
     e = Expr._coerce(e)
     if not any(isinstance(a, RepAtom) for a in e.atoms()):
         return e
-    total = Expr.zero()
-    for c, f in e._num:
-        total = total + _expand_mono(c, f, mode)
-    if e.den_is_one():
-        return total
-    return total / _poly_expr(e._den)
+    return _map_num(e, lambda c, f: _expand_mono(c, f, mode))
 
 
 def _expand_mono(coeff: QC, factors, mode: str) -> Expr:
@@ -1038,8 +995,5 @@ def _expand_mono(coeff: QC, factors, mode: str) -> Expr:
         perms = {
             tuple(p.key for p in perm): perm for perm in itertools.permutations(reps)
         }
-        total = Expr.zero()
-        for perm in perms.values():
-            total = total + assemble(dict(zip(slots, perm)))
-        return total / len(perms)
+        return Expr.sum(assemble(dict(zip(slots, p))) for p in perms.values()) / len(perms)
     return assemble(dict(zip(slots, reps)))

@@ -63,9 +63,6 @@ class SourceSpan:
         if self.start > self.end:
             raise ValueError("span start exceeds end")
 
-    def shifted(self, offset: int) -> "SourceSpan":
-        return SourceSpan(self.start + offset, self.end + offset)
-
 
 # ---------------------------------------------------------------------------
 # Lexer

@@ -37,7 +37,7 @@ def whole_partial_raw(e, v: Symbol, ctx: "DependencyContext") -> Expr:
     e = Expr._coerce(e)
     if not ctx.is_independent(v):
         raise ContextError(f"{v.name} is not an independent variable of the context")
-    out = e.diff_plain(v)
+    terms = [e.diff_plain(v)]
     for u in ctx.dependents:
         du = e.diff_plain(u)
         if du.is_zero():
@@ -45,8 +45,8 @@ def whole_partial_raw(e, v: Symbol, ctx: "DependencyContext") -> Expr:
         rep = ctx.representation(u, v)
         if rep is None:
             raise MissingRepresentationError(u, v)
-        out = out + du * Expr.atom(RepAtom(u, v, rep))
-    return out
+        terms.append(du * Expr.atom(RepAtom(u, v, rep)))
+    return Expr.sum(terms)
 
 
 def finalize(e, ctx: "DependencyContext") -> Expr:

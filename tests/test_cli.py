@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from wholediff import parse_context
 from wholediff.cli import main
 
 MASS_SHELL_SRC = """\
@@ -191,3 +192,18 @@ def test_missing_subcommand_exit2(capsys):
 def test_bad_flag_exit2(ctx_file, capsys):
     code, _, _ = run(capsys, "derive", ctx_file, "--expr", "E", "--wrt", "p1", "--format", "xml")
     assert code == 2
+
+
+def test_representation_with_commutator_symbol_warns(tmp_path, capsys):
+    """A declared representation that mentions a commutator symbol cannot be
+    checked numerically against the constraint; that is a warning, not a
+    numeric error."""
+    src = MASS_SHELL_SRC.replace("= p1/E", "= kappa*p1/E") + "commutator [p1, p2] = kappa\n"
+    warnings = [d.message for d in parse_context(src).validate() if d.level == "warning"]
+    assert len(warnings) == 1
+    assert "dE/dp1 was not checked" in warnings[0] and "'kappa'" in warnings[0]
+    path = tmp_path / "kappa.ctx"
+    path.write_text(src)
+    code, out, _ = run(capsys, "derive", str(path), "--expr", "f", "--wrt", "p1")
+    assert code == 0
+    assert out == "kappa*p1*D[f,E]/E + D[f,p1]\n"

@@ -1,7 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from test_properties import _expr_pool, _rand_expr
+from wholediff import MassShellScenario, build_mass_shell, print_expr
 from wholediff.errors import (
     NormalOrderError,
     SubstitutionCycleError,
@@ -61,6 +64,9 @@ def test_fractional_powers():
     # exact square roots of constants collapse
     assert equals_canonical(Expr.const(QC(Fraction(9, 4))) ** Fraction(1, 2),
                             Expr.const(QC(Fraction(3, 2))))
+    # also when a power of a root reaches 1/2
+    assert (Expr.const(4) ** Fraction(1, 4)) ** 2 == Expr.const(2)
+    assert (Expr.const(4) ** Fraction(1, 3)) ** Fraction(3, 2) == Expr.const(2)
 
 
 def test_opaque_and_partials():
@@ -146,3 +152,24 @@ def test_pow_zero_and_identities():
     assert equals_canonical(X ** 0, Expr.one())
     assert equals_canonical((X ** 3) / X, X ** 2)
     assert equals_canonical(X ** -2 * X ** 2, Expr.one())
+
+
+@pytest.mark.parametrize("mode", ["commuting", "operator"])
+def test_sum_matches_sequential_fold(mode):
+    pool = _expr_pool(build_mass_shell(MassShellScenario(ordering_mode=mode)))
+    rng = random.Random(909)
+    plain = 0
+    for _ in range(150):
+        terms = [_rand_expr(rng, pool) for _ in range(rng.randint(0, 5))]
+        fold = Expr.zero()
+        for t in terms:
+            fold = fold + t
+        total = Expr.sum(terms)
+        assert equals_canonical(total, fold)
+        if all(t.den_is_one() for t in terms):
+            plain += 1
+            assert print_expr(total) == print_expr(fold)
+    assert plain >= 50
+    assert Expr.sum([]).is_zero()
+    single = next(t for t in pool if not t.den_is_one())  # M/(E^2+M^2)
+    assert Expr.sum([single]) is single

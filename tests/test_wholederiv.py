@@ -1,6 +1,12 @@
+import importlib.util
 from fractions import Fraction
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+
+import wholediff
+import wholediff.diffop
 
 from conftest import field_of
 from wholediff.errors import ContextError, MissingRepresentationError
@@ -112,3 +118,21 @@ def test_second_whole_partial_scalar_function(ms_commuting):
     got = whole_partial(whole_partial(EE, p2, ctx), p1, ctx)
     want = -Expr.symbol(p1) * Expr.symbol(p2) / EE ** 3
     assert equals_canonical(got, want)
+
+
+def test_derive_tower_matches_golden_digests():
+    """W-words of order <= 3 in every ordering mode print exactly what the
+    benchmark's golden digests (bench/golden.json) recorded."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    w = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(w)
+    golden = w.load_golden()["derive-tower"]
+    m = SimpleNamespace(wd=wholediff, diffop=wholediff.diffop)
+    ctxs = {mode: w.mass_shell(m, mode) for mode in w.MODES}
+    checked = 0
+    for mode, text in w.tower_domain(max_order=3):
+        key = f"{mode}|{text}"
+        assert w.digest(w.tower_output(m, ctxs[mode], text)) == golden[key], key
+        checked += 1
+    assert checked == 60
