@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -327,12 +328,19 @@ def solve_dependents(
     return out
 
 
+@lru_cache(maxsize=16)
+def _constraint_derivatives(g: Expr, u: Symbol) -> Tuple[Expr, Expr, Expr]:
+    """g_u, g_uu and g_uuu, derived once per (constraint, dependent) pair
+    rather than at every sample and finite-difference probe."""
+    gu = g.diff_plain(u)
+    guu = gu.diff_plain(u)
+    return gu, guu, guu.diff_plain(u)
+
+
 def _solve_one(g: Expr, u: Symbol, vals, sign, near) -> float:
     from .numcheck import NumericBinding, evaluate
 
-    gu = g.diff_plain(u)
-    guu = gu.diff_plain(u)
-    guuu = guu.diff_plain(u)
+    gu, guu, guuu = _constraint_derivatives(g, u)
 
     def val_at(x: float, expr: Expr) -> float:
         b = NumericBinding(values={**vals, u.name: x})

@@ -30,32 +30,45 @@ class QC:
     # -- predicates ------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not self.re and not self.im
 
     def is_one(self) -> bool:
-        return self.re == 1 and self.im == 0
+        return not self.im and self.re == 1
 
     def is_real(self) -> bool:
-        return self.im == 0
+        return not self.im
 
     # -- arithmetic ------------------------------------------------------
+    # Almost every coefficient is real, so +, -, * and inverse take one
+    # Fraction operation when both operands are; the general formulas give
+    # the same values.
 
     def __add__(self, other: "QC") -> "QC":
+        if not self.im and not other.im:
+            return _real(self.re + other.re)
         return QC(self.re + other.re, self.im + other.im)
 
     def __sub__(self, other: "QC") -> "QC":
+        if not self.im and not other.im:
+            return _real(self.re - other.re)
         return QC(self.re - other.re, self.im - other.im)
 
     def __neg__(self) -> "QC":
+        if not self.im:
+            return _real(-self.re)
         return QC(-self.re, -self.im)
 
     def __mul__(self, other: "QC") -> "QC":
+        if not self.im and not other.im:
+            return _real(self.re * other.re)
         return QC(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
         )
 
     def inverse(self) -> "QC":
+        if not self.im and self.re:
+            return _real(1 / self.re)
         n = self.re * self.re + self.im * self.im
         if n == 0:
             raise ZeroDivisionError("division by zero scalar")
@@ -110,6 +123,19 @@ class QC:
 
     def __repr__(self):
         return f"QC({self.re!r}, {self.im!r})"
+
+
+_F0 = Fraction(0)
+_set_re = QC.re.__set__
+_set_im = QC.im.__set__
+
+
+def _real(re: Fraction) -> QC:
+    """QC(re) for a Fraction re, without the coercion in QC.__init__."""
+    q = object.__new__(QC)
+    _set_re(q, re)
+    _set_im(q, _F0)
+    return q
 
 
 def _isqrt_exact(n: int):

@@ -5,8 +5,14 @@ Internal normal form: every expression is a fraction num/den of two
 monomial an exact scalar coefficient times an ordered word of atomic
 factors with integer exponents.  Factors whose commutativity classes are
 disjoint may be reordered; factors sharing a nonzero class keep their
-written order (a trace-monoid canonical form).  Non-integer rational
-powers and opaque-function material live in dedicated atoms.
+written order (a trace-monoid canonical form).  A factor with no
+commutativity class is central: it commutes with every factor, so the
+central factors of a word are simply sorted by key and only the others
+run the ordering greedy.  Non-integer rational powers and opaque-function
+material live in dedicated atoms.
+
+Expr.key, the nested-tuple form that ==, hash and power-atom keys compare,
+is built on first use and kept; most intermediate values never need it.
 
 Every sum of several terms goes through Expr.sum: the numerators of the
 terms with denominator 1 are merged in one pass, the terms with a sum
@@ -19,7 +25,6 @@ order of the additions.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
@@ -281,39 +286,54 @@ def _mono_fkey(factors):
 
 def _canonical_word(letters):
     """Greedy trace-monoid canonical form: repeatedly emit the smallest
-    letter that commutes with everything still ahead of it."""
-    rem = [(a, e) for a, e in letters if e != 0]
+    letter that commutes with everything still ahead of it, folding equal
+    neighbours.
+
+    A central letter (no nc_classes) is always movable and blocks nothing,
+    so the greedy emits the central letters in key order, interleaved by
+    key with the sequence it would emit from the other letters alone; only
+    those run the quadratic greedy loop.  Ties between equal keys go to the
+    earlier letter, as in the plain greedy."""
+    central, rem = [], []
+    for i, (a, e) in enumerate(letters):
+        if e:
+            (rem if a.nc_classes else central).append((a.key, i, a, e))
+    central.sort()
+    merged = central
+    if rem:
+        merged, n = [], 0
+        while rem:
+            best = None
+            for i, (k, _i, a, _e) in enumerate(rem):
+                if (best is None or k < rem[best][0]) and all(
+                    rem[j][0] == k or rem[j][2].nc_classes.isdisjoint(a.nc_classes)
+                    for j in range(i)
+                ):
+                    best = i
+            letter = rem.pop(best)
+            while n < len(central) and central[n] < letter:
+                merged.append(central[n])
+                n += 1
+            merged.append(letter)
+        merged.extend(central[n:])
     out = []
-    while rem:
-        best = None
-        for i, (a, _e) in enumerate(rem):
-            movable = all(_commutes(rem[j][0], a) for j in range(i))
-            if movable and (best is None or a.key < rem[best][0].key):
-                best = i
-        a, e = rem.pop(best)
-        if out and out[-1][0].key == a.key:
-            pa, pe = out[-1]
-            if pe + e == 0:
-                out.pop()
-            else:
-                out[-1] = (pa, pe + e)
+    for k, _i, a, e in merged:
+        if out and out[-1][0] == k:
+            _k, pa, pe = out.pop()
+            if pe + e:
+                out.append((k, pa, pe + e))
         else:
-            out.append((a, e))
-    return tuple(out)
+            out.append((k, a, e))
+    return tuple((a, e) for _k, a, e in out)
 
 
 def _poly_merge(monos) -> tuple:
     buckets = {}
     for c, f in monos:
         k = _mono_fkey(f)
-        if k in buckets:
-            oc, of = buckets[k]
-            buckets[k] = (oc + c, of)
-        else:
-            buckets[k] = (c, f)
-    out = [(c, f) for (c, f) in buckets.values() if not c.is_zero()]
-    out.sort(key=lambda m: _mono_fkey(m[1]))
-    return tuple(out)
+        b = buckets.get(k)
+        buckets[k] = (c, f) if b is None else (b[0] + c, b[1])
+    return tuple(buckets[k] for k in sorted(buckets) if not buckets[k][0].is_zero())
 
 
 def _poly_key(p):
@@ -384,7 +404,7 @@ class Expr:
         self = object.__new__(cls)
         object.__setattr__(self, "_num", num)
         object.__setattr__(self, "_den", den)
-        object.__setattr__(self, "_key", (_poly_key(num), _poly_key(den)))
+        object.__setattr__(self, "_key", None)
         return self
 
     def __setattr__(self, name, value):
@@ -496,6 +516,9 @@ class Expr:
 
     @property
     def key(self):
+        """The canonical form as nested tuples, computed on first use."""
+        if self._key is None:
+            object.__setattr__(self, "_key", (_poly_key(self._num), _poly_key(self._den)))
         return self._key
 
     def nc_classes(self) -> frozenset:
@@ -634,10 +657,16 @@ class Expr:
     # -- structural equality (canonical-form identity) -------------------
 
     def __eq__(self, other):
-        return isinstance(other, Expr) and self._key == other._key
+        """Structural identity of the canonical forms.
+
+        This is not semantic equality: with no multivariate GCD, equal
+        rational functions can have different canonical forms (for example
+        (x + y/(x+1)) - y/(x+1) is (x + x^2)/(1 + x), not x).  Use
+        equals_canonical for the zero test of a - b."""
+        return isinstance(other, Expr) and self.key == other.key
 
     def __hash__(self):
-        return hash(self._key)
+        return hash(self.key)
 
     # -- differentiation -------------------------------------------------
 
@@ -673,7 +702,7 @@ class Expr:
         try:
             return f"Expr({print_expr(self)})"
         except Exception:
-            return f"Expr<{self._key!r}>"
+            return f"Expr<{self.key!r}>"
 
 
 def _cancel_content(num, den):
@@ -992,8 +1021,23 @@ def _expand_mono(coeff: QC, factors, mode: str) -> Expr:
 
     reps = [units[i][0] for i in slots]
     if mode == "paper" and len(reps) > 1:
-        perms = {
-            tuple(p.key for p in perm): perm for perm in itertools.permutations(reps)
-        }
-        return Expr.sum(assemble(dict(zip(slots, p))) for p in perms.values()) / len(perms)
+        perms = list(_distinct_permutations(reps))
+        return Expr.sum(assemble(dict(zip(slots, p))) for p in perms) / len(perms)
     return assemble(dict(zip(slots, reps)))
+
+
+def _distinct_permutations(items):
+    """The orderings of items that differ in their keys: n!/prod(k_i!) of
+    them, not n!.  At each position every key is tried once, at its first
+    remaining occurrence, so they come in the order in which
+    itertools.permutations yields each first; sums over sum denominators
+    depend on that order."""
+    if len(items) <= 1:
+        yield tuple(items)
+        return
+    tried = set()
+    for i, a in enumerate(items):
+        if a.key not in tried:
+            tried.add(a.key)
+            for rest in _distinct_permutations(items[:i] + items[i + 1 :]):
+                yield (a,) + rest

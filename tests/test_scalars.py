@@ -48,3 +48,46 @@ def test_to_complex():
 def test_division_by_zero():
     with pytest.raises(ZeroDivisionError):
         ONE / ZERO
+
+
+def _rand_qc(rng):
+    re = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+    im = Fraction(rng.randint(-9, 9), rng.randint(1, 6)) if rng.random() < 0.5 else 0
+    return QC(re, im)
+
+
+def test_real_path_matches_general_formula():
+    """+, -, *, negation and inverse against the Gaussian-rational formulas,
+    on pairs where both, one or neither operand is real."""
+    import random
+
+    rng = random.Random(17)
+    kinds = set()
+    for _ in range(400):
+        a, b = _rand_qc(rng), _rand_qc(rng)
+        kinds.add((a.is_real(), b.is_real()))
+        expected = {
+            "+": (a.re + b.re, a.im + b.im),
+            "-": (a.re - b.re, a.im - b.im),
+            "*": (a.re * b.re - a.im * b.im, a.re * b.im + a.im * b.re),
+            "neg": (-a.re, -a.im),
+        }
+        got = {"+": a + b, "-": a - b, "*": a * b, "neg": -a}
+        n = b.re * b.re + b.im * b.im
+        if n:
+            expected["inv"] = (b.re / n, -b.im / n)
+            got["inv"] = b.inverse()
+        for op, (re, im) in expected.items():
+            q = got[op]
+            assert (q.re, q.im) == (re, im), op
+            assert type(q.re) is Fraction and type(q.im) is Fraction, op
+            assert q == QC(re, im) and hash(q) == hash(QC(re, im)), op
+            assert q.key == (re.numerator, re.denominator, im.numerator, im.denominator)
+            assert q.is_zero() == (re == 0 and im == 0), op
+            assert q.is_one() == (re == 1 and im == 0), op
+            assert q.is_real() == (im == 0), op
+    assert kinds == {(True, True), (True, False), (False, True), (False, False)}
+    with pytest.raises(AttributeError):
+        (QC(1) + QC(2)).re = Fraction(0)
+    with pytest.raises(ZeroDivisionError):
+        QC(0).inverse()
