@@ -4,7 +4,6 @@ numeric verification."""
 from .depctx import (
     DependencyContext,
     Diagnostic,
-    Representation,
     implicit_partial,
     sample_on_shell,
     solve_dependents,

@@ -170,14 +170,14 @@ def cmd_scenario(args) -> int:
         table: Dict[str, object] = {"tp": RETARDED_TP}
         traj = parse_expr(args.trajectory, list(table.values()), lenient=True)
         params = tuple(
-            s for s in traj.symbols() if s.name != "tp"
+            sorted((s for s in traj.symbols() if s.name != "tp"), key=lambda s: s.name)
         )
         ctx = build_retarded(RetardedScenario(trajectory=traj, parameters=params))
         ctx_path = os.path.join(args.out, "retarded.ctx")
         with open(ctx_path, "w", encoding="utf-8") as fh:
             fh.write(serialize_context(ctx))
         reps = {
-            f"d{dep}/d{indep}": print_expr(rep.expr, "text")
+            f"d{dep}/d{indep}": print_expr(rep, "text")
             for (dep, indep), rep in sorted(ctx.representations.items())
         }
         result = {"ctx_file": ctx_path, "representations": reps}

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .errors import (
     ContextError,
@@ -35,15 +35,12 @@ ORDERING_MODES = ("commuting", "operator", "paper")
 _BRACKET = (1e-6, 1e3)
 _MIN_DEPENDENT = 1e-6
 
-
-@dataclass(frozen=True)
-class Representation:
-    """Chosen expression for a dependent-variable partial d(dependent)/d(independent)."""
-
-    dependent: Symbol
-    independent: Symbol
-    expr: Expr
-    origin: str  # "declared" | "derived-from-constraint"
+# validate() compares a declared representation with the constraint-derived
+# one at this many on-shell samples per sheet, drawn from this seed, to this
+# relative tolerance.
+_AGREEMENT_SAMPLES = 8
+_AGREEMENT_SEED = 0
+_AGREEMENT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -71,7 +68,8 @@ class DependencyContext:
     independents: Tuple[Symbol, ...]
     parameters: Tuple[Symbol, ...] = ()
     dependents: Tuple[Symbol, ...] = ()
-    representations: Dict[Tuple[str, str], Representation] = field(default_factory=dict)
+    # (dependent name, independent name) -> declared d(dependent)/d(independent)
+    representations: Dict[Tuple[str, str], Expr] = field(default_factory=dict)
     constraints: Tuple[Tuple[Expr, Symbol], ...] = ()
     opaques: Tuple[Tuple[Symbol, Tuple[Symbol, ...]], ...] = ()
     commutators: CommutatorTable = field(default_factory=CommutatorTable)
@@ -107,12 +105,6 @@ class DependencyContext:
                 return s
         return None
 
-    def opaque_args(self, fn: Symbol) -> Optional[Tuple[Symbol, ...]]:
-        for f, args in self.opaques:
-            if f.name == fn.name:
-                return args
-        return None
-
     def constraint_for(self, u: Symbol):
         for g, solves in self.constraints:
             if solves == u:
@@ -124,20 +116,18 @@ class DependencyContext:
         constraint solving u, else None."""
         rep = self.representations.get((u.name, v.name))
         if rep is not None:
-            return rep.expr
+            return rep
         g = self.constraint_for(u)
         if g is not None:
             return implicit_partial(g, u, v)
         return None
 
-    def declare_representation(self, u: Symbol, v: Symbol, expr, origin="declared"):
-        self.representations[(u.name, v.name)] = Representation(
-            u, v, Expr._coerce(expr), origin
-        )
+    def declare_representation(self, u: Symbol, v: Symbol, expr):
+        self.representations[(u.name, v.name)] = Expr._coerce(expr)
 
     # -- validation ------------------------------------------------------
 
-    def validate(self, *, samples: int = 8, seed: int = 0, tol: float = 1e-9) -> List[Diagnostic]:
+    def validate(self) -> List[Diagnostic]:
         diags: List[Diagnostic] = []
         names: Dict[str, str] = {}
         groups = (
@@ -187,7 +177,7 @@ class DependencyContext:
                 if declared is not None:
                     bad = [
                         s
-                        for s in declared.expr.symbols()
+                        for s in declared.symbols()
                         if s.kind == SymbolKind.OPAQUE
                         or (s in self.dependents and s != u)
                     ]
@@ -214,10 +204,10 @@ class DependencyContext:
                 except DegenerateConstraintError as exc:
                     diags.append(Diagnostic("error", str(exc)))
                     break
-                if equals_canonical(declared.expr, derived):
+                if equals_canonical(declared, derived):
                     continue
                 try:
-                    ok = self._numeric_agreement(declared.expr, derived, samples, seed, tol)
+                    ok = self._numeric_agreement(declared, derived)
                 except (RootSolveError, ContextError):
                     continue
                 except EvaluationError as exc:
@@ -239,19 +229,19 @@ class DependencyContext:
                     )
         return diags
 
-    def _numeric_agreement(self, a: Expr, b: Expr, samples, seed, tol) -> bool:
+    def _numeric_agreement(self, a: Expr, b: Expr) -> bool:
         from .numcheck import NumericBinding, evaluate
 
         for sign in (+1, -1):
             try:
-                points = sample_on_shell(self, samples, seed, sign=sign)
+                points = sample_on_shell(self, _AGREEMENT_SAMPLES, _AGREEMENT_SEED, sign=sign)
             except (RootSolveError, DegenerateConstraintError):
                 continue
             for vals in points:
                 binding = NumericBinding(values=vals)
                 va, vb = evaluate(a, binding), evaluate(b, binding)
                 denom = max(abs(va), abs(vb), 1e-30)
-                if abs(va - vb) / denom > tol:
+                if abs(va - vb) / denom > _AGREEMENT_TOL:
                     return False
         return True
 

@@ -35,28 +35,22 @@ class DerivativeGenerator:
         return ("W" if self.mode == WHOLE else "D") + f"[{self.variable.name}]"
 
 
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class DifferentialOperator:
     """Immutable operator tied to one dependency context."""
 
-    __slots__ = ("context", "terms")
+    context: DependencyContext
+    terms: Sequence[Tuple[Expr, Tuple[DerivativeGenerator, ...]]]
 
-    def __init__(
-        self,
-        context: DependencyContext,
-        terms: Sequence[Tuple[Expr, Tuple[DerivativeGenerator, ...]]],
-    ):
-        for _coeff, gens in terms:
+    def __post_init__(self):
+        for _coeff, gens in self.terms:
             for g in gens:
-                if g.mode == WHOLE and not context.is_independent(g.variable):
+                if g.mode == WHOLE and not self.context.is_independent(g.variable):
                     raise ContextError(
                         f"whole-derivative generator variable {g.variable.name} "
                         "is not independent in this context"
                     )
-        object.__setattr__(self, "context", context)
-        object.__setattr__(self, "terms", _merge_terms(terms))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DifferentialOperator is immutable")
+        object.__setattr__(self, "terms", _merge_terms(self.terms))
 
     # -- constructors ----------------------------------------------------
 

@@ -280,6 +280,12 @@ class SamplerSpec:
     kind: str = "on-shell"  # "on-shell" | "box"
     sign: int = +1
 
+    def __post_init__(self):
+        if self.kind not in ("on-shell", "box"):
+            raise ValueError(f"unknown sampler kind {self.kind!r}")
+        if self.sign not in (+1, -1):
+            raise ValueError(f"sampler sign must be +1 or -1, not {self.sign!r}")
+
     def draw(self, ctx: DependencyContext, index: int, seed: int) -> Dict[str, complex]:
         import numpy as np
 

@@ -192,7 +192,5 @@ def build_retarded(s: RetardedScenario) -> DependencyContext:
         ordering_mode="commuting",
     )
     for v in (x, t):
-        ctx.declare_representation(
-            tp, v, implicit_partial(con, tp, v), origin="derived-from-constraint"
-        )
+        ctx.declare_representation(tp, v, implicit_partial(con, tp, v))
     return ctx

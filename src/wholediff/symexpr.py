@@ -25,6 +25,7 @@ order of the additions.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
@@ -50,6 +51,7 @@ class SymbolKind:
     ALL = (INDEPENDENT, DEPENDENT, PARAMETER, OPAQUE, COMMUTATOR)
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class Symbol:
     """Named atom with a kind and a commutativity class.
 
@@ -58,30 +60,15 @@ class Symbol:
     are forced into class 0.
     """
 
-    __slots__ = ("name", "kind", "klass")
+    name: str
+    kind: str = SymbolKind.PARAMETER
+    klass: int = 0
 
-    def __init__(self, name: str, kind: str = SymbolKind.PARAMETER, klass: int = 0):
-        if kind not in SymbolKind.ALL:
-            raise ValueError(f"unknown symbol kind {kind!r}")
-        if kind == SymbolKind.COMMUTATOR:
-            klass = 0
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "klass", int(klass))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Symbol is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Symbol)
-            and self.name == other.name
-            and self.kind == other.kind
-            and self.klass == other.klass
-        )
-
-    def __hash__(self):
-        return hash((self.name, self.kind, self.klass))
+    def __post_init__(self):
+        if self.kind not in SymbolKind.ALL:
+            raise ValueError(f"unknown symbol kind {self.kind!r}")
+        if self.kind == SymbolKind.COMMUTATOR:
+            object.__setattr__(self, "klass", 0)
 
     def __repr__(self):
         return f"Symbol({self.name!r}, {self.kind!r}, klass={self.klass})"
@@ -101,11 +88,7 @@ _RANK_REP = 5
 class Atom:
     """Base class for monomial factors."""
 
-    __slots__ = ("_key",)
-
-    @property
-    def key(self):
-        return self._key
+    __slots__ = ("key",)
 
     nc_classes: frozenset = frozenset()
 
@@ -120,15 +103,9 @@ class SymbolAtom(Atom):
     __slots__ = ("symbol", "nc_classes")
 
     def __init__(self, symbol: Symbol):
-        object.__setattr__(self, "symbol", symbol)
-        object.__setattr__(
-            self,
-            "nc_classes",
-            frozenset() if symbol.klass == 0 else frozenset({symbol.klass}),
-        )
-        object.__setattr__(
-            self, "_key", (_RANK_SYMBOL, symbol.name, symbol.kind, symbol.klass)
-        )
+        self.symbol = symbol
+        self.nc_classes = frozenset() if symbol.klass == 0 else frozenset({symbol.klass})
+        self.key = (_RANK_SYMBOL, symbol.name, symbol.kind, symbol.klass)
 
     def mentions(self, sym):
         return self.symbol == sym
@@ -146,11 +123,9 @@ class OpaqueAtom(Atom):
     __slots__ = ("fn", "args")
 
     def __init__(self, fn: Symbol, args: Tuple[Symbol, ...]):
-        object.__setattr__(self, "fn", fn)
-        object.__setattr__(self, "args", tuple(args))
-        object.__setattr__(
-            self, "_key", (_RANK_OPAQUE, fn.name, tuple(a.name for a in self.args))
-        )
+        self.fn = fn
+        self.args = tuple(args)
+        self.key = (_RANK_OPAQUE, fn.name, tuple(a.name for a in self.args))
 
     def mentions(self, sym):
         return self.fn == sym or any(a == sym for a in self.args)
@@ -176,18 +151,14 @@ class PartialAtom(Atom):
             if n:
                 merged[s] = merged.get(s, 0) + n
         canon = tuple(sorted(merged.items(), key=lambda kv: kv[0].name))
-        object.__setattr__(self, "fn", fn)
-        object.__setattr__(self, "args", tuple(args))
-        object.__setattr__(self, "orders", canon)
-        object.__setattr__(
-            self,
-            "_key",
-            (
-                _RANK_PARTIAL,
-                fn.name,
-                tuple(a.name for a in self.args),
-                tuple((s.name, n) for s, n in canon),
-            ),
+        self.fn = fn
+        self.args = tuple(args)
+        self.orders = canon
+        self.key = (
+            _RANK_PARTIAL,
+            fn.name,
+            tuple(a.name for a in self.args),
+            tuple((s.name, n) for s, n in canon),
         )
 
     @property
@@ -210,20 +181,18 @@ class PartialAtom(Atom):
 class PowAtom(Atom):
     """base ** exponent with a non-integer rational exponent (sqrt included)."""
 
-    __slots__ = ("base", "exp", "nc_classes")
+    # A power of a noncommutative base is treated as commuting (the class
+    # default of no nc_classes); in-scope algebra never reorders through
+    # such atoms.
+    __slots__ = ("base", "exp")
 
     def __init__(self, base: "Expr", exp: Fraction):
         exp = Fraction(exp)
         if exp.denominator == 1:
             raise ValueError("PowAtom requires a non-integer exponent")
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "exp", exp)
-        # A power of a noncommutative base is treated as commuting; in-scope
-        # algebra never reorders through such atoms.
-        object.__setattr__(self, "nc_classes", frozenset())
-        object.__setattr__(
-            self, "_key", (_RANK_POW, base.key, (exp.numerator, exp.denominator))
-        )
+        self.base = base
+        self.exp = exp
+        self.key = (_RANK_POW, base.key, (exp.numerator, exp.denominator))
 
     def mentions(self, sym):
         return self.base.mentions(sym)
@@ -246,11 +215,11 @@ class RepAtom(Atom):
     __slots__ = ("dependent", "independent", "expansion", "nc_classes")
 
     def __init__(self, dependent: Symbol, independent: Symbol, expansion: "Expr"):
-        object.__setattr__(self, "dependent", dependent)
-        object.__setattr__(self, "independent", independent)
-        object.__setattr__(self, "expansion", expansion)
-        object.__setattr__(self, "nc_classes", expansion.nc_classes())
-        object.__setattr__(self, "_key", (_RANK_REP, dependent.name, independent.name))
+        self.dependent = dependent
+        self.independent = independent
+        self.expansion = expansion
+        self.nc_classes = expansion.nc_classes()
+        self.key = (_RANK_REP, dependent.name, independent.name)
 
     def mentions(self, sym):
         return self.expansion.mentions(sym)

@@ -767,7 +767,7 @@ def serialize_context(ctx: DependencyContext) -> str:
     for g, dep in ctx.constraints:
         lines.append(f"constraint {_render(g, _TEXT)} = 0 solves {dep.name}")
     for (depn, indepn), rep in sorted(ctx.representations.items()):
-        lines.append(f"representation d{depn}/d{indepn} = {_render(rep.expr, _TEXT)}")
+        lines.append(f"representation d{depn}/d{indepn} = {_render(rep, _TEXT)}")
     for f, args in ctx.opaques:
         lines.append(f"opaque {f.name}({','.join(a.name for a in args)})")
     for a, b, v in sorted(ctx.commutators.pairs(), key=lambda t: (t[0].name, t[1].name)):

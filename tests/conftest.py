@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from wholediff import (
@@ -20,6 +23,17 @@ def ms_paper():
 @pytest.fixture(scope="session")
 def ms_operator():
     return build_mass_shell(MassShellScenario(ordering_mode="operator"))
+
+
+@pytest.fixture(scope="session")
+def bench_workloads():
+    """bench/workloads.py, loaded read-only: its input domains and the
+    golden digests of bench/golden.json that the output must match."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    w = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(w)
+    return w
 
 
 def field_of(ctx):

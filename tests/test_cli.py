@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+import wholediff.cli
 from wholediff import parse_context
 from wholediff.cli import main
 
@@ -115,6 +121,26 @@ def test_scenario_retarded(tmp_path, capsys):
     assert (tmp_path / "retarded.ctx").exists()
 
 
+def test_scenario_retarded_output_ignores_hash_seed(tmp_path):
+    """The trajectory's parameters are written in name order, so the context
+    file and stdout do not depend on the interpreter's hash seed."""
+    src = str(Path(wholediff.__file__).resolve().parent.parent)
+    outputs = []
+    for seed in ("1", "2"):
+        workdir = tmp_path / f"hashseed-{seed}"
+        workdir.mkdir()
+        proc = subprocess.run(
+            [sys.executable, "-m", "wholediff", "scenario", "retarded",
+             "--trajectory", "a*tp + b*tp^2/10 + c", "--out", "."],
+            cwd=workdir, env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append((proc.stdout, (workdir / "retarded.ctx").read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert b"\nparam a b c\n" in outputs[0][1]
+
+
 def test_scenario_unknown_exit2(capsys):
     code, _, err = run(capsys, "scenario", "unknown")
     assert code == 2
@@ -207,3 +233,19 @@ def test_representation_with_commutator_symbol_warns(tmp_path, capsys):
     code, out, _ = run(capsys, "derive", str(path), "--expr", "f", "--wrt", "p1")
     assert code == 0
     assert out == "kappa*p1*D[f,E]/E + D[f,p1]\n"
+
+
+def test_cli_matches_golden_digests(bench_workloads, tmp_path):
+    """Every derive, commutator --apply and scenario mass-shell command of
+    the cli benchmark, and one verify per identity, prints exactly what the
+    benchmark's golden digests (bench/golden.json) recorded."""
+    w = bench_workloads
+    golden = w.load_golden()["cli"]
+    w.write_contexts(tmp_path)
+    m = SimpleNamespace(cli=wholediff.cli)
+    argvs = [argv for argv in w.cli_domain() if argv[0] != "verify"]
+    assert len(argvs) == 96
+    argvs += [w.cli_verify(k, "poly", 0, 1) for k in range(len(w.VERIFY_IDENTITIES))]
+    for argv in argvs:
+        rc, out = w.cli_in_process(m, argv, tmp_path)
+        assert w.cli_digest(rc, out) == golden[w.cli_key(argv)], w.cli_key(argv)

@@ -163,6 +163,16 @@ def test_verify_identity_evaluation_errors_are_failures(ms_commuting):
     assert all(d.error for d in report.diagnostics)
 
 
+def test_sampler_spec_rejects_unknown_kind_and_sign():
+    with pytest.raises(ValueError, match="unknown sampler kind 'onshell'"):
+        SamplerSpec(kind="onshell")
+    with pytest.raises(ValueError, match="sign must be"):
+        SamplerSpec(sign=0)
+    with pytest.raises(ValueError, match="sign must be"):
+        SamplerSpec(kind="box", sign=2)
+    assert SamplerSpec(kind="box", sign=-1).sign == -1
+
+
 def test_box_sampler_off_shell(ms_commuting):
     ctx = ms_commuting
     spec = SamplerSpec(kind="box")

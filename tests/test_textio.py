@@ -404,3 +404,13 @@ def test_parse_context_semantic_errors():
 def test_source_span_invariant():
     with pytest.raises(ValueError):
         SourceSpan(5, 2)
+
+
+@pytest.mark.xfail(
+    strict=True, reason="a bare opaque name inside an expression parses as a constant symbol"
+)
+def test_bare_opaque_name_inside_expression_is_its_application(ms_commuting):
+    ctx = ms_commuting
+    v = ctx.find_symbol("p1")
+    got = whole_partial(parse_expr_in_context("2*f", ctx), v, ctx)
+    assert equals_canonical(got, 2 * whole_partial(field_of(ctx), v, ctx))

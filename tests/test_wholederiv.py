@@ -1,6 +1,4 @@
-import importlib.util
 from fractions import Fraction
-from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -120,13 +118,10 @@ def test_second_whole_partial_scalar_function(ms_commuting):
     assert equals_canonical(got, want)
 
 
-def test_derive_tower_matches_golden_digests():
+def test_derive_tower_matches_golden_digests(bench_workloads):
     """W-words of order <= 3 in every ordering mode print exactly what the
     benchmark's golden digests (bench/golden.json) recorded."""
-    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    w = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(w)
+    w = bench_workloads
     golden = w.load_golden()["derive-tower"]
     m = SimpleNamespace(wd=wholediff, diffop=wholediff.diffop)
     ctxs = {mode: w.mass_shell(m, mode) for mode in w.MODES}
