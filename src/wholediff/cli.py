@@ -64,6 +64,21 @@ def _load_context(path: str) -> DependencyContext:
         raise _UsageError(f"cannot read context file: {exc}") from None
 
 
+def _write_out(out_dir: str, name: str, text: str) -> str:
+    """Write a scenario file into --out, creating missing directories."""
+    if os.path.exists(out_dir) and not os.path.isdir(out_dir):
+        raise _UsageError(f"--out {out_dir} is not a directory")
+    path = os.path.join(out_dir, name)
+    try:
+        if out_dir:
+            os.makedirs(out_dir, exist_ok=True)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _UsageError(f"cannot write {path}: {exc}") from None
+    return path
+
+
 def _emit(args, command: str, context_name: str, result, text_lines) -> None:
     if args.format == "json":
         doc = {"command": command, "context": context_name, "result": result}
@@ -147,9 +162,7 @@ def cmd_scenario(args) -> int:
             feynman=args.feynman,
         )
         ctx = build_mass_shell(s)
-        ctx_path = os.path.join(args.out, "mass-shell.ctx")
-        with open(ctx_path, "w", encoding="utf-8") as fh:
-            fh.write(serialize_context(ctx))
+        ctx_path = _write_out(args.out, "mass-shell.ctx", serialize_context(ctx))
         table = position_commutator_table(ctx)
         entries = [
             [print_operator(table.entries[mu][nu]) for nu in range(args.dim + 1)]
@@ -173,9 +186,7 @@ def cmd_scenario(args) -> int:
             sorted((s for s in traj.symbols() if s.name != "tp"), key=lambda s: s.name)
         )
         ctx = build_retarded(RetardedScenario(trajectory=traj, parameters=params))
-        ctx_path = os.path.join(args.out, "retarded.ctx")
-        with open(ctx_path, "w", encoding="utf-8") as fh:
-            fh.write(serialize_context(ctx))
+        ctx_path = _write_out(args.out, "retarded.ctx", serialize_context(ctx))
         reps = {
             f"d{dep}/d{indep}": print_expr(rep, "text")
             for (dep, indep), rep in sorted(ctx.representations.items())

@@ -20,6 +20,7 @@ from .errors import (
     EvaluationError,
     RootSolveError,
 )
+from .numcheck import _compile, _program
 from .symexpr import (
     CommutatorTable,
     Expr,
@@ -74,6 +75,8 @@ class DependencyContext:
     opaques: Tuple[Tuple[Symbol, Tuple[Symbol, ...]], ...] = ()
     commutators: CommutatorTable = field(default_factory=CommutatorTable)
     ordering_mode: str = "operator"
+    # (constraints, dependents, plans) as _solve_plans last built them.
+    _plans: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.independents = tuple(self.independents)
@@ -230,16 +233,14 @@ class DependencyContext:
         return diags
 
     def _numeric_agreement(self, a: Expr, b: Expr) -> bool:
-        from .numcheck import NumericBinding, evaluate
-
+        a_at, b_at = _program(a), _program(b)
         for sign in (+1, -1):
             try:
                 points = sample_on_shell(self, _AGREEMENT_SAMPLES, _AGREEMENT_SEED, sign=sign)
             except (RootSolveError, DegenerateConstraintError):
                 continue
             for vals in points:
-                binding = NumericBinding(values=vals)
-                va, vb = evaluate(a, binding), evaluate(b, binding)
+                va, vb = a_at(vals, {}), b_at(vals, {})
                 denom = max(abs(va), abs(vb), 1e-30)
                 if abs(va - vb) / denom > _AGREEMENT_TOL:
                     return False
@@ -308,38 +309,49 @@ def solve_dependents(
     parameter values.  Linear and pure-quadratic constraints are solved in
     closed form; anything else falls back to a bracketed 1-D root solve."""
     out: Dict[str, float] = {}
-    for u in ctx.dependents:
-        g = ctx.constraint_for(u)
-        if g is None:
+    for u, plan in _solve_plans(ctx):
+        if plan is None:
             raise RootSolveError(f"no constraint solves dependent '{u.name}'")
         out[u.name] = _solve_one(
-            g, u, {**vals, **out}, sign, None if near is None else near.get(u.name)
+            plan, u, {**vals, **out} if out else vals, sign,
+            None if near is None else near.get(u.name),
         )
     return out
 
 
+def _solve_plans(ctx: DependencyContext):
+    """(dependent, plan or None without a constraint) for each dependent,
+    made once per context and made again if its constraints or dependents
+    are replaced."""
+    made = ctx._plans
+    if made is None or made[0] is not ctx.constraints or made[1] is not ctx.dependents:
+        plans = []
+        for u in ctx.dependents:
+            g = ctx.constraint_for(u)
+            plans.append((u, None if g is None else _constraint_derivatives(g, u)))
+        made = ctx._plans = (ctx.constraints, ctx.dependents, tuple(plans))
+    return made[2]
+
+
 @lru_cache(maxsize=16)
-def _constraint_derivatives(g: Expr, u: Symbol) -> Tuple[Expr, Expr, Expr]:
-    """g_u, g_uu and g_uuu, derived once per (constraint, dependent) pair
-    rather than at every sample and finite-difference probe."""
+def _constraint_derivatives(g: Expr, u: Symbol) -> tuple:
+    """The solve plan of a (constraint, dependent) pair, derived and
+    compiled once rather than at every sample and finite-difference probe:
+    g, g_u and g_uu compiled as functions of (values, u), the last two None
+    unless g_uuu is zero, so that the closed form applies (else brentq)."""
     gu = g.diff_plain(u)
     guu = gu.diff_plain(u)
-    return gu, guu, guu.diff_plain(u)
+    if guu.diff_plain(u).is_zero():
+        return _compile(g, u.name), _compile(gu, u.name), _compile(guu, u.name)
+    return _compile(g, u.name), None, None
 
 
-def _solve_one(g: Expr, u: Symbol, vals, sign, near) -> float:
-    from .numcheck import NumericBinding, evaluate
-
-    gu, guu, guuu = _constraint_derivatives(g, u)
-
-    def val_at(x: float, expr: Expr) -> float:
-        b = NumericBinding(values={**vals, u.name: x})
-        return evaluate(expr, b).real
-
-    if guuu.is_zero():
-        a2 = 0.5 * val_at(0.0, guu)
-        a1 = val_at(0.0, gu)
-        a0 = val_at(0.0, g)
+def _solve_one(plan: tuple, u: Symbol, vals, sign, near) -> float:
+    g, gu, guu = plan
+    if guu is not None:
+        a2 = 0.5 * guu(vals, 0.0).real
+        a1 = gu(vals, 0.0).real
+        a0 = g(vals, 0.0).real
         if abs(a2) < 1e-14:
             if abs(a1) < 1e-14:
                 raise RootSolveError(
@@ -366,7 +378,7 @@ def _solve_one(g: Expr, u: Symbol, vals, sign, near) -> float:
     if near is not None:
         width = max(1.0, abs(near))
         lo, hi = near - width, near + width
-    f = lambda x: val_at(x, g)
+    f = lambda x: g(vals, x).real
     flo, fhi = f(lo), f(hi)
     if flo * fhi > 0:
         raise RootSolveError(

@@ -1,15 +1,26 @@
 """Numeric oracle: expression evaluation, finite-difference derivatives
 along the constraint surface, nested-FD commutators, and identity
-verification reports."""
+verification reports.
+
+Evaluation is compiled.  The first evaluation of an Expr turns it into a
+straight-line Python function, which is kept on the Expr and reused at
+every later point.  The program does the IEEE operations of a walk over
+the expression, in the walk's order: each term starts at its coefficient,
+made a complex constant at compile time, and is multiplied by v**exp for
+each factor; the terms are added to 0j in order; a sum denominator is
+checked against 1e-300 and divided into the numerator.  Each distinct atom
+(symbol value, opaque application, partial, power, representation marker)
+is evaluated once per point, at its first use in that order, and later
+uses read the value back; so an unbound name or a singularity raises the
+same error, at the same point, as evaluating every occurrence would.
+"""
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
-from .depctx import DependencyContext, _draw_free, sample_on_shell, solve_dependents
 from .errors import (
     EvaluationError,
     SingularityError,
@@ -24,9 +35,17 @@ from .symexpr import (
     SymbolAtom,
 )
 
+# depctx compiles its constraints with this module, so the sampling and
+# solving functions of depctx are imported where they are called.
+if TYPE_CHECKING:
+    from .depctx import DependencyContext
+
 DEFAULT_FD_STEP = 1e-5
 DEFAULT_NESTED_FD_STEP = 1e-4
 _TINY = 1e-300
+# A compiled sum is split into lines of this many terms, which keeps deep
+# sums within the bytecode compiler's recursion limit.
+_TERMS_PER_LINE = 32
 
 
 @dataclass
@@ -37,7 +56,10 @@ class OpaqueFn:
     partials optionally maps a multi-index, given as a sorted tuple of
     (argument name, order) pairs, to an analytic derivative closure; plain
     partial atoms without an analytic entry are evaluated by nested
-    central differences of fn."""
+    central differences of fn.
+
+    The closures must be pure: a compiled program calls each one once per
+    point for each distinct application and reuses the value."""
 
     fn: Callable[..., complex]
     partials: Dict[tuple, Callable[..., complex]] = field(default_factory=dict)
@@ -57,64 +79,157 @@ class NumericBinding:
 
 
 def evaluate(e, b: NumericBinding) -> complex:
-    """IEEE-double evaluation of an expression under a binding."""
-    e = Expr._coerce(e)
-    num = _eval_poly(e._num, b)
-    if e.den_is_one():
-        return num
-    den = _eval_poly(e._den, b)
-    if abs(den) < _TINY:
-        raise SingularityError("denominator magnitude below 1e-300")
-    return num / den
+    """IEEE-double evaluation of an expression under a binding: the
+    expression's compiled program called once (see the module docstring)."""
+    return _program(Expr._coerce(e))(b.values, b.opaques)
 
 
-def _eval_poly(p, b: NumericBinding) -> complex:
-    total = 0j
-    for c, f in p:
-        term = c.to_complex()
-        for a, exp in f:
-            v = _eval_atom(a, b)
-            if exp < 0 and abs(v) < _TINY:
-                raise SingularityError("division by a value of magnitude below 1e-300")
-            term *= v**exp
-        total += term
-    return total
+def _program(e: Expr):
+    """The compiled program of e, a function (values, opaques) -> complex.
+
+    It is made on the first call and kept in the Expr's _compiled slot; an
+    Expr is immutable, so the object itself determines its program."""
+    prog = getattr(e, "_compiled", None)
+    if prog is None:
+        prog = _compile(e)
+        object.__setattr__(e, "_compiled", prog)
+    return prog
 
 
-def _eval_atom(a, b: NumericBinding) -> complex:
-    if isinstance(a, SymbolAtom):
-        return b.value(a.symbol.name)
-    if isinstance(a, PowAtom):
-        base = evaluate(a.base, b)
-        if base == 0 and a.exp < 0:
-            raise SingularityError("zero base with negative exponent")
-        return _cpow(base, a.exp)
-    if isinstance(a, OpaqueAtom):
-        closure = b.opaques.get(a.fn.name)
-        if closure is None:
-            raise UnboundSymbolError(a.fn.name)
-        args = [b.value(s.name) for s in a.args]
-        return complex(closure.fn(*args))
-    if isinstance(a, PartialAtom):
-        closure = b.opaques.get(a.fn.name)
-        if closure is None:
-            raise UnboundSymbolError(a.fn.name)
-        args = [b.value(s.name) for s in a.args]
+def _compile(e: Expr, dependent: Optional[str] = None):
+    """Compile e into a function (values, opaques) -> complex; with a
+    dependent name, into a function (values, x) -> complex that reads that
+    symbol as complex(x) and has no opaque closures."""
+    c = _Compiler(dependent)
+    out = c.expr(e)
+    args = "V, X" if dependent is not None else "V, O"
+    src = f"def _program({args}):\n" + "".join(f"    {line}\n" for line in c.lines)
+    src += f"    return {out}\n"
+    if dependent is not None:
+        c.ns["O"] = {}
+    exec(compile(src, "<wholediff program>", "exec"), c.ns)
+    # Taken out of its own globals, the program is no reference cycle and is
+    # freed with the last Expr or plan that holds it.
+    return c.ns.pop("_program")
+
+
+def _raise(cls, *args):
+    raise cls(*args)
+
+
+class _Compiler:
+    """Emits the lines of one program in walk order.
+
+    Each line defines one local from an expression text over earlier locals,
+    namespace constants and the arguments, and the text determines the
+    value; so a text seen before (the same symbol, closure, atom, power,
+    sum or quotient) reuses its local instead of a new line.  A check runs
+    once, before the first use of the value it guards.  User names reach
+    the source only as repr() literals; constants and closures are bound in
+    the program's namespace `ns`."""
+
+    def __init__(self, dependent: Optional[str]):
+        self.dependent = dependent
+        self.lines: List[str] = []
+        self.locals: Dict[str, str] = {}
+        self.checked: set = set()
+        self.consts: Dict[object, str] = {}
+        self.ns: Dict[str, object] = {
+            "_raise": _raise,
+            "_Unbound": UnboundSymbolError,
+            "_Singular": SingularityError,
+            "_fd_partial": _fd_partial,
+            "_exp": cmath.exp,
+            "_log": cmath.log,
+        }
+
+    def define(self, text: str) -> str:
+        name = self.locals.get(text)
+        if name is None:
+            name = self.locals[text] = f"t{len(self.locals)}"
+            self.lines.append(f"{name} = {text}")
+        return name
+
+    def check(self, condition: str, error: str) -> None:
+        if condition not in self.checked:
+            self.checked.add(condition)
+            self.lines.append(f"if {condition}: _raise({error})")
+
+    def const(self, key, value) -> str:
+        name = self.consts.get(key)
+        if name is None:
+            name = self.consts[key] = f"k{len(self.consts)}"
+            self.ns[name] = value
+        return name
+
+    def expr(self, e: Expr) -> str:
+        num = self.poly(e._num)
+        if e.den_is_one():
+            return num
+        den = self.poly(e._den)
+        self.check(f"abs({den}) < {_TINY!r}", "_Singular, 'denominator magnitude below 1e-300'")
+        return self.define(f"{num} / {den}")
+
+    def poly(self, p) -> str:
+        """p as `0j + c*x**e*... + ...`, which adds and multiplies in the
+        walk's order.  Neither operation raises, so it is enough that the
+        atoms, checks and powers it reads come first, in walk order."""
+        terms = []
+        for coeff, factors in p:
+            product = [self.const(("coeff", coeff.key), coeff.to_complex())]
+            for a, exp in factors:
+                product.append(self.power(self.atom(a), exp))
+            terms.append(" * ".join(product))
+        total = "0j"
+        for i in range(0, len(terms), _TERMS_PER_LINE):
+            total = self.define(" + ".join([total] + terms[i : i + _TERMS_PER_LINE]))
+        return self.define(total) if not terms else total
+
+    def power(self, v: str, exp) -> str:
+        if exp < 0:
+            self.check(
+                f"abs({v}) < {_TINY!r}",
+                "_Singular, 'division by a value of magnitude below 1e-300'",
+            )
+        x = repr(exp) if type(exp) is int else self.const(("exp", exp), exp)
+        return self.define(f"{v}**{x}")
+
+    def symbol(self, name: str) -> str:
+        if name == self.dependent:
+            return self.define("complex(X)")
+        q = repr(name)
+        return self.define(f"complex(V[{q}]) if {q} in V else _raise(_Unbound, {q})")
+
+    def atom(self, a) -> str:
+        if isinstance(a, SymbolAtom):
+            return self.symbol(a.symbol.name)
+        if isinstance(a, RepAtom):
+            return self.expr(a.expansion)
+        if isinstance(a, PowAtom):
+            base = self.expr(a.base)
+            if a.exp < 0:
+                self.check(f"{base} == 0", "_Singular, 'zero base with negative exponent'")
+            x = self.const(("float", a.exp), float(a.exp))
+            return self.define(
+                f"complex({base}.real ** {x}) if {base}.imag == 0 and {base}.real > 0 "
+                f"else _exp({x} * _log({base}))"
+            )
+        if not isinstance(a, (OpaqueAtom, PartialAtom)):
+            raise EvaluationError(f"cannot evaluate atom {a!r}")
+        q = repr(a.fn.name)
+        fn = self.define(f"O.get({q})")
+        self.check(f"{fn} is None", f"_Unbound, {q}")
+        args = ", ".join([self.symbol(s.name) for s in a.args])
+        if isinstance(a, OpaqueAtom):
+            return self.define(f"complex({fn}.fn({args}))")
         idx = tuple((s.name, n) for s, n in a.orders)
-        analytic = closure.partials.get(idx)
-        if analytic is not None:
-            return complex(analytic(*args))
+        analytic = self.define(f"{fn}.partials.get({self.const(('index', idx), idx)})")
         names = [s.name for s in a.args]
-        return _fd_partial(closure.fn, names, args, list(idx), DEFAULT_FD_STEP)
-    if isinstance(a, RepAtom):
-        return evaluate(a.expansion, b)
-    raise EvaluationError(f"cannot evaluate atom {a!r}")
-
-
-def _cpow(base: complex, exp: Fraction) -> complex:
-    if base.imag == 0 and base.real > 0:
-        return complex(base.real ** float(exp))
-    return cmath.exp(float(exp) * cmath.log(base))
+        fd = (
+            f"_fd_partial({fn}.fn, {self.const(('names', tuple(names)), names)}, [{args}], "
+            f"{self.const(('orders', idx), list(idx))}, {self.const('step', DEFAULT_FD_STEP)})"
+        )
+        return self.define(f"complex({analytic}({args})) if {analytic} is not None else {fd}")
 
 
 def _fd_partial(fn, names, args, orders, h) -> complex:
@@ -151,15 +266,17 @@ def fd_whole(
     point before evaluating."""
     if h <= 0:
         raise EvaluationError("finite-difference step must be positive")
+    from .depctx import solve_dependents
+
     name = v.name if hasattr(v, "name") else str(v)
+    prog = _program(Expr._coerce(e))
+    near = {u.name: complex(b.values[u.name]).real for u in ctx.dependents if u.name in b.values}
 
     def at(delta: float) -> complex:
-        vals = {k: val for k, val in b.values.items()}
+        vals = dict(b.values)
         vals[name] = complex(vals[name]).real + delta
-        near = {u.name: complex(b.values[u.name]).real for u in ctx.dependents if u.name in b.values}
-        solved = solve_dependents(ctx, vals, sign=sign, near=near or None)
-        vals.update(solved)
-        return evaluate(e, NumericBinding(values=vals, opaques=b.opaques))
+        vals.update(solve_dependents(ctx, vals, sign=sign, near=near or None))
+        return prog(vals, b.opaques)
 
     return (at(h) - at(-h)) / (2.0 * h)
 
@@ -289,6 +406,8 @@ class SamplerSpec:
     def draw(self, ctx: DependencyContext, index: int, seed: int) -> Dict[str, complex]:
         import numpy as np
 
+        from .depctx import _draw_free
+
         rng = np.random.default_rng([seed, index])
         vals = _draw_free(ctx, rng)
         for s in ctx.dependents:
@@ -310,6 +429,8 @@ def verify_identity(
     """Evaluate both sides at seeded samples; a sample fails when both the
     absolute and the relative error exceed their tolerances.  Evaluation
     errors count as failures with diagnostics."""
+    from .depctx import sample_on_shell
+
     if sampler.kind == "on-shell":
         points = sample_on_shell(ctx, samples, seed, sign=sampler.sign)
     else:
@@ -319,11 +440,12 @@ def verify_identity(
     max_abs = 0.0
     max_rel = 0.0
     diags: List[FailureDiagnostic] = []
+    lhs_at, rhs_at = _program(Expr._coerce(lhs)), _program(Expr._coerce(rhs))
+    closures = opaques or {}
     for k, vals in enumerate(points):
-        binding = NumericBinding(values=dict(vals), opaques=dict(opaques or {}))
         try:
-            lv = evaluate(lhs, binding)
-            rv = evaluate(rhs, binding)
+            lv = lhs_at(vals, closures)
+            rv = rhs_at(vals, closures)
         except EvaluationError as exc:
             failures += 1
             diags.append(FailureDiagnostic(k, dict(vals), None, None, error=str(exc)))

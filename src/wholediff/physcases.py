@@ -13,6 +13,7 @@ from typing import Optional, Tuple
 from .depctx import DependencyContext, implicit_partial
 from .diffop import DifferentialOperator, apply, commutator
 from .errors import ContextError, DegenerateConstraintError
+from .numcheck import NumericBinding, evaluate
 from .symexpr import CommutatorTable, Expr, Symbol, SymbolKind
 
 _NC_CLASS = 1  # momentum components share one noncommuting class
@@ -172,8 +173,6 @@ def build_retarded(s: RetardedScenario) -> DependencyContext:
             )
     speed = traj.diff_plain(tp)
     if not speed.symbols():
-        from .numcheck import NumericBinding, evaluate
-
         v = evaluate(speed, NumericBinding(values={}))
         if abs(v) >= 1.0:
             raise DegenerateConstraintError(

@@ -363,7 +363,9 @@ def _mul_poly_expr(p, q) -> "Expr":
 class Expr:
     """Immutable expression in canonical form."""
 
-    __slots__ = ("_num", "_den", "_key")
+    # _compiled holds the numeric program that numcheck makes on the first
+    # evaluation; it is left unset until then, so construction never pays.
+    __slots__ = ("_num", "_den", "_key", "_compiled")
 
     def __init__(self, *_args, **_kw):
         raise TypeError("use Expr factory methods (const, symbol, ...)")

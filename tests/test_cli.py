@@ -141,6 +141,28 @@ def test_scenario_retarded_output_ignores_hash_seed(tmp_path):
     assert b"\nparam a b c\n" in outputs[0][1]
 
 
+@pytest.mark.parametrize(
+    "argv, written",
+    [
+        (("mass-shell", "--dim", "1"), "mass-shell.ctx"),
+        (("retarded", "--trajectory", "0.5*tp"), "retarded.ctx"),
+    ],
+)
+def test_scenario_out_missing_directory_is_created(tmp_path, capsys, argv, written):
+    out_dir = tmp_path / "missing" / "nested"
+    code, out, err = run(capsys, "scenario", *argv, "--out", str(out_dir))
+    assert code == 0, err
+    assert (out_dir / written).is_file()
+    assert f"wrote {out_dir / written}" in out
+
+    not_a_dir = tmp_path / "plain-file"
+    not_a_dir.write_text("keep me")
+    code, out, err = run(capsys, "scenario", *argv, "--out", str(not_a_dir))
+    assert code == 2
+    assert err.startswith("usage error:") and "not a directory" in err
+    assert not_a_dir.read_text() == "keep me"
+
+
 def test_scenario_unknown_exit2(capsys):
     code, _, err = run(capsys, "scenario", "unknown")
     assert code == 2
@@ -178,6 +200,19 @@ def test_verify_numeric_error_exit4(ctx_file, capsys):
         capsys, "verify", ctx_file, "--lhs", "1/(E-E)", "--rhs", "p1", "--samples", "3"
     )
     assert code == 4
+
+
+@pytest.mark.xfail(strict=True, reason="nested fixed-step _fd_partial (ROADMAP item 1)")
+def test_verify_third_energy_partial_of_poly_closure_is_zero(ctx_file, capsys):
+    """The poly closure is E^2*p1, so D[f,E,E,E] is 0 at every sample; the
+    nested central differences at h = 1e-5 lose it to rounding."""
+    code, out, _ = run(
+        capsys,
+        "verify", ctx_file, "--lhs", "D[f,E,E,E]", "--rhs", "0",
+        "--closure", "poly", "--samples", "20",
+    )
+    assert "failures: 0" in out
+    assert code == 0
 
 
 def test_verify_json_byte_stable(ctx_file, capsys):

@@ -105,6 +105,18 @@ def test_solve_dependents_near_keeps_sheet():
     assert sol["E"] == pytest.approx(-5.0)
 
 
+def test_solve_dependents_follows_replaced_constraints():
+    """The per-context solve plan is made again when the constraints or the
+    dependents of the context are replaced."""
+    ctx = make_ctx()
+    vals = {"p1": 3.0, "p2": 0.0, "m": 4.0}
+    assert solve_dependents(ctx, vals)["E"] == 5.0
+    ctx.constraints = ((G - Expr.const(11), E),)  # E^2 = 16 + 9 - 11
+    assert solve_dependents(ctx, vals)["E"] == pytest.approx(math.sqrt(14.0))
+    ctx.dependents = ()
+    assert solve_dependents(ctx, vals) == {}
+
+
 def test_solve_dependents_nonpolynomial_falls_back_to_bracketing():
     # constraint E^3 - p1 = 0 is cubic in the dependent: no closed form path
     t = Symbol("t", SymbolKind.DEPENDENT)

@@ -1,23 +1,43 @@
 import cmath
 import math
+import random
+from fractions import Fraction
 
 import pytest
 
 from conftest import field_of
-from wholediff.depctx import sample_on_shell
-from wholediff.errors import SingularityError, UnboundSymbolError
+from wholediff import MassShellScenario, RetardedScenario, build_mass_shell, build_retarded
+from wholediff.depctx import sample_on_shell, solve_dependents
+from wholediff.errors import (
+    EvaluationError,
+    SingularityError,
+    UnboundSymbolError,
+    UnsupportedExpressionError,
+)
 from wholediff.numcheck import (
+    DEFAULT_FD_STEP,
     NumericBinding,
     OpaqueFn,
     SamplerSpec,
+    _fd_partial,
     evaluate,
     fd_commutator_pE,
     fd_whole,
     shipped_closures,
     verify_identity,
 )
-from wholediff.symexpr import Expr, Symbol, SymbolKind
-from wholediff.wholederiv import whole_partial
+from wholediff.physcases import RETARDED_TP
+from wholediff.symexpr import (
+    Expr,
+    OpaqueAtom,
+    PartialAtom,
+    PowAtom,
+    RepAtom,
+    Symbol,
+    SymbolAtom,
+    SymbolKind,
+)
+from wholediff.wholederiv import whole_partial, whole_partial_raw
 
 m = Symbol("m", SymbolKind.PARAMETER)
 E = Symbol("E", SymbolKind.DEPENDENT)
@@ -179,3 +199,220 @@ def test_box_sampler_off_shell(ms_commuting):
     vals = spec.draw(ctx, 0, seed=9)
     assert set(vals) >= {"p1", "p2", "p3", "m", "E"}
     assert vals == spec.draw(ctx, 0, seed=9)
+
+
+# ---------------------------------------------------------------------------
+# The compiled evaluator against the tree walk it replaced
+# ---------------------------------------------------------------------------
+
+
+def _reference_evaluate(e, b):
+    """The tree-walking evaluator that the compiled programs replaced,
+    kept verbatim as the reference for them."""
+    e = Expr._coerce(e)
+    num = _reference_eval_poly(e._num, b)
+    if e.den_is_one():
+        return num
+    den = _reference_eval_poly(e._den, b)
+    if abs(den) < 1e-300:
+        raise SingularityError("denominator magnitude below 1e-300")
+    return num / den
+
+
+def _reference_eval_poly(p, b):
+    total = 0j
+    for c, f in p:
+        term = c.to_complex()
+        for a, exp in f:
+            v = _reference_eval_atom(a, b)
+            if exp < 0 and abs(v) < 1e-300:
+                raise SingularityError("division by a value of magnitude below 1e-300")
+            term *= v**exp
+        total += term
+    return total
+
+
+def _reference_eval_atom(a, b):
+    if isinstance(a, SymbolAtom):
+        return b.value(a.symbol.name)
+    if isinstance(a, PowAtom):
+        base = _reference_evaluate(a.base, b)
+        if base == 0 and a.exp < 0:
+            raise SingularityError("zero base with negative exponent")
+        if base.imag == 0 and base.real > 0:
+            return complex(base.real ** float(a.exp))
+        return cmath.exp(float(a.exp) * cmath.log(base))
+    if isinstance(a, OpaqueAtom):
+        closure = b.opaques.get(a.fn.name)
+        if closure is None:
+            raise UnboundSymbolError(a.fn.name)
+        args = [b.value(s.name) for s in a.args]
+        return complex(closure.fn(*args))
+    if isinstance(a, PartialAtom):
+        closure = b.opaques.get(a.fn.name)
+        if closure is None:
+            raise UnboundSymbolError(a.fn.name)
+        args = [b.value(s.name) for s in a.args]
+        idx = tuple((s.name, n) for s, n in a.orders)
+        analytic = closure.partials.get(idx)
+        if analytic is not None:
+            return complex(analytic(*args))
+        names = [s.name for s in a.args]
+        return _fd_partial(closure.fn, names, args, list(idx), DEFAULT_FD_STEP)
+    if isinstance(a, RepAtom):
+        return _reference_evaluate(a.expansion, b)
+    raise EvaluationError(f"cannot evaluate atom {a!r}")
+
+
+def _reference_solve(ctx, vals, sign=+1, near=None):
+    """solve_dependents and _solve_one as they were before the solve plans,
+    on the reference evaluator."""
+    from scipy.optimize import brentq
+
+    out = {}
+    for u in ctx.dependents:
+        g = ctx.constraint_for(u)
+        gu = g.diff_plain(u)
+        guu = gu.diff_plain(u)
+        guuu = guu.diff_plain(u)
+        vs = {**vals, **out}
+        want = None if near is None else near.get(u.name)
+        val_at = lambda x, expr: _reference_evaluate(
+            expr, NumericBinding(values={**vs, u.name: x})
+        ).real
+        if guuu.is_zero():
+            a2 = 0.5 * val_at(0.0, guu)
+            a1 = val_at(0.0, gu)
+            a0 = val_at(0.0, g)
+            if abs(a2) < 1e-14:
+                out[u.name] = -a0 / a1
+                continue
+            disc = a1 * a1 - 4.0 * a2 * a0
+            r1 = (-a1 + math.sqrt(disc)) / (2.0 * a2)
+            r2 = (-a1 - math.sqrt(disc)) / (2.0 * a2)
+            if want is not None:
+                out[u.name] = r1 if abs(r1 - want) <= abs(r2 - want) else r2
+            else:
+                out[u.name] = max(r1, r2) if sign >= 0 else min(r1, r2)
+            continue
+        lo, hi = (1e-6, 1e3) if sign >= 0 else (-1e3, -1e-6)
+        if want is not None:
+            width = max(1.0, abs(want))
+            lo, hi = want - width, want + width
+        f = lambda x: val_at(x, g)
+        out[u.name] = float(brentq(f, lo, hi, xtol=1e-14, rtol=8.9e-16))
+    return out
+
+
+def _outcome(thunk):
+    """repr of the value (bit-exact, unlike ==), or the error's type and text."""
+    try:
+        return repr(thunk())
+    except Exception as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def _reference_corpus(ctx, rng):
+    from test_properties import _expr_pool, _rand_expr
+
+    pool = _expr_pool(ctx)
+    fe = field_of(ctx)
+    ps = [ctx.find_symbol(n) for n in ("p1", "p2", "p3")]
+    E = ctx.find_symbol("E")
+    P1, M, EE = Expr.symbol(ps[0]), Expr.symbol(ctx.find_symbol("m")), Expr.symbol(E)
+    i = Expr.imaginary_unit()
+    extra = [
+        EE ** -3,
+        (i * M + Fraction(1, 3)) * fe.diff_plain(E).diff_plain(E).diff_plain(E),
+        (M + i * EE) ** Fraction(-1, 3),
+        (M ** 2 - EE ** 2) ** Fraction(-1, 2),
+        (M ** 2 - EE ** 2) ** Fraction(1, 2) * P1,
+    ]
+    if ctx.ordering_mode == "commuting":
+        extra += [P1 / (EE + i * M), (M - i * P1) ** Fraction(-3, 2) / (EE ** 2 - M)]
+    pool = pool + extra
+    out = list(extra)
+    for _ in range(40):
+        e = _rand_expr(rng, pool)
+        v = rng.choice(ps)
+        out.append(e)
+        if rng.random() < 0.5:
+            continue
+        try:
+            out += [whole_partial_raw(e, v, ctx), whole_partial(e, v, ctx)]
+        except UnsupportedExpressionError:  # a sum denominator with p_i
+            pass
+    return out
+
+
+@pytest.mark.parametrize(
+    "mode, feynman", [("commuting", False), ("operator", False), ("paper", False), ("paper", True)]
+)
+def test_compiled_evaluate_matches_reference_walk(mode, feynman):
+    ctx = build_mass_shell(MassShellScenario(ordering_mode=mode, feynman=feynman))
+    rng = random.Random(f"compiled-{mode}-{feynman}")
+    exprs = _reference_corpus(ctx, rng)
+    assert any(isinstance(a, RepAtom) for e in exprs for _, f in e._num for a, _ in f)
+    closures = dict(shipped_closures(3))
+    # no analytic partials at all: every partial atom takes the FD fallback
+    closures["bare"] = OpaqueFn(lambda p1, p2, p3, e: cmath.sin(e) * p1 + p2 * p3 * e ** 2)
+    names = ["p1", "p2", "p3", "m", "E", "kappa12", "kappa13", "kappa23", "B1", "B2", "B3"]
+    kinds = {"value": 0, "SingularityError": 0, "UnboundSymbolError": 0}
+    for e in exprs:
+        for _ in range(3):
+            vals = {n: rng.uniform(-2.0, 2.0) for n in names}
+            vals["m"] = rng.uniform(0.5, 2.0)
+            if rng.random() < 0.2:
+                vals["E"] = rng.choice((0.0, 1e-310))
+            if rng.random() < 0.15:
+                del vals[rng.choice(names)]
+            closure = rng.choice([None] + sorted(closures))
+            b = NumericBinding(values=vals, opaques={"f": closures[closure]} if closure else {})
+            want = _outcome(lambda: _reference_evaluate(e, b))
+            assert _outcome(lambda: evaluate(e, b)) == want, (e, vals, closure)
+            kinds[want[0] if isinstance(want, tuple) else "value"] += 1
+    assert all(n > 10 for n in kinds.values()), kinds
+    # a power of an exactly zero base, and values the power v**1 of a
+    # monomial factor does not pass through unchanged
+    edges = [{"E": 1.5, "m": 1.5}, {"p1": math.inf}, {"p1": math.nan}, {"p1": complex(-0.0, -1.0)}]
+    for e in exprs:
+        for edge in edges:
+            vals = dict({n: 0.75 for n in names}, **edge)
+            b = NumericBinding(values=vals, opaques={"f": closures["bare"]})
+            assert _outcome(lambda: evaluate(e, b)) == _outcome(lambda: _reference_evaluate(e, b))
+
+
+def test_solve_dependents_matches_reference_roots(ms_commuting):
+    for sign in (+1, -1):
+        for vals in sample_on_shell(ms_commuting, 20, 11, sign=sign):
+            free = {k: v for k, v in vals.items() if k != "E"}
+            want = _reference_solve(ms_commuting, free, sign)
+            assert repr(want) == repr(solve_dependents(ms_commuting, free, sign=sign))
+            assert want["E"] == vals["E"]
+            near = {"E": vals["E"] * rng_scale for rng_scale in (-0.5,)}
+            assert repr(_reference_solve(ms_commuting, free, sign, near)) == repr(
+                solve_dependents(ms_commuting, free, sign=sign, near=near)
+            )
+    cubic = build_retarded(RetardedScenario(trajectory=Expr.symbol(RETARDED_TP) ** 3 / 10))
+    for vals in sample_on_shell(cubic, 20, 12):
+        free = {k: v for k, v in vals.items() if k != "tp"}
+        want = _reference_solve(cubic, free)
+        assert repr(want) == repr(solve_dependents(cubic, free))
+        near = {"tp": vals["tp"] + 0.25}
+        assert repr(_reference_solve(cubic, free, near=near)) == repr(
+            solve_dependents(cubic, free, near=near)
+        )
+
+
+def test_compiled_long_sum_matches_reference_walk():
+    """A sum of thousands of terms, more than one line of source can nest,
+    compiles over several lines and adds in the walk's order."""
+    xs = [Expr.symbol(Symbol(f"x{i}", SymbolKind.PARAMETER)) for i in range(80)]
+    e = Expr.sum(a * b * Fraction(1, i + 1) for i, a in enumerate(xs) for b in xs[i:])
+    e = e / (EE + M)
+    assert len(e._num) > 3000
+    rng = random.Random(5)
+    for e_val in (3.0, -4.0):
+        vals = {f"x{i}": rng.uniform(-2.0, 2.0) for i in range(80)}
+        b = NumericBinding(values=dict(vals, E=e_val, m=4.0))
+        assert _outcome(lambda: evaluate(e, b)) == _outcome(lambda: _reference_evaluate(e, b))
