@@ -212,7 +212,7 @@ class _Compiler:
             x = self.const(("float", a.exp), float(a.exp))
             return self.define(
                 f"complex({base}.real ** {x}) if {base}.imag == 0 and {base}.real > 0 "
-                f"else _exp({x} * _log({base}))"
+                f"else _exp({x} * _log({base})) if {base} else 0j"
             )
         if not isinstance(a, (OpaqueAtom, PartialAtom)):
             raise EvaluationError(f"cannot evaluate atom {a!r}")

@@ -59,6 +59,8 @@ class QC:
         return QC(-self.re, -self.im)
 
     def __mul__(self, other: "QC") -> "QC":
+        if self is ONE or other is ONE:
+            return other if self is ONE else self
         if not self.im and not other.im:
             return _real(self.re * other.re)
         return QC(

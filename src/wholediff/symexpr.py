@@ -21,12 +21,22 @@ is added to the merged part last.  The order matters: there is no
 multivariate GCD (_cancel_content strips only common monomials), so the
 canonical form of a sum over different sum denominators depends on the
 order of the additions.
+
+A product (Expr *, a sum over a monomial, a derivative term, a
+representation or commutator product) is made in one step: each output
+word, the concatenation of one word per factor, is canonicalized once, and
+all are merged once; a word in which a power atom ends at an exponent other
+than 1 is recomputed by Expr.__pow__ and summed after the merged part.  A
+product of several Exprs with a sum denominator or a noncommuting letter at
+a negative power is made one factor at a time: a cancelling inverse can
+change the canonical order (d z z^-1 b folds to d b, canonically b d).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
@@ -261,8 +271,9 @@ def _canonical_word(letters):
     A central letter (no nc_classes) is always movable and blocks nothing,
     so the greedy emits the central letters in key order, interleaved by
     key with the sequence it would emit from the other letters alone; only
-    those run the quadratic greedy loop.  Ties between equal keys go to the
-    earlier letter, as in the plain greedy."""
+    those run the quadratic greedy loop, and only when their classes differ:
+    letters that all have the same classes keep their written order.  Ties
+    between equal keys go to the earlier letter, as in the plain greedy."""
     central, rem = [], []
     for i, (a, e) in enumerate(letters):
         if e:
@@ -271,10 +282,11 @@ def _canonical_word(letters):
     merged = central
     if rem:
         merged, n = [], 0
+        greedy = len({a.nc_classes for _k, _i, a, _e in rem}) > 1
         while rem:
-            best = None
-            for i, (k, _i, a, _e) in enumerate(rem):
-                if (best is None or k < rem[best][0]) and all(
+            best = 0
+            for i, (k, _i, a, _e) in enumerate(rem[1:] if greedy else (), 1):
+                if k < rem[best][0] and all(
                     rem[j][0] == k or rem[j][2].nc_classes.isdisjoint(a.nc_classes)
                     for j in range(i)
                 ):
@@ -350,9 +362,30 @@ def _poly_expr(p) -> "Expr":
     return Expr._raw(p, _POLY_ONE)
 
 
-def _mul_poly_expr(p, q) -> "Expr":
-    """Product of two canonical polynomials, as an Expr."""
-    return Expr.sum(_mono_expr(c1 * c2, f1 + f2) for c1, f1 in p for c2, f2 in q)
+def _product(factors) -> "Expr":
+    """Ordered product of Exprs and polynomials ((coefficient, word) monomials,
+    staged as the sum of their _mono_expr); the module docstring has the rule."""
+    polys = [x._num if isinstance(x, Expr) else x for x in factors]
+    if any(isinstance(x, Expr) and not x.den_is_one() for x in factors) or any(
+            e < 0 and a.nc_classes for p in polys for _c, f in p for a, e in f):
+        return reduce(Expr.__mul__, [x if isinstance(x, Expr) else Expr.sum(
+            _mono_expr(c, f) for c, f in x) for x in factors])
+    return _mul_polys(*polys)
+
+
+def _mul_polys(*polys) -> "Expr":
+    """Product of polynomials: one canonical word per output monomial."""
+    monos = [(ONE, ())]
+    for p in polys:
+        monos = [(c1 * c2, f1 + f2) for c1, f1 in monos for c2, f2 in p]
+    merged, rest = [], []
+    for c, f in monos:
+        f = _canonical_word(f)
+        if any(e != 1 and isinstance(a, PowAtom) for a, e in f):
+            rest.append(_mono_expr(c, f))
+        else:
+            merged.append((c, f))
+    return Expr.sum([Expr._raw(_poly_merge(merged), _POLY_ONE), *rest])
 
 
 # ---------------------------------------------------------------------------
@@ -394,8 +427,7 @@ class Expr:
             return cls._raw(num, _POLY_ONE)
         if len(den) == 1:
             dc, df = den[0]
-            invc, invf = dc.inverse(), tuple((a, -e) for a, e in reversed(df))
-            return cls.sum(_mono_expr(c * invc, f + invf) for c, f in num)
+            return _mul_polys(num, ((dc.inverse(), tuple((a, -e) for a, e in df[::-1])),))
         if _poly_has_word(den):
             raise UnsupportedExpressionError(
                 "sum denominators containing noncommuting symbols are not supported"
@@ -540,10 +572,10 @@ class Expr:
         other = Expr._coerce(other)
         if self._den == other._den:
             return Expr._from_fraction(_poly_merge(self._num + other._num), self._den)
-        a = _mul_poly_expr(self._num, other._den)
-        b = _mul_poly_expr(other._num, self._den)
+        a = _mul_polys(self._num, other._den)
+        b = _mul_polys(other._num, self._den)
         num = a + b
-        den = _mul_poly_expr(self._den, other._den)
+        den = _mul_polys(self._den, other._den)
         return num / den
 
     __radd__ = __add__
@@ -560,9 +592,9 @@ class Expr:
     def __mul__(self, other):
         other = Expr._coerce(other)
         if self.den_is_one() and other.den_is_one():
-            return _mul_poly_expr(self._num, other._num)
-        num = _mul_poly_expr(self._num, other._num)
-        den = _mul_poly_expr(self._den, other._den)
+            return _mul_polys(self._num, other._num)
+        num = _mul_polys(self._num, other._num)
+        den = _mul_polys(self._den, other._den)
         return num / den
 
     def __rmul__(self, other):
@@ -574,8 +606,8 @@ class Expr:
             raise ZeroDivisionError("division by zero expression")
         if other.den_is_one() and self.den_is_one():
             return Expr._from_fraction(self._num, other._num)
-        num = _mul_poly_expr(self._num, other._den)
-        den = _mul_poly_expr(self._den, other._num)
+        num = _mul_polys(self._num, other._den)
+        den = _mul_polys(self._den, other._num)
         if den.is_zero():
             raise ZeroDivisionError("division by zero expression")
         if den.den_is_one() and num.den_is_one():
@@ -723,12 +755,8 @@ def _poly_diff(p, v) -> "Expr":
             da = a.diff(v)
             if da.is_zero():
                 continue
-            prefix = _mono_expr(c, f[:i])
-            mid = Expr.const(QC(Fraction(e)))
-            if e != 1:
-                mid = mid * _atom_power(a, e - 1)
-            suffix = _mono_expr(ONE, f[i + 1 :])
-            terms.append(prefix * mid * da * suffix)
+            terms.append(_product((((c, f[:i]),), ((QC(Fraction(e)), ((a, e - 1),)),), da,
+                                   ((ONE, f[i + 1 :]),))))
     return Expr.sum(terms)
 
 
@@ -935,9 +963,7 @@ def _normal_order_mono(coeff: QC, factors, comms: CommutatorTable, budget: int) 
         comm = comms.lookup(a1.symbol, a2.symbol)
         if comm is None:
             raise NormalOrderError(a1.symbol.name, a2.symbol.name)
-        prefix = _mono_expr(ONE, w[:idx])
-        suffix = _mono_expr(ONE, w[idx + 2 :])
-        branch = Expr.const(c) * prefix * comm * suffix
+        branch = _product((Expr.const(c), ((ONE, w[:idx]),), comm, ((ONE, w[idx + 2 :]),)))
         terms.append(_map_num(branch, lambda c2, f2: _normal_order_mono(c2, f2, comms, b + 1)))
     return Expr.sum(terms)
 
@@ -982,13 +1008,8 @@ def _expand_mono(coeff: QC, factors, mode: str) -> Expr:
         return _mono_expr(coeff, factors)
 
     def assemble(assignment):
-        term = Expr.const(coeff)
-        for i, (a, e) in enumerate(units):
-            if i in assignment:
-                term = term * assignment[i].expansion
-            else:
-                term = term * _atom_power(a, e)
-        return term
+        return _product([((coeff, ()),)] + [assignment[i].expansion if i in assignment
+                                            else ((ONE, (u,)),) for i, u in enumerate(units)])
 
     reps = [units[i][0] for i in slots]
     if mode == "paper" and len(reps) > 1:

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -202,6 +203,17 @@ def test_verify_numeric_error_exit4(ctx_file, capsys):
     assert code == 4
 
 
+def test_verify_positive_power_of_zero_base(ctx_file, capsys):
+    """sqrt(m^2) - m is exactly 0 at every sample; its square root is 0,
+    not a math domain error."""
+    code, out, _ = run(
+        capsys,
+        "verify", ctx_file, "--lhs", "sqrt(sqrt(m^2) - m)", "--rhs", "0", "--samples", "5",
+    )
+    assert "failures: 0" in out
+    assert code == 0
+
+
 @pytest.mark.xfail(strict=True, reason="nested fixed-step _fd_partial (ROADMAP item 1)")
 def test_verify_third_energy_partial_of_poly_closure_is_zero(ctx_file, capsys):
     """The poly closure is E^2*p1, so D[f,E,E,E] is 0 at every sample; the
@@ -284,3 +296,12 @@ def test_cli_matches_golden_digests(bench_workloads, tmp_path):
     for argv in argvs:
         rc, out = w.cli_in_process(m, argv, tmp_path)
         assert w.cli_digest(rc, out) == golden[w.cli_key(argv)], w.cli_key(argv)
+
+
+def test_sources_parse_as_python_3_10():
+    """pyproject.toml declares requires-python >= 3.10; no newer syntax."""
+    root = Path(__file__).resolve().parent.parent
+    files = [p for d in ("src", "bench", "tests") for p in sorted((root / d).rglob("*.py"))]
+    assert len(files) > 20
+    for path in files:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))

@@ -208,7 +208,8 @@ def test_box_sampler_off_shell(ms_commuting):
 
 def _reference_evaluate(e, b):
     """The tree-walking evaluator that the compiled programs replaced,
-    kept verbatim as the reference for them."""
+    kept as the reference for them; the one change since is that a
+    positive power of an exactly zero base is 0."""
     e = Expr._coerce(e)
     num = _reference_eval_poly(e._num, b)
     if e.den_is_one():
@@ -241,6 +242,8 @@ def _reference_eval_atom(a, b):
             raise SingularityError("zero base with negative exponent")
         if base.imag == 0 and base.real > 0:
             return complex(base.real ** float(a.exp))
+        if base == 0:
+            return 0j
         return cmath.exp(float(a.exp) * cmath.log(base))
     if isinstance(a, OpaqueAtom):
         closure = b.opaques.get(a.fn.name)
