@@ -6,7 +6,14 @@ an ordered product of derivative generators; generators apply
 right-to-left (the rightmost acts first) and the coefficient multiplies
 from the left.  Application semantics define correctness; composition is
 required to agree with nested application and pushes derivatives through
-coefficients via the product rule."""
+coefficients via the product rule.
+
+Each call of compose, commutator or expand_to_plain takes the derivative
+of a coefficient object along a generator once: the finalized derivative
+is kept in a dict made for that call, and expand_to_plain builds the
+elementary plain operator of each whole generator once, so its
+representation coefficients are the same objects throughout.  Nothing is
+kept between calls."""
 
 from __future__ import annotations
 
@@ -152,33 +159,50 @@ def apply(A: DifferentialOperator, e) -> Expr:
 def compose(A: DifferentialOperator, B: DifferentialOperator) -> DifferentialOperator:
     """Operator such that apply(compose(A, B), e) = apply(A, apply(B, e)):
     A's generators are pushed through B's coefficients by the product rule."""
+    return _compose(A, B, {})
+
+
+def _compose(A, B, memo) -> DifferentialOperator:
     A._check(B)
     ctx = A.context
     terms = []
     for ca, ga in A.terms:
         for cb, gb in B.terms:
-            for c2, g2 in _push(ga, cb, ctx):
+            for c2, g2 in _push(ga, cb, ctx, memo):
                 terms.append((ca * c2, tuple(g2) + tuple(gb)))
     return DifferentialOperator(ctx, terms)
 
 
-def _push(gens, coeff: Expr, ctx) -> List[Tuple[Expr, Tuple[DerivativeGenerator, ...]]]:
+def _push(gens, coeff: Expr, ctx, memo) -> List[Tuple[Expr, Tuple[DerivativeGenerator, ...]]]:
     """Rewrite gens∘(coeff·) as a sum of (coeff'·)∘gens' via the Leibniz
     rule, innermost generator first."""
     if not gens:
         return [(coeff, ())]
     front, last = gens[:-1], gens[-1]
     out = []
-    dcoeff = finalize(derive_raw(coeff, last.variable, last.mode, ctx), ctx)
+    dcoeff = _derivative(coeff, last, ctx, memo)
     if not dcoeff.is_zero():
-        out.extend(_push(front, dcoeff, ctx))
-    for c2, g2 in _push(front, coeff, ctx):
+        out.extend(_push(front, dcoeff, ctx, memo))
+    for c2, g2 in _push(front, coeff, ctx, memo):
         out.append((c2, tuple(g2) + (last,)))
     return out
 
 
+def _derivative(coeff: Expr, g: DerivativeGenerator, ctx, memo) -> Expr:
+    """finalize(derive_raw(coeff, g)), taken once per coefficient object and
+    generator in memo.  The entry keeps coeff alive, so its id is not reused
+    while the memo lives, and the derivative it returns is the same object
+    each time, so deeper steps of the recursion hit by identity too."""
+    key = (id(coeff), g)
+    hit = memo.get(key)
+    if hit is None:
+        hit = memo[key] = (coeff, finalize(derive_raw(coeff, g.variable, g.mode, ctx), ctx))
+    return hit[1]
+
+
 def commutator(A: DifferentialOperator, B: DifferentialOperator) -> DifferentialOperator:
-    return compose(A, B) - compose(B, A)
+    memo = {}
+    return _compose(A, B, memo) - _compose(B, A, memo)
 
 
 def expand_to_plain(A: DifferentialOperator) -> DifferentialOperator:
@@ -187,11 +211,14 @@ def expand_to_plain(A: DifferentialOperator) -> DifferentialOperator:
     coefficients are pushed to the left, and each term's plain-generator
     product is sorted (plain partials commute)."""
     ctx = A.context
+    memo, elementary = {}, {}
     terms = []
     for c, gens in A.terms:
         acc = DifferentialOperator.multiplication(ctx, c)
         for g in gens:
-            acc = compose(acc, _elementary_plain(g, ctx))
+            if g not in elementary:
+                elementary[g] = _elementary_plain(g, ctx)
+            acc = _compose(acc, elementary[g], memo)
         terms.extend(acc.terms)
     # Merge per written generator order first, then per sorted order: the
     # order of additions fixes the form of sum-denominator coefficients.

@@ -7,6 +7,7 @@ Units are c = hbar = 1 throughout.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
@@ -140,10 +141,14 @@ def position_commutator_table(ctx: DependencyContext) -> PositionCommutatorTable
     while ctx.find_symbol(f"p{k}") is not None:
         ops.append(DifferentialOperator.whole(ctx, _momentum(ctx, k)).scale(-i_unit))
         k += 1
-    entries = tuple(
-        tuple(commutator(a, b) for b in ops) for a in ops
+    # Each pair once: the table is antisymmetric with a zero diagonal.
+    entries = [[DifferentialOperator.zero(ctx)] * len(ops) for _ in ops]
+    for mu, nu in itertools.combinations(range(len(ops)), 2):
+        entries[mu][nu] = commutator(ops[mu], ops[nu])
+        entries[nu][mu] = -entries[mu][nu]
+    return PositionCommutatorTable(
+        operators=tuple(ops), entries=tuple(map(tuple, entries))
     )
-    return PositionCommutatorTable(operators=tuple(ops), entries=entries)
 
 
 @dataclass(frozen=True)

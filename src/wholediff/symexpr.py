@@ -30,6 +30,11 @@ than 1 is recomputed by Expr.__pow__ and summed after the merged part.  A
 product of several Exprs with a sum denominator or a noncommuting letter at
 a negative power is made one factor at a time: a cancelling inverse can
 change the canonical order (d z z^-1 b folds to d b, canonically b d).
+
+A product by one (the Expr.one() object) is the other factor itself when
+that factor has only central letters: a sorted, folded word is its own
+canonical form.  A word with noncommuting letters may not be, after such a
+cancellation, so that product is made in full and canonicalizes it again.
 """
 
 from __future__ import annotations
@@ -591,6 +596,10 @@ class Expr:
 
     def __mul__(self, other):
         other = Expr._coerce(other)
+        if other is _E_ONE and not _poly_has_word(self._num):
+            return self
+        if self is _E_ONE and not _poly_has_word(other._num):
+            return other
         if self.den_is_one() and other.den_is_one():
             return _mul_polys(self._num, other._num)
         num = _mul_polys(self._num, other._num)

@@ -1,18 +1,30 @@
+import re
+
 import pytest
 
 from conftest import field_of
-from wholediff.depctx import DependencyContext
+from test_symexpr import (
+    _KERNEL_MODES,
+    _kernel_context,
+    _mul_without_unit_rule,
+    _two_class_context,
+)
+from wholediff import diffop
+from wholediff.depctx import DependencyContext, _constraint_derivatives
 from wholediff.diffop import (
     DerivativeGenerator,
     DifferentialOperator,
+    _elementary_plain,
     apply,
     commutator,
     compose,
     expand_to_plain,
     op_equals,
 )
-from wholediff.errors import ContextError, ContextMismatchError
-from wholediff.symexpr import Expr, Symbol, SymbolKind, equals_canonical
+from wholediff.errors import ContextError, ContextMismatchError, WholediffError
+from wholediff.symexpr import Expr, RepAtom, Symbol, SymbolKind, equals_canonical
+from wholediff.textio import print_operator
+from wholediff.wholederiv import derive_raw, finalize
 
 
 def syms(ctx, *names):
@@ -126,3 +138,165 @@ def test_scale_and_neg(ms_commuting):
     W = DifferentialOperator.whole(ctx, ctx.find_symbol("p1"))
     assert equals_canonical(apply(W.scale(3), fe), 3 * apply(W, fe))
     assert equals_canonical(apply(-W, fe), -apply(W, fe))
+
+
+# The operator algebra without the per-call derivative memo: the reference
+# that compose, commutator, expand_to_plain and op_equals must match.
+
+
+def _reference_push(gens, coeff, ctx):
+    if not gens:
+        return [(coeff, ())]
+    front, last = gens[:-1], gens[-1]
+    out = []
+    dcoeff = finalize(derive_raw(coeff, last.variable, last.mode, ctx), ctx)
+    if not dcoeff.is_zero():
+        out.extend(_reference_push(front, dcoeff, ctx))
+    for c2, g2 in _reference_push(front, coeff, ctx):
+        out.append((c2, tuple(g2) + (last,)))
+    return out
+
+
+def _reference_compose(A, B):
+    A._check(B)
+    ctx = A.context
+    terms = []
+    for ca, ga in A.terms:
+        for cb, gb in B.terms:
+            for c2, g2 in _reference_push(ga, cb, ctx):
+                terms.append((ca * c2, tuple(g2) + tuple(gb)))
+    return DifferentialOperator(ctx, terms)
+
+
+def _reference_commutator(A, B):
+    return _reference_compose(A, B) - _reference_compose(B, A)
+
+
+def _reference_expand_to_plain(A):
+    ctx = A.context
+    terms = []
+    for c, gens in A.terms:
+        acc = DifferentialOperator.multiplication(ctx, c)
+        for g in gens:
+            acc = _reference_compose(acc, _elementary_plain(g, ctx))
+        terms.extend(acc.terms)
+    merged = DifferentialOperator(ctx, terms).terms
+    return DifferentialOperator(
+        ctx, [(c, tuple(sorted(g, key=lambda d: d.variable.name))) for c, g in merged]
+    )
+
+
+def _reference_op_equals(A, B):
+    diff = _reference_expand_to_plain(A) - _reference_expand_to_plain(B)
+    return all(equals_canonical(c, Expr.zero()) for c, _ in diff.terms)
+
+
+_GENERATOR = re.compile(r"([WD])\[(\w+)\]")
+
+
+def _operator(ctx, names, *terms):
+    """Operator from (coefficient, word) pairs; a word such as 'W[u]D[E]'
+    names its variables through names."""
+    return DifferentialOperator(ctx, [
+        (c, tuple(DerivativeGenerator(ctx.find_symbol(names.get(v, v)),
+                                      "whole" if kind == "W" else "plain")
+                  for kind, v in _GENERATOR.findall(word)))
+        for c, word in terms
+    ])
+
+
+def _operator_corpus(mode, compose, commutator, expand_to_plain, op_equals):
+    """(label, key, printed text) of compose, commutator and expand_to_plain
+    results and op_equals verdicts, or (label, error type, message), in one
+    ordering mode: the mass shell, the mass shell with representations from
+    its constraint only, and the two-class context.  Coefficients include a
+    sum denominator, a noncommuting letter at a negative power and a
+    representation marker whose expansion is not the context's."""
+    _constraint_derivatives.cache_clear()
+    constraint_only = _kernel_context(mode)
+    constraint_only.representations.clear()
+    contexts = {
+        "mass shell": (_kernel_context(mode), ("p1", "p2", "p3")),
+        "constraint only": (constraint_only, ("p1", "p2", "p3")),
+        "two classes": (_two_class_context(_KERNEL_MODES[mode][0]), ("p", "a", "d")),
+    }
+    out = []
+
+    def record(label, thunk):
+        try:
+            value = thunk()
+        except (ArithmeticError, WholediffError) as exc:
+            out.append((label, type(exc).__name__, str(exc)))
+            return None
+        if isinstance(value, bool):
+            out.append((label, value))
+        else:
+            key = tuple((c.key, tuple(g.label() for g in gens)) for c, gens in value.terms)
+            out.append((label, key, print_operator(value)))
+        return value
+
+    for name, (ctx, independents) in contexts.items():
+        names = dict(zip("uvw", independents))
+        U, V, W = (Expr.symbol(ctx.find_symbol(n)) for n in independents)
+        e_sym = ctx.find_symbol("E")
+        E_, M_ = Expr.symbol(e_sym), Expr.symbol(ctx.find_symbol("m"))
+        sum_den = E_ ** 2 + M_ ** 2
+        rep = Expr.atom(RepAtom(e_sym, ctx.find_symbol(names["u"]), U / sum_den))
+        ops = {
+            "W[u]": _operator(ctx, names, (Expr.one(), "W[u]")),
+            "uE W[v]W[u] + D[E]": _operator(
+                ctx, names, (U * E_, "W[v]W[u]"), (Expr.one(), "D[E]")),
+            "m/(E^2+m^2) W[v] + u D[E]W[u]": _operator(
+                ctx, names, (M_ / sum_den, "W[v]"), (U, "D[E]W[u]")),
+            "rep v W[u] + W[w]": _operator(ctx, names, (rep * V, "W[u]"), (Expr.one(), "W[w]")),
+            "w/u W[v]": _operator(ctx, names, (W * U ** -1, "W[v]")),
+        }
+        labels = list(ops)
+        for a in labels:
+            record(f"{name}: plain {a}", lambda: expand_to_plain(ops[a]))
+            for b in labels:
+                record(f"{name}: {a} o {b}", lambda: compose(ops[a], ops[b]))
+        for i, a in enumerate(labels):
+            for b in labels[i:]:
+                record(f"{name}: {a} = {b}", lambda: op_equals(ops[a], ops[b]))
+                C = record(f"{name}: [{a}, {b}]", lambda: commutator(ops[a], ops[b]))
+                if C is not None and a != b:
+                    record(f"{name}: plain [{a}, {b}]", lambda: expand_to_plain(C))
+    return out
+
+
+@pytest.mark.parametrize("mode", sorted(_KERNEL_MODES))
+def test_memoized_operator_algebra_matches_reference(mode, monkeypatch):
+    """The per-call derivative memo and the product-by-one rule give the
+    same keys, printed text and verdicts as the un-memoized recursion with
+    full products, in every ordering mode."""
+    memoized = _operator_corpus(mode, compose, commutator, expand_to_plain, op_equals)
+    monkeypatch.setattr(Expr, "__mul__", _mul_without_unit_rule)
+    reference = _operator_corpus(
+        mode, _reference_compose, _reference_commutator,
+        _reference_expand_to_plain, _reference_op_equals,
+    )
+    assert len(memoized) == len(reference) > 150
+    for got, want in zip(memoized, reference):
+        assert got == want
+
+
+def test_compose_takes_each_derivative_once(ms_paper, monkeypatch):
+    """W[p1]^7 pushed through p1*E: one finalize per derivative order, and
+    the operator the un-memoized recursion gives."""
+    ctx = ms_paper
+    p1, p2, E = syms(ctx, "p1", "p2", "E")
+    A = DifferentialOperator(ctx, [(Expr.one(), (DerivativeGenerator(p1, "whole"),) * 7)])
+    B = DifferentialOperator(
+        ctx, [(Expr.symbol(p1) * Expr.symbol(E), (DerivativeGenerator(p2, "plain"),))]
+    )
+    want = print_operator(_reference_compose(A, B))
+    calls = []
+
+    def counted(e, ctx):
+        calls.append(e)
+        return finalize(e, ctx)
+
+    monkeypatch.setattr(diffop, "finalize", counted)
+    assert print_operator(compose(A, B)) == want
+    assert len(calls) == 7

@@ -421,6 +421,32 @@ _KERNEL_MODES = {
 }
 
 
+def _kernel_context(mode):
+    ordering, feynman = _KERNEL_MODES[mode]
+    return build_mass_shell(MassShellScenario(ordering_mode=ordering, feynman=feynman))
+
+
+def _kernel_pool(ctx):
+    """The property pool plus square roots of sum and monomial bases, sum
+    denominators, negative exponents and representation markers, one of
+    them with an expansion other than the context's."""
+    ps = [ctx.find_symbol(n) for n in ("p1", "p2", "p3")]
+    e_sym = ctx.find_symbol("E")
+    P1_, P2_, P3_ = (Expr.symbol(s) for s in ps)
+    E_, M_ = Expr.symbol(e_sym), Expr.symbol(ctx.find_symbol("m"))
+    fe = Expr.opaque(*ctx.opaques[0])
+    sum_den = E_ ** 2 + M_ ** 2
+    return _expr_pool(ctx) + [
+        (M_ / sum_den).sqrt(),
+        (M_ * E_).sqrt() * P2_,
+        E_ ** -2 * P1_ * P2_,
+        P2_ * P1_ ** -1 * M_ ** -3,
+        P1_ * Expr.atom(RepAtom(e_sym, ps[1], ctx.representation(e_sym, ps[1]))),
+        Expr.atom(RepAtom(e_sym, ps[0], P1_ / sum_den)) * P2_,
+        P3_ / sum_den * fe,
+    ]
+
+
 def _kernel_corpus(mode, cases=40, seed=707):
     """(label, key, printed text) of seeded kernel results in one ordering
     mode, or (label, error type, message): random products and sums of
@@ -430,24 +456,15 @@ def _kernel_corpus(mode, cases=40, seed=707):
     words applied to the field; commutators and their plain expansions.
     Contexts are built inside, so whichever kernel is installed makes every
     value."""
-    ordering, feynman = _KERNEL_MODES[mode]
+    ordering = _KERNEL_MODES[mode][0]
     _constraint_derivatives.cache_clear()
-    ctx = build_mass_shell(MassShellScenario(ordering_mode=ordering, feynman=feynman))
+    ctx = _kernel_context(mode)
     ps = [ctx.find_symbol(n) for n in ("p1", "p2", "p3")]
-    e_sym, m_sym = ctx.find_symbol("E"), ctx.find_symbol("m")
-    P1_, P2_, P3_ = (Expr.symbol(s) for s in ps)
-    E_, M_ = Expr.symbol(e_sym), Expr.symbol(m_sym)
+    E_, M_ = Expr.symbol(ctx.find_symbol("E")), Expr.symbol(ctx.find_symbol("m"))
+    P2_ = Expr.symbol(ps[1])
     fe = Expr.opaque(*ctx.opaques[0])
     sum_den = E_ ** 2 + M_ ** 2
-    pool = _expr_pool(ctx) + [
-        (M_ / sum_den).sqrt(),
-        (M_ * E_).sqrt() * P2_,
-        E_ ** -2 * P1_ * P2_,
-        P2_ * P1_ ** -1 * M_ ** -3,
-        P1_ * Expr.atom(RepAtom(e_sym, ps[1], ctx.representation(e_sym, ps[1]))),
-        Expr.atom(RepAtom(e_sym, ps[0], P1_ / sum_den)) * P2_,
-        P3_ / sum_den * fe,
-    ]
+    pool = _kernel_pool(ctx)
     sum_comms = CommutatorTable()
     for s, t in itertools.combinations(ps, 2):
         sum_comms.declare(t, s, Expr.symbol(k) / (M_ ** 2 + 1))
@@ -491,11 +508,9 @@ def _kernel_corpus(mode, cases=40, seed=707):
     return out
 
 
-def _two_class_corpus(ordering, record):
-    """W-words of expressions with noncommuting letters at negative powers,
-    in a context whose independents a, p share class 1 and d, between them
-    in key order, is in class 2: d p p^-1 a folds to d a, whose canonical
-    form is a d, so products of three or more factors keep their stages."""
+def _two_class_context(ordering):
+    """Context whose independents p, a share class 1 and d, between them in
+    key order, is in class 2, with dE/ds = s/E declared for each."""
     pa, pp = (Symbol(n, SymbolKind.INDEPENDENT, klass=1) for n in ("a", "p"))
     pd = Symbol("d", SymbolKind.INDEPENDENT, klass=2)
     ind = (pp, pa, pd)
@@ -508,6 +523,16 @@ def _two_class_corpus(ordering, record):
     )
     for s in ind:
         ctx.declare_representation(E, s, Expr.symbol(s) / EE)
+    return ctx
+
+
+def _two_class_corpus(ordering, record):
+    """W-words of expressions with noncommuting letters at negative powers,
+    in the two-class context: d p p^-1 a folds to d a, whose canonical form
+    is a d, so products of three or more factors keep their stages."""
+    ctx = _two_class_context(ordering)
+    ind = ctx.independents
+    pp, pa, pd = ind
     P_, A_, D_ = (Expr.symbol(s) for s in ind)
     fe = Expr.opaque(f, ind + (E,))
     exprs = {
@@ -537,6 +562,51 @@ def test_fused_product_matches_staged_kernel(mode, monkeypatch):
     assert len(fused) == len(staged) > 150
     for got, want in zip(fused, staged):
         assert got == want
+
+
+def _mul_without_unit_rule(a, b):
+    """Expr.__mul__ without the product-by-one rule: every word of both
+    factors goes through the fused product."""
+    if a.den_is_one() and b.den_is_one():
+        return symexpr._mul_polys(a._num, b._num)
+    return symexpr._mul_polys(a._num, b._num) / symexpr._mul_polys(a._den, b._den)
+
+
+@pytest.mark.parametrize("mode", sorted(_KERNEL_MODES))
+def test_product_by_one_is_the_other_factor(mode):
+    """x * 1 and 1 * x return x itself when x has only central letters, and
+    always the key of the full product: sum denominators, square roots,
+    noncommuting words and negative powers, alone and in random sums and
+    products."""
+    ctx = _kernel_context(mode)
+    pool = _kernel_pool(ctx)
+    rng = random.Random(f"unit/{mode}")
+    exprs = list(pool)
+    while len(exprs) < 100:
+        try:
+            exprs.append(_rand_expr(rng, pool))
+        except UnsupportedExpressionError:
+            pass
+    one = Expr.one()
+    for x in exprs:
+        if not x.nc_classes():
+            assert x * one is x and one * x is x
+        full = _mul_without_unit_rule(x, one).key
+        assert (x * one).key == full == (one * x).key == _mul_without_unit_rule(one, x).key
+    assert sum(not x.den_is_one() for x in exprs) > 10
+    if ctx.commutators:
+        assert sum(bool(x.nc_classes()) for x in exprs) > 10
+
+
+def test_product_by_one_recanonicalizes_noncommuting_words():
+    """With b < d < z in key order, z and b in class 1, d in class 2,
+    (d z)(z^-1 b) folds to the word d b, which is not canonical (b d).
+    Times one it is canonicalized again, as the full product does."""
+    sb, sz = (Expr.symbol(Symbol(n, SymbolKind.INDEPENDENT, klass=1)) for n in ("b", "z"))
+    sd = Expr.symbol(Symbol("d", SymbolKind.INDEPENDENT, klass=2))
+    x = (sd * sz) * (sz ** -1 * sb)
+    assert x.key != (sd * sb).key
+    assert (x * Expr.one()).key == (Expr.one() * x).key == (sd * sb).key
 
 
 def test_canonical_word_of_a_concatenation_is_staged_canonical():
