@@ -13,7 +13,8 @@ of a coefficient object along a generator once: the finalized derivative
 is kept in a dict made for that call, and expand_to_plain builds the
 elementary plain operator of each whole generator once, so its
 representation coefficients are the same objects throughout.  Nothing is
-kept between calls."""
+kept between calls.  op_equals expands the difference of its operands
+once, after the terms they share have cancelled."""
 
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from .depctx import DependencyContext
 from .errors import ContextError, ContextMismatchError
-from .symexpr import Expr, Symbol, equals_canonical
+from .symexpr import Expr, Symbol
 from .wholederiv import derive_raw, finalize
 
 PLAIN = "plain"
@@ -37,6 +38,8 @@ class DerivativeGenerator:
     def __post_init__(self):
         if self.mode not in (PLAIN, WHOLE):
             raise ValueError(f"unknown generator mode {self.mode!r}")
+        # The generator's place in a term's sort key, built once.
+        object.__setattr__(self, "_key", (self.mode, self.variable.name))
 
     def label(self) -> str:
         return ("W" if self.mode == WHOLE else "D") + f"[{self.variable.name}]"
@@ -50,13 +53,18 @@ class DifferentialOperator:
     terms: Sequence[Tuple[Expr, Tuple[DerivativeGenerator, ...]]]
 
     def __post_init__(self):
+        # Each whole generator object is checked once; the terms keep every
+        # generator alive, so the ids stay distinct.
+        checked = set()
         for _coeff, gens in self.terms:
             for g in gens:
-                if g.mode == WHOLE and not self.context.is_independent(g.variable):
-                    raise ContextError(
-                        f"whole-derivative generator variable {g.variable.name} "
-                        "is not independent in this context"
-                    )
+                if g.mode == WHOLE and id(g) not in checked:
+                    if not self.context.is_independent(g.variable):
+                        raise ContextError(
+                            f"whole-derivative generator variable {g.variable.name} "
+                            "is not independent in this context"
+                        )
+                    checked.add(id(g))
         object.__setattr__(self, "terms", _merge_terms(self.terms))
 
     # -- constructors ----------------------------------------------------
@@ -97,12 +105,18 @@ class DifferentialOperator:
         return DifferentialOperator(self.context, list(self.terms) + list(other.terms))
 
     def __sub__(self, other: "DifferentialOperator") -> "DifferentialOperator":
-        return self + (-other)
+        self._check(other)
+        return DifferentialOperator(
+            self.context, list(self.terms) + [(-c, g) for c, g in other.terms]
+        )
 
     def __neg__(self) -> "DifferentialOperator":
-        return DifferentialOperator(
-            self.context, [(-c, g) for c, g in self.terms]
-        )
+        # Negation keeps every word and makes no coefficient zero, so the
+        # terms stay merged and sorted: no check and no merge.
+        op = object.__new__(DifferentialOperator)
+        object.__setattr__(op, "context", self.context)
+        object.__setattr__(op, "terms", tuple((-c, g) for c, g in self.terms))
+        return op
 
     def scale(self, coeff) -> "DifferentialOperator":
         coeff = Expr._coerce(coeff)
@@ -129,8 +143,9 @@ def _merge_terms(terms) -> Tuple[Tuple[Expr, Tuple[DerivativeGenerator, ...]], .
     buckets: Dict[tuple, Tuple[List[Expr], tuple]] = {}
     for coeff, gens in terms:
         gens = tuple(gens)
-        key = tuple((g.mode, g.variable.name) for g in gens)
-        coeffs = buckets[key][0] if key in buckets else []
+        key = tuple([g._key for g in gens])
+        entry = buckets.get(key)
+        coeffs = entry[0] if entry is not None else []
         coeffs.append(coeff)
         buckets[key] = (coeffs, gens)
     out = []
@@ -240,7 +255,12 @@ def _elementary_plain(g: DerivativeGenerator, ctx) -> DifferentialOperator:
 
 
 def op_equals(A: DifferentialOperator, B: DifferentialOperator) -> bool:
-    """Equality of the plain-generator normal forms, term by term."""
-    A._check(B)
-    diff = expand_to_plain(A) - expand_to_plain(B)
-    return all(equals_canonical(c, Expr.zero()) for c, _ in diff.terms)
+    """A equals B iff the plain-generator normal form of A - B is zero.
+
+    expand_to_plain only multiplies a term's coefficient from the left and
+    never differentiates it, so expanding A - B gives the same terms as
+    expanding A and B and subtracting.  Terms that A and B share cancel in
+    A - B before anything is expanded, so only a term that survives the
+    subtraction can raise (for example on a noncommuting factor at a
+    negative power)."""
+    return expand_to_plain(A - B).is_zero()

@@ -21,9 +21,14 @@ from wholediff.diffop import (
     expand_to_plain,
     op_equals,
 )
-from wholediff.errors import ContextError, ContextMismatchError, WholediffError
+from wholediff.errors import (
+    ContextError,
+    ContextMismatchError,
+    UnsupportedExpressionError,
+    WholediffError,
+)
 from wholediff.symexpr import Expr, RepAtom, Symbol, SymbolKind, equals_canonical
-from wholediff.textio import print_operator
+from wholediff.textio import parse_context, parse_operator, print_operator
 from wholediff.wholederiv import derive_raw, finalize
 
 
@@ -38,6 +43,42 @@ def test_generator_modes_validated(ms_commuting):
         DifferentialOperator.whole(ctx, E)  # whole generator needs independent
     with pytest.raises(ValueError):
         DerivativeGenerator(E, "sideways")
+
+
+def test_each_whole_generator_validated_once(ms_commuting, monkeypatch):
+    """A generator object that repeats is checked once; the first invalid
+    one in term order still raises, with its name in the message."""
+    ctx = ms_commuting
+    p1, p2, E = syms(ctx, "p1", "p2", "E")
+    W1, W2, WE = (DerivativeGenerator(v, "whole") for v in (p1, p2, E))
+    calls = []
+    check = DependencyContext.is_independent
+    monkeypatch.setattr(
+        DependencyContext, "is_independent", lambda self, s: calls.append(s) or check(self, s)
+    )
+    DifferentialOperator(ctx, [(Expr.one(), (W1, W1, W2)), (Expr.const(2), (W2, W1))])
+    assert calls == [p1, p2]
+    with pytest.raises(ContextError, match="variable E is"):
+        DifferentialOperator(ctx, [(Expr.one(), (W1, W1)), (Expr.one(), (W2, WE, WE))])
+
+
+def test_negation_and_difference_keep_the_merged_terms(ms_commuting):
+    """-A and A - B, which merge once or not at all, give the terms of
+    negating by a fresh merge and of A + (-B): the same keys, words and
+    order."""
+    ctx = ms_commuting
+    A = parse_operator("W[p1]*W[p2] + (p1/(E^2 + m^2))*D[E] + (m)*W[p1]", ctx)
+    B = parse_operator("(E)*D[E] - W[p2]*W[p1] + (3)*W[p3]", ctx)
+
+    def merged_negation(X):
+        return DifferentialOperator(ctx, [(-c, g) for c, g in X.terms])
+
+    assert [(c.key, g) for c, g in (-A).terms] == [
+        (c.key, g) for c, g in merged_negation(A).terms
+    ]
+    want = A + merged_negation(B)
+    assert print_operator(A - B) == print_operator(want)
+    assert [(c.key, g) for c, g in (A - B).terms] == [(c.key, g) for c, g in want.terms]
 
 
 def test_apply_identity_and_zero(ms_commuting):
@@ -300,3 +341,44 @@ def test_compose_takes_each_derivative_once(ms_paper, monkeypatch):
     monkeypatch.setattr(diffop, "finalize", counted)
     assert print_operator(compose(A, B)) == want
     assert len(calls) == 7
+
+
+def test_op_equals_composes_nothing_when_the_difference_cancels(ms_commuting, monkeypatch):
+    """[A, B] and -[B, A] cancel term by term in their difference, so
+    op_equals expands nothing; an unequal pair expands its difference."""
+    ctx = ms_commuting
+    A = parse_operator("W[p1] + (p1)*D[E]", ctx)
+    B = parse_operator("(E)*W[p2]*W[p1] + (m/E)*D[p3]", ctx)
+    AB, BA = commutator(A, B), commutator(B, A)
+    calls = []
+    compose_impl = diffop._compose
+
+    def counted(*args):
+        calls.append(args)
+        return compose_impl(*args)
+
+    monkeypatch.setattr(diffop, "_compose", counted)
+    assert op_equals(AB, -BA)
+    assert calls == []
+    assert not op_equals(AB, BA)
+    assert calls
+
+
+def test_op_equals_raises_only_for_terms_that_survive(bench_workloads):
+    """With dE/dp1 = p2/p1 in operator ordering, expanding X = D[p1]*W[p1]
+    raises.  A term X on both sides cancels before expansion; a term X on
+    one side still raises."""
+    text = bench_workloads.NONCOMMUTING_CTX
+    for old, new in (("dE/dp1 = p1/E", "dE/dp1 = p2/p1"), ("ordering paper", "ordering operator")):
+        assert old in text
+        text = text.replace(old, new)
+    ctx = parse_context(text)
+    X = parse_operator("D[p1]*W[p1]", ctx)
+    D2, D3 = parse_operator("D[p2]", ctx), parse_operator("D[p3]", ctx)
+    message = "negative power of a noncommuting factor"
+    with pytest.raises(UnsupportedExpressionError, match=message):
+        expand_to_plain(X)
+    assert op_equals(X + D2, X + D2)
+    assert not op_equals(X + D2, X + D3)
+    with pytest.raises(UnsupportedExpressionError, match=message):
+        op_equals(X, D2)

@@ -311,3 +311,106 @@ def test_polynomial_derivative_linearity(coeffs, exps):
         if n:
             want = want + Expr.const(QC(c * n)) * X ** (n - 1)
     assert equals_canonical(d, want)
+
+
+# -- op_equals against the two-expansion reference --------------------------
+
+from wholediff.diffop import expand_to_plain  # noqa: E402
+from wholediff.errors import WholediffError  # noqa: E402
+
+# The mass shell in the four ordering modes, and in operator mode with
+# dE/dp1 = p2/p1, where expanding W[p1] behind a p1 derivative raises on a
+# negative power of a noncommuting factor.
+_P2_OVER_P1 = "operator, dE/dp1 = p2/p1"
+_VERDICT_MODES = {
+    "commuting": ("commuting", False),
+    "operator": ("operator", False),
+    "paper": ("paper", False),
+    "paper+feynman": ("paper", True),
+    _P2_OVER_P1: ("operator", False),
+}
+_VERDICT_CONTEXTS = {}
+
+
+def _verdict_context(mode):
+    """The context of one mode, its generator variables and a coefficient
+    pool with a sum denominator and a negative power of a momentum
+    (noncommuting outside the commuting mode)."""
+    if mode not in _VERDICT_CONTEXTS:
+        ordering, feynman = _VERDICT_MODES[mode]
+        ctx = build_mass_shell(MassShellScenario(ordering_mode=ordering, feynman=feynman))
+        coeffs, genvars = _op_pool_inputs(ctx)
+        P1, P2 = (Expr.symbol(s) for s in genvars[:2])
+        M, EE = Expr.symbol(ctx.find_symbol("m")), Expr.symbol(ctx.find_symbol("E"))
+        coeffs = coeffs + [-EE, M / (EE ** 2 + M ** 2), P2 * P1 ** -1]
+        if mode == _P2_OVER_P1:
+            ctx.declare_representation(genvars[3], genvars[0], P2 * P1 ** -1)
+        _VERDICT_CONTEXTS[mode] = (ctx, coeffs, genvars)
+    return _VERDICT_CONTEXTS[mode]
+
+
+_letters = st.tuples(st.integers(0, 3), st.booleans())
+_op_shapes = st.lists(
+    st.tuples(st.integers(0, 10), st.lists(_letters, max_size=2)), min_size=1, max_size=2
+)
+
+
+def _shape_op(ctx, coeffs, genvars, shape):
+    """Operator from (coefficient index, [(variable index, whole?)]) terms;
+    a dependent variable is always plain."""
+    return DifferentialOperator(ctx, [
+        (coeffs[c], tuple(
+            DerivativeGenerator(genvars[v], "whole" if whole and ctx.is_independent(genvars[v])
+                                else "plain")
+            for v, whole in word))
+        for c, word in shape
+    ])
+
+
+def _outcome(thunk):
+    try:
+        return thunk()
+    except (ArithmeticError, WholediffError) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+@pytest.mark.parametrize("mode", list(_VERDICT_MODES))
+@settings(max_examples=60, deadline=None)
+@given(
+    a=_op_shapes, b=_op_shapes,
+    kind=st.sampled_from(("random", "perturbed", "shared", "rewritten", "antisymmetric")),
+)
+def test_op_equals_matches_two_expansion_reference(mode, a, b, kind):
+    """One expansion of A - B gives the verdict of expanding A and B apart,
+    for random pairs, (A, A + small change), pairs that share the term
+    D[p1]W[p1], and equal pairs written apart: A against its expansion, and
+    [A, B] against -[B, A].  Where the reference raises, op_equals may answer only because the
+    raising terms cancelled; then its verdict is the reference expansion of
+    A - B."""
+    from test_diffop import _reference_expand_to_plain, _reference_op_equals
+
+    ctx, coeffs, genvars = _verdict_context(mode)
+    A = _shape_op(ctx, coeffs, genvars, a)
+    T = _shape_op(ctx, coeffs, genvars, b)
+    if kind == "random":
+        pair = (A, T)
+    elif kind == "perturbed":
+        pair = (A, A + DifferentialOperator(ctx, T.terms[:1]))
+    elif kind == "rewritten":
+        plain = _outcome(lambda: expand_to_plain(A))
+        pair = (plain + T, A + T) if isinstance(plain, DifferentialOperator) else (A + T, A + T)
+    elif kind == "shared":
+        S = _shape_op(ctx, coeffs, genvars, [(0, [(0, False), (0, True)])])  # D[p1]W[p1]
+        pair = (S + A, S + T)
+    else:
+        pair = _outcome(lambda: (commutator(A, T), -commutator(T, A)))
+        if not isinstance(pair[0], DifferentialOperator):
+            return
+    got = _outcome(lambda: op_equals(*pair))
+    want = _outcome(lambda: _reference_op_equals(*pair))
+    if isinstance(want, tuple) and not isinstance(got, tuple):
+        assert got == _reference_expand_to_plain(pair[0] - pair[1]).is_zero()
+    else:
+        assert got == want
+    if kind in ("rewritten", "antisymmetric"):
+        assert got is True or isinstance(got, tuple)
