@@ -199,6 +199,10 @@ def cmd_scenario(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.seed < 0:
+        raise _UsageError(f"--seed must be non-negative, not {args.seed}")
+    if args.samples < 1:
+        raise _UsageError(f"--samples must be at least 1, not {args.samples}")
     ctx = _load_context(args.ctx)
     lhs = _apply_target(args.lhs, ctx)
     rhs = _apply_target(args.rhs, ctx)

@@ -10,6 +10,7 @@ experiment) and the constraint is used for sampling and validation.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
@@ -252,6 +253,88 @@ class DependencyContext:
 # ---------------------------------------------------------------------------
 
 
+# The stream of numpy's default_rng([seed, index]), reproduced bit for bit:
+# SeedSequence hashes the 32-bit words of seed and index into a pool of four
+# words and mixes them, the pool seeds PCG64, and each draw is one 128-bit
+# LCG step and the XSL-RR output (O'Neill, HMC-CS-2014-0905).  The hash
+# constants do not depend on the data, so they are made once.
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# (initial value, multiplier) of the hash constants for mixing the pool and
+# for reading the state words out of it.
+_HASH_MIX = (0x43B0D7E5, 0x931E8875)
+_HASH_STATE = (0x8B51F9DD, 0x58F38DED)
+
+
+def _hash_consts(init: int, mult: int, n: int) -> List[Tuple[int, int]]:
+    """(xor, multiplier) of the first n SeedSequence hash steps."""
+    out = []
+    for _ in range(n):
+        nxt = init * mult & _M32
+        out.append((init, nxt))
+        init = nxt
+    return out
+
+
+def _pool_steps(n: int) -> List[Tuple[int, int, int, int]]:
+    """(source, destination, xor, multiplier) of the mixing steps for n
+    entropy words: every pool word into every other, then each word past
+    the fourth (kept at pool index 4, 5, ...) into every pool word."""
+    pairs = [(s, d) for s in range(4) for d in range(4) if s != d]
+    pairs += [(s, d) for s in range(4, n) for d in range(4)]
+    return [p + c for p, c in zip(pairs, _hash_consts(*_HASH_MIX, 4 + len(pairs))[4:])]
+
+
+_POOL_HASH = _hash_consts(*_HASH_MIX, 4)
+_POOL_MIX = _pool_steps(4)
+_POOL_STATE = [(i & 3,) + c for i, c in enumerate(_hash_consts(*_HASH_STATE, 8))]
+
+
+def _seed_words(n) -> List[int]:
+    """The little-endian 32-bit words of a non-negative integer, as numpy
+    reads a seed: 0 is one word."""
+    n = operator.index(n)
+    if n < 0:
+        raise ValueError(f"seed must be non-negative, not {n}")
+    words = [n & _M32]
+    while n > _M32:
+        n >>= 32
+        words.append(n & _M32)
+    return words
+
+
+class _Stream:
+    """Uniform draws from numpy's default_rng([seed, index]), bit for bit."""
+
+    __slots__ = ("state", "inc")
+
+    def __init__(self, seed: int, index: int):
+        entropy = _seed_words(seed) + _seed_words(index)
+        pool = []
+        for w, (x, m) in zip(entropy + [0, 0], _POOL_HASH):
+            v = (w ^ x) * m & _M32
+            pool.append(v ^ v >> 16)
+        pool += entropy[4:]
+        for s, d, x, m in _POOL_MIX if len(pool) == 4 else _pool_steps(len(pool)):
+            h = (pool[s] ^ x) * m & _M32
+            r = (0xCA01F9DD * pool[d] - 0x4973F715 * (h ^ h >> 16)) & _M32
+            pool[d] = r ^ r >> 16
+        w = []
+        for i, x, m in _POOL_STATE:
+            v = (pool[i] ^ x) * m & _M32
+            w.append(v ^ v >> 16)
+        initstate = w[1] << 96 | w[0] << 64 | w[3] << 32 | w[2]
+        self.inc = (w[5] << 96 | w[4] << 64 | w[7] << 32 | w[6]) << 1 & _M128 | 1
+        self.state = (self.inc + initstate) * _PCG_MULT + self.inc & _M128
+
+    def uniform(self, lo: float, hi: float) -> float:
+        s = self.state = (self.state * _PCG_MULT + self.inc) & _M128
+        x = (s >> 64 ^ s) & _M64
+        r = s >> 122
+        x = (x >> r | x << (64 - r)) & _M64
+        return lo + (hi - lo) * ((x >> 11) * 2.0**-53)
+
+
 def sample_on_shell(
     ctx: DependencyContext,
     count: int,
@@ -262,13 +345,13 @@ def sample_on_shell(
     """Deterministic numeric bindings on the constraint surface.
 
     Independents are drawn uniformly from [-2, 2], parameters from
-    [1/2, 2]; each sample uses its own RNG stream derived from (seed,
-    index).  Dependents with |value| < 1e-6 trigger a redraw."""
-    import numpy as np
-
+    [1/2, 2].  Sample k draws from its own stream, that of numpy's
+    default_rng([seed, k]) reproduced bit for bit by _Stream.  A sample
+    that has no solution or a dependent with |value| < 1e-6 is drawn again
+    from the same stream, up to 64 draws in all."""
     out = []
     for k in range(count):
-        rng = np.random.default_rng([seed, k])
+        rng = _Stream(seed, k)
         for _attempt in range(64):
             vals = _draw_free(ctx, rng)
             if overrides:
@@ -293,9 +376,9 @@ def _draw_free(ctx: DependencyContext, rng) -> Dict[str, complex]:
     in declaration order."""
     vals: Dict[str, complex] = {}
     for s in ctx.independents:
-        vals[s.name] = float(rng.uniform(-2.0, 2.0))
+        vals[s.name] = rng.uniform(-2.0, 2.0)
     for s in ctx.parameters:
-        vals[s.name] = float(rng.uniform(0.5, 2.0))
+        vals[s.name] = rng.uniform(0.5, 2.0)
     return vals
 
 

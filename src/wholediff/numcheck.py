@@ -404,14 +404,12 @@ class SamplerSpec:
             raise ValueError(f"sampler sign must be +1 or -1, not {self.sign!r}")
 
     def draw(self, ctx: DependencyContext, index: int, seed: int) -> Dict[str, complex]:
-        import numpy as np
+        from .depctx import _Stream, _draw_free
 
-        from .depctx import _draw_free
-
-        rng = np.random.default_rng([seed, index])
+        rng = _Stream(seed, index)
         vals = _draw_free(ctx, rng)
         for s in ctx.dependents:
-            vals[s.name] = float(self.sign) * float(rng.uniform(0.5, 2.0))
+            vals[s.name] = float(self.sign) * rng.uniform(0.5, 2.0)
         return vals
 
 
@@ -431,6 +429,8 @@ def verify_identity(
     errors count as failures with diagnostics."""
     from .depctx import sample_on_shell
 
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, not {samples}")
     if sampler.kind == "on-shell":
         points = sample_on_shell(ctx, samples, seed, sign=sampler.sign)
     else:

@@ -227,6 +227,41 @@ def test_verify_third_energy_partial_of_poly_closure_is_zero(ctx_file, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "flag, value", [("--seed", "-1"), ("--samples", "0"), ("--samples", "-3")]
+)
+def test_verify_rejects_negative_seed_and_no_samples_exit2(ctx_file, capsys, flag, value):
+    """A negative seed and fewer than one sample are usage errors, not a
+    traceback under the "verification failed" code, nor a pass."""
+    code, out, err = run(
+        capsys, "verify", ctx_file, "--lhs", "E^2", "--rhs", "p1^2+p2^2+p3^2+m^2", flag, value
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error:") and flag in err
+    assert "Traceback" not in err
+
+
+def test_verify_does_not_import_numpy(ctx_file):
+    """The sampling stream is pure Python; numpy is reached only through
+    scipy's root solver, which the closed-form mass shell never calls."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = (
+        "import sys\n"
+        "from wholediff.cli import main\n"
+        f"rc = main(['verify', {ctx_file!r}, '--lhs', 'E^2',"
+        " '--rhs', 'p1^2+p2^2+p3^2+m^2', '--samples', '50'])\n"
+        "assert rc == 0, rc\n"
+        "assert 'numpy' not in sys.modules\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "verdict: pass" in proc.stdout
+
+
 def test_verify_json_byte_stable(ctx_file, capsys):
     argv = [
         "verify", ctx_file,

@@ -1,10 +1,12 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from wholediff.depctx import (
     DependencyContext,
+    _Stream,
     implicit_partial,
     sample_on_shell,
     solve_dependents,
@@ -144,3 +146,49 @@ def test_solve_dependents_no_real_root():
             ordering_mode="commuting",
         )
         solve_dependents(bad, {"p1": 1.0, "m": 1.0})
+
+
+# ---------------------------------------------------------------------------
+# The per-sample stream against numpy's default_rng([seed, index])
+# ---------------------------------------------------------------------------
+
+STREAM_SEEDS = (0, 1, 2**31 - 1, 2**32 - 1, 2**32, 2**64 + 3, 2**200)
+STREAM_INDICES = (0, 999, 2**32 + 1)
+# The two ranges the samplers draw from, alternated.
+RANGES = ((-2.0, 2.0), (0.5, 2.0))
+
+
+def _draws(rng, n):
+    return [rng.uniform(*RANGES[j % 2]) for j in range(n)]
+
+
+@pytest.mark.parametrize("index", STREAM_INDICES)
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+def test_stream_matches_numpy_default_rng(seed, index):
+    """First draws and a run as long as the 64 redraws of four values each
+    that sample_on_shell can make, equal to the last bit; seeds and indices
+    of one, two and seven 32-bit words."""
+    np = pytest.importorskip("numpy")
+    n = 64 * 4
+    assert _draws(_Stream(seed, index), n) == _draws(np.random.default_rng([seed, index]), n)
+
+
+def test_stream_matches_numpy_default_rng_random_pairs():
+    np = pytest.importorskip("numpy")
+    rnd = random.Random(20)
+    for _ in range(3000):
+        seed = rnd.getrandbits(rnd.choice((3, 16, 32, 33, 64, 96)))
+        index = rnd.getrandbits(rnd.choice((4, 10, 32, 40)))
+        got = _draws(_Stream(seed, index), 5)
+        assert got == _draws(np.random.default_rng([seed, index]), 5), (seed, index)
+
+
+def test_stream_rejects_invalid_seeds_as_numpy_did():
+    np = pytest.importorskip("numpy")
+    for make in (_Stream, lambda seed, index: np.random.default_rng([seed, index])):
+        with pytest.raises(ValueError):
+            make(-1, 0)
+        with pytest.raises(ValueError):
+            make(0, -5)
+        with pytest.raises(TypeError):
+            make(1.0, 0)

@@ -201,6 +201,27 @@ def test_box_sampler_off_shell(ms_commuting):
     assert vals == spec.draw(ctx, 0, seed=9)
 
 
+def test_box_sampler_draws_numpy_default_rng_stream(ms_commuting):
+    """Independents, parameters, then dependents, each from the stream of
+    numpy's default_rng([seed, index])."""
+    np = pytest.importorskip("numpy")
+    ctx = ms_commuting
+    rng = np.random.default_rng([9, 3])
+    want = {s.name: rng.uniform(-2.0, 2.0) for s in ctx.independents}
+    want.update({s.name: rng.uniform(0.5, 2.0) for s in ctx.parameters})
+    want.update({s.name: -rng.uniform(0.5, 2.0) for s in ctx.dependents})
+    got = SamplerSpec(kind="box", sign=-1).draw(ctx, 3, seed=9)
+    assert list(got) == list(want)
+    assert got == want
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_verify_identity_rejects_fewer_than_one_sample(ms_commuting, samples):
+    """No sample checked is no verdict, not a pass."""
+    with pytest.raises(ValueError, match="samples must be at least 1"):
+        verify_identity(P1, P1, ms_commuting, SamplerSpec(), samples=samples)
+
+
 # ---------------------------------------------------------------------------
 # The compiled evaluator against the tree walk it replaced
 # ---------------------------------------------------------------------------
