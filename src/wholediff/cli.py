@@ -2,7 +2,8 @@
 presets, and numeric identity verification.
 
 Exit codes: 0 success/verified, 1 verification failed, 2 parse or usage
-error, 3 context-validation error, 4 numeric failure.  JSON output is a
+error, 3 context-validation error, 4 numeric failure, 141 stdout closed
+before the output was written (128 + SIGPIPE).  JSON output is a
 stable tree {"command", "context", "result"}; identical invocation and
 seed produce byte-identical JSON.
 """
@@ -50,6 +51,7 @@ EXIT_VERIFY_FAILED = 1
 EXIT_PARSE = 2
 EXIT_CONTEXT = 3
 EXIT_NUMERIC = 4
+EXIT_PIPE = 141
 
 
 class _UsageError(Exception):
@@ -86,6 +88,7 @@ def _emit(args, command: str, context_name: str, result, text_lines) -> None:
     else:
         for line in text_lines:
             print(line)
+    sys.stdout.flush()
 
 
 def _apply_target(text: str, ctx: DependencyContext) -> Expr:
@@ -260,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp):
         sp.add_argument("--format", choices=("text", "json", "latex"), default="text")
-        sp.add_argument("--seed", type=int, default=0)
 
     d = sub.add_parser("derive", help="whole or plain partial derivative")
     d.add_argument("ctx")
@@ -301,6 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--sampler", choices=("on-shell", "box"), default="on-shell")
     v.add_argument("--sign", type=int, choices=(1, -1), default=1)
     v.add_argument("--closure", default="poly")
+    v.add_argument("--seed", type=int, default=0)
     common(v)
     v.set_defaults(fn=cmd_verify)
     return p
@@ -313,6 +316,9 @@ def main(argv=None) -> int:
         if not getattr(args, "subcommand", None):
             raise _UsageError("a subcommand is required")
         return args.fn(args)
+    except BrokenPipeError:  # stdout was closed: keep the flush at exit quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_PARSE

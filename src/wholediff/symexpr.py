@@ -5,7 +5,8 @@ Internal normal form: every expression is a fraction num/den of two
 monomial an exact scalar coefficient times an ordered word of atomic
 factors with integer exponents.  Factors whose commutativity classes are
 disjoint may be reordered; factors sharing a nonzero class keep their
-written order (a trace-monoid canonical form).  A factor with no
+written order, and inverse letters cancel (a normal form of the trace
+group: Diekert & Rozenberg, The Book of Traces, 1995).  A factor with no
 commutativity class is central: it commutes with every factor, so the
 central factors of a word are simply sorted by key and only the others
 run the ordering greedy.  Non-integer rational powers and opaque-function
@@ -26,22 +27,14 @@ A product (Expr *, a sum over a monomial, a derivative term, a
 representation or commutator product) is made in one step: each output
 word, the concatenation of one word per factor, is canonicalized once, and
 all are merged once; a word in which a power atom ends at an exponent other
-than 1 is recomputed by Expr.__pow__ and summed after the merged part.  A
-product of several Exprs with a sum denominator or a noncommuting letter at
-a negative power is made one factor at a time: a cancelling inverse can
-change the canonical order (d z z^-1 b folds to d b, canonically b d).
-
-A product by one (the Expr.one() object) is the other factor itself when
-that factor has only central letters: a sorted, folded word is its own
-canonical form.  A word with noncommuting letters may not be, after such a
-cancellation, so that product is made in full and canonicalizes it again.
+than 1 is recomputed by Expr.__pow__ and summed after the merged part.  The
+(commuting) sum denominators multiply the same way and divide last.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
@@ -278,7 +271,10 @@ def _canonical_word(letters):
     key with the sequence it would emit from the other letters alone; only
     those run the quadratic greedy loop, and only when their classes differ:
     letters that all have the same classes keep their written order.  Ties
-    between equal keys go to the earlier letter, as in the plain greedy."""
+    between equal keys go to the earlier letter, as in the plain greedy.  A
+    noncommuting letter that cancels in the fold can leave the rest out of
+    order (d z z^-1 b folds to d b, canonically b d), so that word is
+    canonicalized again."""
     central, rem = [], []
     for i, (a, e) in enumerate(letters):
         if e:
@@ -302,15 +298,18 @@ def _canonical_word(letters):
                 n += 1
             merged.append(letter)
         merged.extend(central[n:])
-    out = []
+    out, again = [], False
     for k, _i, a, e in merged:
         if out and out[-1][0] == k:
             _k, pa, pe = out.pop()
             if pe + e:
                 out.append((k, pa, pe + e))
+            elif pa.nc_classes:
+                again = True
         else:
             out.append((k, a, e))
-    return tuple((a, e) for _k, a, e in out)
+    word = tuple((a, e) for _k, a, e in out)
+    return _canonical_word(word) if again else word
 
 
 def _poly_merge(monos) -> tuple:
@@ -349,8 +348,7 @@ def _mono_expr(coeff: QC, letters) -> "Expr":
     turn the monomial into a sum or a fraction."""
     if coeff.is_zero():
         return Expr.zero()
-    kept = []
-    expansions = []
+    kept, expansions = [], []
     for a, e in _canonical_word(letters):
         if isinstance(a, PowAtom) and e != 1:
             expansions.append(_atom_power(a, e))
@@ -368,14 +366,11 @@ def _poly_expr(p) -> "Expr":
 
 
 def _product(factors) -> "Expr":
-    """Ordered product of Exprs and polynomials ((coefficient, word) monomials,
-    staged as the sum of their _mono_expr); the module docstring has the rule."""
-    polys = [x._num if isinstance(x, Expr) else x for x in factors]
-    if any(isinstance(x, Expr) and not x.den_is_one() for x in factors) or any(
-            e < 0 and a.nc_classes for p in polys for _c, f in p for a, e in f):
-        return reduce(Expr.__mul__, [x if isinstance(x, Expr) else Expr.sum(
-            _mono_expr(c, f) for c, f in x) for x in factors])
-    return _mul_polys(*polys)
+    """Ordered product of Exprs and (coefficient, word) polynomials: the
+    product of the numerators over the product of the sum denominators."""
+    num = _mul_polys(*(x._num if isinstance(x, Expr) else x for x in factors))
+    dens = [x._den for x in factors if isinstance(x, Expr) and not x.den_is_one()]
+    return num / _mul_polys(*dens) if dens else num
 
 
 def _mul_polys(*polys) -> "Expr":
@@ -596,15 +591,14 @@ class Expr:
 
     def __mul__(self, other):
         other = Expr._coerce(other)
-        if other is _E_ONE and not _poly_has_word(self._num):
+        if other is _E_ONE:
             return self
-        if self is _E_ONE and not _poly_has_word(other._num):
+        if self is _E_ONE:
             return other
-        if self.den_is_one() and other.den_is_one():
-            return _mul_polys(self._num, other._num)
         num = _mul_polys(self._num, other._num)
-        den = _mul_polys(self._den, other._den)
-        return num / den
+        if self.den_is_one() and other.den_is_one():
+            return num
+        return num / _mul_polys(self._den, other._den)
 
     def __rmul__(self, other):
         return Expr._coerce(other) * self

@@ -242,6 +242,42 @@ def test_verify_rejects_negative_seed_and_no_samples_exit2(ctx_file, capsys, fla
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["derive", "{ctx}", "--expr", "f", "--wrt", "p1"],
+    ["commutator", "{ctx}", "--a", "W[p1]", "--b", "D[E]"],
+    ["scenario", "mass-shell", "--dim", "1", "--out", "{out}"],
+], ids=["derive", "commutator", "scenario"])
+def test_seed_is_an_option_of_verify_only(ctx_file, tmp_path, capsys, argv):
+    """Only verify draws samples; elsewhere --seed is a usage error, not a
+    flag that is accepted and ignored."""
+    argv = [a.format(ctx=ctx_file, out=tmp_path / "out") for a in argv]
+    code, out, err = run(capsys, *argv, "--seed", "5")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error:") and "--seed" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_closed_stdout_exits_141_quietly(ctx_file):
+    """A reader that closes the pipe before the output is written (`| head`)
+    ends the command with 128 + SIGPIPE and no traceback; exit 1 would read
+    as "verification failed"."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "wholediff", "verify", ctx_file, "--lhs", "E^2",
+             "--rhs", "p1^2+p2^2+p3^2+m^2", "--samples", "10"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == ""
+
+
 def test_verify_does_not_import_numpy(ctx_file):
     """The sampling stream is pure Python; numpy is reached only through
     scipy's root solver, which the closed-form mass shell never calls."""
