@@ -159,8 +159,8 @@ def _merge_terms(terms) -> Tuple[Tuple[Expr, Tuple[DerivativeGenerator, ...]], .
 
 def apply(A: DifferentialOperator, e) -> Expr:
     """Apply the operator to an expression; generators act right-to-left,
-    representation markers are resolved per the context's ordering mode at
-    the end of each term."""
+    and the representation markers whole_partial_raw keeps (paper mode, sum
+    denominators, fractional powers) are resolved at the end of each term."""
     ctx = A.context
     terms = []
     for coeff, gens in A.terms:

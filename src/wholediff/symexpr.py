@@ -217,8 +217,9 @@ class PowAtom(Atom):
 
 class RepAtom(Atom):
     """Internal marker standing for a dependent-variable representation
-    coefficient; kept unexpanded between nested whole derivatives so the
-    product-ordering convention can be applied at the end."""
+    coefficient, kept unexpanded between nested whole derivatives until
+    finalize: in paper mode, whose symmetrization needs it, and for a
+    representation with a sum denominator or a fractional power."""
 
     __slots__ = ("dependent", "independent", "expansion", "nc_classes")
 

@@ -4,10 +4,12 @@ mixed whole-derivative difference probe.
 The whole partial with respect to an independent variable v adds, for
 every dependent variable u, the chain term (plain partial in u) times the
 context's representation of du/dv, with the representation factor on the
-right.  Representation factors are carried as internal marker atoms until
-a computation finishes, so the product-ordering convention for second
-derivatives ('operator' keeps written order, 'paper' symmetrizes products
-of representation coefficients) can be applied before normal ordering.
+right.  In paper mode, which symmetrizes products of representation
+coefficients, the factor is an internal marker atom until finalize expands
+it, before normal ordering.  The other modes keep written order and
+multiply the representation in at once, unless it has a sum denominator or
+a fractional power: with no multivariate GCD the canonical form would then
+depend on the order of expansion, so it keeps its marker.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from typing import TYPE_CHECKING
 from .errors import ContextError, MissingRepresentationError
 from .symexpr import (
     Expr,
+    PowAtom,
     RepAtom,
     Symbol,
     expand_rep_atoms,
@@ -33,7 +36,9 @@ def plain_partial(e, v: Symbol) -> Expr:
 
 
 def whole_partial_raw(e, v: Symbol, ctx: "DependencyContext") -> Expr:
-    """Whole partial with representation factors left as marker atoms."""
+    """Whole partial before finalize: a representation factor stays a marker
+    atom in paper mode, or if it has a sum denominator or a fractional
+    power; otherwise it is multiplied in."""
     e = Expr._coerce(e)
     if not ctx.is_independent(v):
         raise ContextError(f"{v.name} is not an independent variable of the context")
@@ -45,7 +50,10 @@ def whole_partial_raw(e, v: Symbol, ctx: "DependencyContext") -> Expr:
         rep = ctx.representation(u, v)
         if rep is None:
             raise MissingRepresentationError(u, v)
-        terms.append(du * Expr.atom(RepAtom(u, v, rep)))
+        if (ctx.ordering_mode == "paper" or not rep.den_is_one()
+                or any(isinstance(a, PowAtom) for a in rep.atoms())):
+            rep = Expr.atom(RepAtom(u, v, rep))
+        terms.append(du * rep)
     return Expr.sum(terms)
 
 
@@ -74,7 +82,7 @@ def whole_partial_wrt_dependent(e, u: Symbol, ctx: "DependencyContext") -> Expr:
 
 
 def derive_raw(e, v: Symbol, mode: str, ctx: "DependencyContext") -> Expr:
-    """One derivative step keeping representation markers ('plain' or 'whole')."""
+    """One derivative step ('plain' or 'whole') with whole_partial_raw's markers."""
     if mode == "plain":
         return Expr._coerce(e).diff_plain(v)
     if mode == "whole":

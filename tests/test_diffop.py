@@ -1,3 +1,4 @@
+import itertools
 import re
 
 import pytest
@@ -382,3 +383,103 @@ def test_op_equals_raises_only_for_terms_that_survive(bench_workloads):
     assert not op_equals(X + D2, X + D3)
     with pytest.raises(UnsupportedExpressionError, match=message):
         op_equals(X, D2)
+
+
+# The at-end path that apply must match: every chain term carries its
+# representation as a marker atom, and finalize expands all of them once.
+
+
+def _reference_whole_partial_raw(e, v, ctx):
+    e = Expr._coerce(e)
+    terms = [e.diff_plain(v)]
+    for u in ctx.dependents:
+        du = e.diff_plain(u)
+        if not du.is_zero():
+            terms.append(du * Expr.atom(RepAtom(u, v, ctx.representation(u, v))))
+    return Expr.sum(terms)
+
+
+def _reference_apply(A, e):
+    ctx = A.context
+    terms = []
+    for coeff, gens in A.terms:
+        cur = Expr._coerce(e)
+        for g in reversed(gens):
+            if g.mode == "whole" and ctx.is_independent(g.variable):
+                cur = _reference_whole_partial_raw(cur, g.variable, ctx)
+            else:
+                cur = cur.diff_plain(g.variable)
+        terms.append(finalize(coeff * cur, ctx))
+    return Expr.sum(terms)
+
+
+def _marker_contexts(mode):
+    """(label, context, (u, v)) in one ordering mode: the mass shell, the
+    two-class context, and the mass shell with representations that have a
+    sum denominator, that mix one with p/E, and that hold a square root."""
+    out = [("mass shell", _kernel_context(mode), ("p1", "p2")),
+           ("two classes", _two_class_context(mode), ("a", "d"))]
+    reps = {
+        "sum denominator": lambda E_, M_, ps: [p / (E_ + M_) for p in ps],
+        "mixed": lambda E_, M_, ps: [ps[0] / E_, M_ * ps[1] / (E_ + M_), ps[2] / E_],
+        "sqrt": lambda E_, M_, ps: [p * (M_ ** 2 + E_ ** 2).sqrt() for p in ps],
+    }
+    for label, build in reps.items():
+        ctx = _kernel_context(mode)
+        e_sym = ctx.find_symbol("E")
+        ps = [Expr.symbol(p) for p in ctx.independents]
+        E_, M_ = Expr.symbol(e_sym), Expr.symbol(ctx.find_symbol("m"))
+        for p, rep in zip(ctx.independents, build(E_, M_, ps)):
+            ctx.declare_representation(e_sym, p, rep)
+        out.append((label, ctx, ("p1", "p2")))
+    return out
+
+
+def _marker_corpus(mode, apply_fn):
+    """(label, result) of apply, or (label, error type, message), for words
+    of W[u], W[v], D[E], D[u] of order up to 2, and of W[u], W[v] of order
+    3, acting on eight expressions.  Where a representation is not p/E, it
+    or its derivatives have sum denominators, and without a GCD those terms
+    swell: there words stop at order 2, and only the first five expressions
+    are taken, which keeps each mode to a few seconds."""
+    out = []
+    letters = ("W[u]", "W[v]", "D[E]", "D[u]")
+    short = [w for k in (1, 2) for w in itertools.product(letters, repeat=k)]
+    long = list(itertools.product(letters[:2], repeat=3))
+    for name, ctx, (u, v) in _marker_contexts(mode):
+        U, V = (Expr.symbol(ctx.find_symbol(n)) for n in (u, v))
+        E_, M_ = Expr.symbol(ctx.find_symbol("E")), Expr.symbol(ctx.find_symbol("m"))
+        fe = field_of(ctx)
+        exprs = {
+            "f": fe,
+            "u f": U * fe,
+            "v u E": V * U * E_,
+            "v/u f": U ** -1 * V * fe,
+            "sqrt(m^2+E^2) u": (M_ ** 2 + E_ ** 2).sqrt() * U,
+            "f/E^2": E_ ** -2 * fe,
+            "E f u": E_ * fe * U,
+            "f/(E+m)": fe / (E_ + M_),
+        }
+        words = short + long
+        if name not in ("mass shell", "two classes"):
+            words, exprs = short, dict(list(exprs.items())[:5])
+        for word in map("".join, words):
+            A = _operator(ctx, {"u": u, "v": v}, (Expr.one(), word))
+            for label, e in exprs.items():
+                try:
+                    out.append((f"{name}: {word} {label}", apply_fn(A, e)))
+                except (ArithmeticError, WholediffError) as exc:
+                    out.append((f"{name}: {word} {label}", type(exc).__name__, str(exc)))
+    return out
+
+
+@pytest.mark.parametrize("mode", ["commuting", "operator"])
+def test_apply_without_markers_matches_the_at_end_path(mode):
+    """Multiplying a chain term by its representation at once gives the
+    same expression (key identity), or the same error, as carrying the
+    marker to finalize."""
+    got = _marker_corpus(mode, apply)
+    want = _marker_corpus(mode, _reference_apply)
+    assert len(got) == len(want) > 700
+    for g, w in zip(got, want):
+        assert g == w

@@ -108,7 +108,8 @@ def test_round_trip_text():
 
 
 def _raw_whole_p1():
-    ctx = build_mass_shell(MassShellScenario(ordering_mode="commuting"))
+    # paper mode: the only mode that keeps the marker of p1/E
+    ctx = build_mass_shell(MassShellScenario(ordering_mode="paper"))
     return whole_partial_raw(field_of(ctx), ctx.find_symbol("p1"), ctx)
 
 

@@ -9,11 +9,14 @@ import wholediff.diffop
 from conftest import field_of
 from wholediff.errors import ContextError, MissingRepresentationError
 from wholediff.depctx import DependencyContext
-from wholediff.symexpr import Expr, Symbol, SymbolKind, equals_canonical
+from wholediff.physcases import MassShellScenario, build_mass_shell
+from wholediff.symexpr import Expr, RepAtom, Symbol, SymbolKind, equals_canonical
 from wholediff.wholederiv import (
+    finalize,
     mixed_difference,
     plain_partial,
     whole_partial,
+    whole_partial_raw,
     whole_partial_wrt_dependent,
 )
 
@@ -60,6 +63,60 @@ def test_missing_representation_raises():
     ctx = DependencyContext(independents=(p,), dependents=(u,), ordering_mode="commuting")
     with pytest.raises(MissingRepresentationError):
         whole_partial(Expr.symbol(u) * Expr.symbol(p), p, ctx)
+
+
+@pytest.mark.parametrize("mode", ["commuting", "operator", "paper"])
+def test_raw_whole_partial_keeps_a_marker_only_where_order_shows(mode):
+    """Outside paper mode a representation with denominator one and no
+    fractional power is multiplied in; paper mode, a sum denominator and a
+    fractional power keep the marker for finalize."""
+    ctx = build_mass_shell(MassShellScenario(ordering_mode=mode))
+    p1, E = syms(ctx, "p1", "E")
+    P1, EE, M = Expr.symbol(p1), Expr.symbol(E), Expr.symbol(ctx.find_symbol("m"))
+    fe = field_of(ctx)
+    reps = {
+        "p1/E": P1 / EE,
+        "p1/(E+m)": P1 / (EE + M),
+        "p1 sqrt(m^2+E^2)": P1 * (M ** 2 + EE ** 2).sqrt(),
+    }
+    for label, rep in reps.items():
+        ctx.declare_representation(E, p1, rep)
+        raw = whole_partial_raw(fe, p1, ctx)
+        marked = any(isinstance(a, RepAtom) for a in raw.atoms())
+        assert marked == (mode == "paper" or label != "p1/E"), label
+        want = finalize(fe.diff_plain(p1) + fe.diff_plain(E) * rep, ctx)
+        assert equals_canonical(finalize(raw, ctx), want), label
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "no multivariate GCD (ROADMAP item 4): once a sum denominator enters, "
+    "the canonical form depends on the order of expansion"))
+@pytest.mark.parametrize("case", ["p/(E+m)", "p sqrt(E^2+m^2)"])
+def test_multiplying_a_guarded_representation_in_keeps_the_form(case):
+    """Why whole_partial_raw keeps the marker of a representation with a sum
+    denominator or a fractional power (the derivative of a root of a sum
+    has one): taking it in at each step gives the same value as the marker
+    path but another, here smaller, canonical form.  A GCD should flip this
+    test and let the guard go."""
+    ctx = build_mass_shell(MassShellScenario(ordering_mode="commuting"))
+    p1, p2, E = syms(ctx, "p1", "p2", "E")
+    EE, M = Expr.symbol(E), Expr.symbol(ctx.find_symbol("m"))
+    root = (EE ** 2 + M ** 2).sqrt()
+    if case == "p/(E+m)":
+        shape, e, word = (lambda p: p / (EE + M)), EE ** 2, (p1, p2)
+    else:
+        shape, e, word = (lambda p: p * root), root, (p1, p1)
+    for p in ctx.independents:
+        ctx.declare_representation(E, p, shape(Expr.symbol(p)))
+    direct = marked = e
+    for v in word:
+        rep = ctx.representation(E, v)
+        direct = direct.diff_plain(v) + direct.diff_plain(E) * rep
+        marked = marked.diff_plain(v) + marked.diff_plain(E) * Expr.atom(RepAtom(E, v, rep))
+    direct, marked = finalize(direct, ctx), finalize(marked, ctx)
+    if not equals_canonical(direct, marked):
+        pytest.fail("the two paths give different values")
+    assert direct == marked
 
 
 def test_plain_partial_ignores_dependence(ms_commuting):
