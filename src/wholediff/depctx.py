@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from .errors import (
@@ -416,7 +415,6 @@ def _solve_plans(ctx: DependencyContext):
     return made[2]
 
 
-@lru_cache(maxsize=16)
 def _constraint_derivatives(g: Expr, u: Symbol) -> tuple:
     """The solve plan of a (constraint, dependent) pair, derived and
     compiled once rather than at every sample and finite-difference probe:

@@ -38,6 +38,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
+    ContextError,
     NormalOrderError,
     SubstitutionCycleError,
     UnsupportedExpressionError,
@@ -219,7 +220,8 @@ class RepAtom(Atom):
     """Internal marker standing for a dependent-variable representation
     coefficient, kept unexpanded between nested whole derivatives until
     finalize: in paper mode, whose symmetrization needs it, and for a
-    representation with a sum denominator or a fractional power."""
+    representation with a sum denominator or a fractional power.  Its key
+    holds the expansion, so markers that expand differently differ."""
 
     __slots__ = ("dependent", "independent", "expansion", "nc_classes")
 
@@ -228,7 +230,7 @@ class RepAtom(Atom):
         self.independent = independent
         self.expansion = expansion
         self.nc_classes = expansion.nc_classes()
-        self.key = (_RANK_REP, dependent.name, independent.name)
+        self.key = (_RANK_REP, dependent.name, independent.name, expansion.key)
 
     def mentions(self, sym):
         return self.expansion.mentions(sym)
@@ -240,12 +242,6 @@ class RepAtom(Atom):
 
     def __repr__(self):
         return f"RepAtom(d{self.dependent.name}/d{self.independent.name})"
-
-
-def _commutes(a: Atom, b: Atom) -> bool:
-    if a.key == b.key:
-        return True
-    return a.nc_classes.isdisjoint(b.nc_classes)
 
 
 # ---------------------------------------------------------------------------
@@ -889,7 +885,17 @@ class CommutatorTable:
             self.declare(a, b, e)
 
     def declare(self, a: Symbol, b: Symbol, value):
+        """Declare [a, b] = value.  normal_order stops at first order in the
+        commutators, exact only if each term holds a commutator symbol at a
+        positive power; any other value raises ContextError."""
         value = Expr._coerce(value)
+        for term in value._num:
+            if not any(e > 0 for e in _commutator_powers(term[1])):
+                from .textio import print_expr
+
+                term = print_expr(_poly_expr((term,)))
+                raise ContextError(f"commutator [{a.name}, {b.name}]: term {term} has no "
+                                   "commutator symbol at a positive power")
         self._map[(a.name, b.name)] = value
         self._map[(b.name, a.name)] = -value
         self._syms[a.name] = a
@@ -910,23 +916,21 @@ class CommutatorTable:
         return bool(self._map)
 
 
-def _kappa_degree(factors) -> int:
-    deg = 0
-    for a, e in factors:
-        if isinstance(a, SymbolAtom) and a.symbol.kind == SymbolKind.COMMUTATOR:
-            deg += abs(e)
-    return deg
+def _commutator_powers(factors) -> list:
+    return [e for a, e in factors
+            if isinstance(a, SymbolAtom) and a.symbol.kind == SymbolKind.COMMUTATOR]
 
 
 def normal_order(e, commutators: CommutatorTable) -> Expr:
-    """Rewrite out-of-order noncommuting products into canonical order,
-    emitting commutator terms, truncated to first order in commutators."""
+    """Put the noncommuting letters of each word in key order, with a
+    commutator term for each out-of-order pair (first order in the
+    commutators; see _normal_order_mono)."""
     e = Expr._coerce(e)
     if _poly_has_word(e._den):
         raise UnsupportedExpressionError(
             "cannot normal-order an expression with noncommuting denominator"
         )
-    return _map_num(e, lambda c, f: _normal_order_mono(c, f, commutators, _kappa_degree(f)))
+    return _map_num(e, lambda c, f: _normal_order_mono(c, f, commutators))
 
 
 def _map_num(e: Expr, fn) -> Expr:
@@ -936,49 +940,39 @@ def _map_num(e: Expr, fn) -> Expr:
     return out if e.den_is_one() else out / _poly_expr(e._den)
 
 
-def _normal_order_mono(coeff: QC, factors, comms: CommutatorTable, budget: int) -> Expr:
-    word = []
+def _normal_order_mono(coeff: QC, factors, comms: CommutatorTable) -> Expr:
+    """coeff * sort(w) plus, for each pair i < j of noncommuting letters
+    with key(w_i) > key(w_j), coeff * [w_i, w_j] * sort(w without them):
+    the normal form to first order in the commutators.  A word holding a
+    commutator symbol gets no such terms; declare puts one in every term of
+    a value, so the call that sorts a commutator term adds none.  Pairs
+    come as an insertion sort meets them, which fixes the order of the
+    additions over sum denominators."""
+    central, word = [], []
     for a, e in factors:
-        if a.nc_classes:
-            if e < 0:
-                raise UnsupportedExpressionError(
-                    "negative power of a noncommuting factor"
-                )
-            word.extend([(a, 1)] * e)
+        if not a.nc_classes:
+            central.append((a, e))
+        elif e < 0:
+            raise UnsupportedExpressionError("negative power of a noncommuting factor")
         else:
-            word.append((a, e))
-
+            word.extend([a] * e)
     terms = []
-    stack = [(coeff, tuple(word), budget)]
-    while stack:
-        c, w, b = stack.pop()
-        idx = _first_inversion(w)
-        if idx is None:
-            terms.append(_mono_expr(c, w))
-            continue
-        a1, _ = w[idx]
-        a2, _ = w[idx + 1]
-        swapped = w[:idx] + (w[idx + 1], w[idx]) + w[idx + 2 :]
-        stack.append((c, swapped, b))
-        if b + 1 > 1:
-            continue  # first-order truncation in commutators
-        if not (isinstance(a1, SymbolAtom) and isinstance(a2, SymbolAtom)):
-            raise NormalOrderError(a1, a2)
-        comm = comms.lookup(a1.symbol, a2.symbol)
-        if comm is None:
-            raise NormalOrderError(a1.symbol.name, a2.symbol.name)
-        branch = _product((Expr.const(c), ((ONE, w[:idx]),), comm, ((ONE, w[idx + 2 :]),)))
-        terms.append(_map_num(branch, lambda c2, f2: _normal_order_mono(c2, f2, comms, b + 1)))
+    for j, b in enumerate(() if _commutator_powers(central) else word):
+        for i in sorted(range(j), key=lambda i: word[i].key, reverse=True):
+            a = word[i]
+            if a.key <= b.key or a.nc_classes.isdisjoint(b.nc_classes):
+                continue
+            if not (isinstance(a, SymbolAtom) and isinstance(b, SymbolAtom)):
+                raise NormalOrderError(a, b)
+            comm = comms.lookup(a.symbol, b.symbol)
+            if comm is None:
+                raise NormalOrderError(a.symbol.name, b.symbol.name)
+            rest = word[:i] + word[i + 1 : j] + word[j + 1 :]
+            branch = _product((((coeff, (*central, *((x, 1) for x in rest))),), comm))
+            terms.append(_map_num(branch, lambda c, f: _normal_order_mono(c, f, comms)))
+    word.sort(key=lambda a: a.key)
+    terms.append(_mono_expr(coeff, (*central, *((x, 1) for x in word))))
     return Expr.sum(terms)
-
-
-def _first_inversion(word):
-    for i in range(len(word) - 1):
-        a, _ = word[i]
-        b, _ = word[i + 1]
-        if not _commutes(a, b) and b.key < a.key:
-            return i
-    return None
 
 
 def expand_rep_atoms(e, mode: str = "operator") -> Expr:
@@ -1011,15 +1005,16 @@ def _expand_mono(coeff: QC, factors, mode: str) -> Expr:
     if not slots:
         return _mono_expr(coeff, factors)
 
-    def assemble(assignment):
-        return _product([((coeff, ()),)] + [assignment[i].expansion if i in assignment
-                                            else ((ONE, (u,)),) for i, u in enumerate(units)])
+    def assemble(c, assignment):
+        return _product([((c, ()),)] + [assignment[i].expansion if i in assignment
+                                        else ((ONE, (u,)),) for i, u in enumerate(units)])
 
     reps = [units[i][0] for i in slots]
     if mode == "paper" and len(reps) > 1:
         perms = list(_distinct_permutations(reps))
-        return Expr.sum(assemble(dict(zip(slots, p))) for p in perms) / len(perms)
-    return assemble(dict(zip(slots, reps)))
+        c = coeff / QC(len(perms))
+        return Expr.sum(assemble(c, dict(zip(slots, p))) for p in perms)
+    return assemble(coeff, dict(zip(slots, reps)))
 
 
 def _distinct_permutations(items):

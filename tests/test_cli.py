@@ -88,6 +88,32 @@ def test_commutator_feynman(ctx_file, capsys):
     assert out.strip() == "i*B3*D[f,E]/E^3"
 
 
+def test_commutator_ordering_option_overrides_the_file(tmp_path, capsys):
+    """--ordering without --feynman reorders the file's own context: the
+    result is that of the file with the ordering line."""
+    outs = []
+    for name, extra in (("operator", ""), ("paper", "ordering paper\n")):
+        path = tmp_path / f"{name}.ctx"
+        path.write_text(MASS_SHELL_SRC + "commutator [p1, p2] = kappa12\n" + extra)
+        argv = ["commutator", str(path), "--a", "W[p1]", "--b", "W[p2]", "--apply", "f"]
+        code, out, _ = run(capsys, *argv, *(["--ordering", "paper"] if not extra else []))
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1] == "kappa12*D[f,E]/E^3\n"
+
+
+def test_commutator_without_a_commutator_symbol_is_a_context_error(tmp_path, capsys):
+    """[p1, p2] = 1 is not of first order in a commutator symbol, so normal
+    ordering would drop its second-order terms (p2^2 p1^2 would lose its
+    constant 2): the context is refused, exit 3."""
+    path = tmp_path / "const.ctx"
+    path.write_text(MASS_SHELL_SRC + "commutator [p1, p2] = 1\n")
+    code, out, err = run(capsys, "commutator", str(path), "--a", "W[p1]", "--b", "W[p2]",
+                         "--apply", "f")
+    assert code == 3 and out == ""
+    assert err.startswith("context error:") and "[p1, p2]" in err and "term 1 " in err
+
+
 def test_commutator_operator_output(ctx_file, capsys):
     code, out, _ = run(capsys, "commutator", ctx_file, "--a", "W[p1]", "--b", "D[E]")
     assert code == 0

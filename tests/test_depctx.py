@@ -148,6 +148,36 @@ def test_solve_dependents_no_real_root():
         solve_dependents(bad, {"p1": 1.0, "m": 1.0})
 
 
+def test_sample_on_shell_gives_up_after_64_draws(monkeypatch):
+    """E^2 + p1^2 + m^2 = 0 has no real point: each sample is drawn 64
+    times, then the sampler raises with the last draw."""
+    import wholediff.depctx as depctx
+
+    draws = []
+    draw_free = depctx._draw_free
+    monkeypatch.setattr(depctx, "_draw_free", lambda c, r: draws.append(1) or draw_free(c, r))
+    ctx = DependencyContext(
+        independents=(p1,), parameters=(m,), dependents=(E,),
+        constraints=((EE ** 2 + P1 ** 2 + M ** 2, E),), ordering_mode="commuting",
+    )
+    with pytest.raises(RootSolveError, match="could not draw") as exc:
+        sample_on_shell(ctx, 3, seed=0)
+    assert len(draws) == 64
+    assert set(exc.value.sample) == {"p1", "m"}
+
+
+def test_solve_dependents_brackets_the_negative_sheet():
+    """A cubic constraint goes to brentq; sign=-1 mirrors the bracket to
+    [-1e3, -1e-6], where E^3 = p1^3 + m^3 = -7 has its root."""
+    ctx = DependencyContext(
+        independents=(p1,), parameters=(m,), dependents=(E,),
+        constraints=((EE ** 3 - P1 ** 3 - M ** 3, E),), ordering_mode="commuting",
+    )
+    sol = solve_dependents(ctx, {"p1": -2.0, "m": 1.0}, sign=-1)
+    assert sol["E"] == pytest.approx(-(7 ** (1 / 3)), rel=1e-12)
+    assert sol["E"] == pytest.approx(-1.9129, abs=1e-4)
+
+
 # ---------------------------------------------------------------------------
 # The per-sample stream against numpy's default_rng([seed, index])
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from test_symexpr import (
     _two_class_context,
 )
 from wholediff import diffop
-from wholediff.depctx import DependencyContext, _constraint_derivatives
+from wholediff.depctx import DependencyContext
 from wholediff.diffop import (
     DerivativeGenerator,
     DifferentialOperator,
@@ -254,7 +254,6 @@ def _operator_corpus(mode, compose, commutator, expand_to_plain, op_equals):
     its constraint only, and the two-class context.  Coefficients include a
     sum denominator, a noncommuting letter at a negative power and a
     representation marker whose expansion is not the context's."""
-    _constraint_derivatives.cache_clear()
     constraint_only = _kernel_context(mode)
     constraint_only.representations.clear()
     contexts = {

@@ -365,6 +365,13 @@ def test_parse_context_commutators_and_ordering():
     assert ctx.find_symbol("kappa12").kind == SymbolKind.COMMUTATOR
 
 
+@pytest.mark.parametrize("value", ["1", "m", "kappa + 1", "1/kappa"])
+def test_parse_context_rejects_commutator_without_commutator_symbol(value):
+    with pytest.raises(ContextError) as exc:
+        parse_context(MASS_SHELL_SRC + f"commutator [p1,p2] = {value}\n")
+    assert "[p1, p2]" in str(exc.value)
+
+
 def test_serialize_context_round_trip():
     src = MASS_SHELL_SRC + "commutator [p1,p2] = kappa12\nordering paper\n"
     ctx = parse_context(src)
