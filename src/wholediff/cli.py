@@ -91,6 +91,15 @@ def _emit(args, command: str, context_name: str, result, text_lines) -> None:
     sys.stdout.flush()
 
 
+def _emit_expr(args, command: str, out: Expr) -> None:
+    """Print a result expression, rendered once: in the requested format,
+    or as text inside the JSON result."""
+    if args.format == "json":
+        _emit(args, command, args.ctx, {"expression": print_expr(out, "text")}, ())
+    else:
+        _emit(args, command, args.ctx, None, [print_expr(out, args.format)])
+
+
 def _apply_target(text: str, ctx: DependencyContext) -> Expr:
     """An opaque function named bare (e.g. just `f`) means its declared
     application."""
@@ -120,8 +129,7 @@ def cmd_derive(args) -> int:
         out = whole_partial(e, v, ctx)
     else:
         out = plain_partial(e, v)
-    rendered = print_expr(out, args.format if args.format != "json" else "text")
-    _emit(args, "derive", args.ctx, {"expression": print_expr(out, "text")}, [rendered])
+    _emit_expr(args, "derive", out)
     return EXIT_OK
 
 
@@ -141,15 +149,7 @@ def cmd_commutator(args) -> int:
     B = parse_operator(args.b, ctx)
     C = commutator(A, B)
     if args.apply is not None:
-        out = apply(C, _apply_target(args.apply, ctx))
-        rendered = print_expr(out, args.format if args.format != "json" else "text")
-        _emit(
-            args,
-            "commutator",
-            args.ctx,
-            {"expression": print_expr(out, "text")},
-            [rendered],
-        )
+        _emit_expr(args, "commutator", apply(C, _apply_target(args.apply, ctx)))
     else:
         rendered = print_operator(C)
         _emit(args, "commutator", args.ctx, {"operator": rendered}, [rendered])
@@ -209,10 +209,7 @@ def cmd_verify(args) -> int:
     ctx = _load_context(args.ctx)
     lhs = _apply_target(args.lhs, ctx)
     rhs = _apply_target(args.rhs, ctx)
-    if args.sampler == "box":
-        spec = SamplerSpec(kind="box", sign=args.sign)
-    else:
-        spec = SamplerSpec(kind="on-shell", sign=args.sign)
+    spec = SamplerSpec(kind=args.sampler, sign=args.sign)
     closures = shipped_closures(len(ctx.independents))
     closure = closures.get(args.closure)
     if closure is None:

@@ -26,14 +26,7 @@ from .errors import (
     SingularityError,
     UnboundSymbolError,
 )
-from .symexpr import (
-    Expr,
-    OpaqueAtom,
-    PartialAtom,
-    PowAtom,
-    RepAtom,
-    SymbolAtom,
-)
+from .symexpr import Expr, PartialAtom, PowAtom, RepAtom, Symbol
 
 # depctx compiles its constraints with this module, so the sampling and
 # solving functions of depctx are imported where they are called.
@@ -201,26 +194,24 @@ class _Compiler:
         return self.define(f"complex(V[{q}]) if {q} in V else _raise(_Unbound, {q})")
 
     def atom(self, a) -> str:
-        if isinstance(a, SymbolAtom):
-            return self.symbol(a.symbol.name)
+        if isinstance(a, Symbol):
+            return self.symbol(a.name)
         if isinstance(a, RepAtom):
             return self.expr(a.expansion)
         if isinstance(a, PowAtom):
             base = self.expr(a.base)
-            if a.exp < 0:
-                self.check(f"{base} == 0", "_Singular, 'zero base with negative exponent'")
             x = self.const(("float", a.exp), float(a.exp))
             return self.define(
                 f"complex({base}.real ** {x}) if {base}.imag == 0 and {base}.real > 0 "
                 f"else _exp({x} * _log({base})) if {base} else 0j"
             )
-        if not isinstance(a, (OpaqueAtom, PartialAtom)):
+        if not isinstance(a, PartialAtom):
             raise EvaluationError(f"cannot evaluate atom {a!r}")
         q = repr(a.fn.name)
         fn = self.define(f"O.get({q})")
         self.check(f"{fn} is None", f"_Unbound, {q}")
         args = ", ".join([self.symbol(s.name) for s in a.args])
-        if isinstance(a, OpaqueAtom):
+        if not a.orders:
             return self.define(f"complex({fn}.fn({args}))")
         idx = tuple((s.name, n) for s, n in a.orders)
         analytic = self.define(f"{fn}.partials.get({self.const(('index', idx), idx)})")

@@ -9,8 +9,9 @@ written order, and inverse letters cancel (a normal form of the trace
 group: Diekert & Rozenberg, The Book of Traces, 1995).  A factor with no
 commutativity class is central: it commutes with every factor, so the
 central factors of a word are simply sorted by key and only the others
-run the ordering greedy.  Non-integer rational powers and opaque-function
-material live in dedicated atoms.
+run the ordering greedy.  A Symbol is its own atom; an opaque function's
+application is the order-zero case of its plain-partial atom; a
+non-integer rational power lives in a power atom.
 
 Expr.key, the nested-tuple form that ==, hash and power-atom keys compare,
 is built on first use and kept; most intermediate values never need it.
@@ -33,7 +34,7 @@ than 1 is recomputed by Expr.__pow__ and summed after the merged part.  The
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
@@ -44,44 +45,6 @@ from .errors import (
     UnsupportedExpressionError,
 )
 from .scalars import ONE, QC, ZERO
-
-# ---------------------------------------------------------------------------
-# Symbols
-# ---------------------------------------------------------------------------
-
-
-class SymbolKind:
-    INDEPENDENT = "independent"
-    DEPENDENT = "dependent"
-    PARAMETER = "parameter"
-    OPAQUE = "opaque"
-    COMMUTATOR = "commutator"
-
-    ALL = (INDEPENDENT, DEPENDENT, PARAMETER, OPAQUE, COMMUTATOR)
-
-
-@dataclass(frozen=True, slots=True, repr=False)
-class Symbol:
-    """Named atom with a kind and a commutativity class.
-
-    Class 0 commutes with everything; symbols sharing a nonzero class may
-    carry declared commutators.  Commutator-kind symbols are central and
-    are forced into class 0.
-    """
-
-    name: str
-    kind: str = SymbolKind.PARAMETER
-    klass: int = 0
-
-    def __post_init__(self):
-        if self.kind not in SymbolKind.ALL:
-            raise ValueError(f"unknown symbol kind {self.kind!r}")
-        if self.kind == SymbolKind.COMMUTATOR:
-            object.__setattr__(self, "klass", 0)
-
-    def __repr__(self):
-        return f"Symbol({self.name!r}, {self.kind!r}, klass={self.klass})"
-
 
 # ---------------------------------------------------------------------------
 # Atoms
@@ -108,49 +71,55 @@ class Atom:
         raise NotImplementedError
 
 
-class SymbolAtom(Atom):
-    __slots__ = ("symbol", "nc_classes")
+class SymbolKind:
+    INDEPENDENT = "independent"
+    DEPENDENT = "dependent"
+    PARAMETER = "parameter"
+    OPAQUE = "opaque"
+    COMMUTATOR = "commutator"
 
-    def __init__(self, symbol: Symbol):
-        self.symbol = symbol
-        self.nc_classes = frozenset() if symbol.klass == 0 else frozenset({symbol.klass})
-        self.key = (_RANK_SYMBOL, symbol.name, symbol.kind, symbol.klass)
+    ALL = (INDEPENDENT, DEPENDENT, PARAMETER, OPAQUE, COMMUTATOR)
+
+
+@dataclass(frozen=True, slots=True, repr=False)
+class Symbol(Atom):
+    """Named atom with a kind and a commutativity class.
+
+    Class 0 commutes with everything; symbols sharing a nonzero class may
+    carry declared commutators.  Commutator-kind symbols are central and
+    are forced into class 0.  A symbol is its own monomial factor: its key
+    and nc_classes are set once, here, and take no part in ==.
+    """
+
+    name: str
+    kind: str = SymbolKind.PARAMETER
+    klass: int = 0
+    key: tuple = field(init=False, compare=False)
+    nc_classes: frozenset = field(init=False, compare=False)
+
+    def __post_init__(self):
+        if self.kind not in SymbolKind.ALL:
+            raise ValueError(f"unknown symbol kind {self.kind!r}")
+        if self.kind == SymbolKind.COMMUTATOR:
+            object.__setattr__(self, "klass", 0)
+        object.__setattr__(self, "key", (_RANK_SYMBOL, self.name, self.kind, self.klass))
+        object.__setattr__(self, "nc_classes", frozenset({self.klass} if self.klass else ()))
 
     def mentions(self, sym):
-        return self.symbol == sym
+        return self == sym
 
     def diff(self, v):
-        return Expr.one() if self.symbol == v else Expr.zero()
+        return Expr.one() if self == v else Expr.zero()
 
     def __repr__(self):
-        return f"SymbolAtom({self.symbol.name})"
-
-
-class OpaqueAtom(Atom):
-    """Application of an opaque function symbol to argument symbols."""
-
-    __slots__ = ("fn", "args")
-
-    def __init__(self, fn: Symbol, args: Tuple[Symbol, ...]):
-        self.fn = fn
-        self.args = tuple(args)
-        self.key = (_RANK_OPAQUE, fn.name, tuple(a.name for a in self.args))
-
-    def mentions(self, sym):
-        return self.fn == sym or any(a == sym for a in self.args)
-
-    def diff(self, v):
-        if any(a == v for a in self.args):
-            return Expr.atom(PartialAtom(self.fn, self.args, ((v, 1),)))
-        return Expr.zero()
-
-    def __repr__(self):
-        return f"OpaqueAtom({self.fn.name}({', '.join(a.name for a in self.args)}))"
+        return f"Symbol({self.name!r}, {self.kind!r}, klass={self.klass})"
 
 
 class PartialAtom(Atom):
     """Plain partial derivative of an opaque function: an atom with an
-    unordered multi-index, so mixed plain partials coincide."""
+    unordered multi-index, so mixed plain partials coincide.  With no
+    orders it is the application itself, and keeps an opaque key so that
+    it sorts before every partial of the function."""
 
     __slots__ = ("fn", "args", "orders")
 
@@ -163,12 +132,11 @@ class PartialAtom(Atom):
         self.fn = fn
         self.args = tuple(args)
         self.orders = canon
-        self.key = (
-            _RANK_PARTIAL,
-            fn.name,
-            tuple(a.name for a in self.args),
-            tuple((s.name, n) for s, n in canon),
-        )
+        argnames = tuple(a.name for a in self.args)
+        if canon:
+            self.key = (_RANK_PARTIAL, fn.name, argnames, tuple((s.name, n) for s, n in canon))
+        else:
+            self.key = (_RANK_OPAQUE, fn.name, argnames)
 
     @property
     def total_order(self):
@@ -183,12 +151,15 @@ class PartialAtom(Atom):
         return Expr.zero()
 
     def __repr__(self):
+        if not self.orders:
+            return f"PartialAtom({self.fn.name}({', '.join(a.name for a in self.args)}))"
         idx = ",".join(f"{s.name}^{n}" if n > 1 else s.name for s, n in self.orders)
         return f"PartialAtom(d{self.fn.name}/d[{idx}])"
 
 
 class PowAtom(Atom):
-    """base ** exponent with a non-integer rational exponent (sqrt included)."""
+    """base ** exponent with a rational exponent in (0, 1), sqrt included.
+    Expr.__pow__ multiplies out the integer part of any other exponent."""
 
     # A power of a noncommutative base is treated as commuting (the class
     # default of no nc_classes); in-scope algebra never reorders through
@@ -197,8 +168,8 @@ class PowAtom(Atom):
 
     def __init__(self, base: "Expr", exp: Fraction):
         exp = Fraction(exp)
-        if exp.denominator == 1:
-            raise ValueError("PowAtom requires a non-integer exponent")
+        if not 0 < exp < 1:
+            raise ValueError(f"PowAtom requires an exponent in (0, 1), not {exp}")
         self.base = base
         self.exp = exp
         self.key = (_RANK_POW, base.key, (exp.numerator, exp.denominator))
@@ -484,7 +455,7 @@ class Expr:
 
     @classmethod
     def symbol(cls, sym: Symbol) -> "Expr":
-        return cls._raw(((ONE, ((SymbolAtom(sym), 1),)),), _POLY_ONE)
+        return cls._raw(((ONE, ((sym, 1),)),), _POLY_ONE)
 
     @classmethod
     def atom(cls, a: Atom) -> "Expr":
@@ -492,7 +463,7 @@ class Expr:
 
     @classmethod
     def opaque(cls, fn: Symbol, args: Sequence[Symbol]) -> "Expr":
-        return cls.atom(OpaqueAtom(fn, tuple(args)))
+        return cls.atom(PartialAtom(fn, tuple(args), ()))
 
     @classmethod
     def partial_atom(cls, fn: Symbol, args: Sequence[Symbol], orders) -> "Expr":
@@ -544,9 +515,9 @@ class Expr:
         while stack:
             e = stack.pop()
             for a in e.atoms():
-                if isinstance(a, SymbolAtom):
-                    out.add(a.symbol)
-                elif isinstance(a, (OpaqueAtom, PartialAtom)):
+                if isinstance(a, Symbol):
+                    out.add(a)
+                elif isinstance(a, PartialAtom):
                     out.add(a.fn)
                     out.update(a.args)
                 elif isinstance(a, PowAtom):
@@ -779,13 +750,13 @@ def _subst_poly(p, bindings) -> Expr:
 
 
 def _subst_atom(a: Atom, bindings) -> Expr:
-    if isinstance(a, SymbolAtom):
-        return bindings.get(a.symbol, Expr.atom(a))
+    if isinstance(a, Symbol):
+        return bindings.get(a, Expr.atom(a))
     if isinstance(a, PowAtom):
         if any(a.base.mentions(s) for s in bindings):
             return a.base._subst(bindings) ** a.exp
         return Expr.atom(a)
-    if isinstance(a, (OpaqueAtom, PartialAtom)):
+    if isinstance(a, PartialAtom):
         if a.fn in bindings:
             raise UnsupportedExpressionError(
                 f"cannot substitute applied opaque function {a.fn.name}"
@@ -802,8 +773,6 @@ def _subst_atom(a: Atom, bindings) -> Expr:
                 new_args.append(rsym)
             else:
                 new_args.append(s)
-        if isinstance(a, OpaqueAtom):
-            return Expr.atom(OpaqueAtom(a.fn, tuple(new_args)))
         orders = tuple(
             (_as_bare_symbol(bindings[s]) if s in bindings else s, n)
             for s, n in a.orders
@@ -827,7 +796,7 @@ def _single_atom(e: Expr) -> Optional[Atom]:
 
 def _as_bare_symbol(e: Expr) -> Optional[Symbol]:
     a = _single_atom(e)
-    return a.symbol if isinstance(a, SymbolAtom) else None
+    return a if isinstance(a, Symbol) else None
 
 
 def _check_cycles(bindings):
@@ -878,11 +847,9 @@ def equals_canonical(a, b) -> bool:
 class CommutatorTable:
     """Antisymmetric lookup [a, b] for declared symbol pairs."""
 
-    def __init__(self, entries: Mapping[Tuple[Symbol, Symbol], Expr] = ()):
+    def __init__(self):
         self._map = {}
         self._syms = {}
-        for (a, b), e in dict(entries).items():
-            self.declare(a, b, e)
 
     def declare(self, a: Symbol, b: Symbol, value):
         """Declare [a, b] = value.  normal_order stops at first order in the
@@ -917,8 +884,7 @@ class CommutatorTable:
 
 
 def _commutator_powers(factors) -> list:
-    return [e for a, e in factors
-            if isinstance(a, SymbolAtom) and a.symbol.kind == SymbolKind.COMMUTATOR]
+    return [e for a, e in factors if isinstance(a, Symbol) and a.kind == SymbolKind.COMMUTATOR]
 
 
 def normal_order(e, commutators: CommutatorTable) -> Expr:
@@ -962,11 +928,11 @@ def _normal_order_mono(coeff: QC, factors, comms: CommutatorTable) -> Expr:
             a = word[i]
             if a.key <= b.key or a.nc_classes.isdisjoint(b.nc_classes):
                 continue
-            if not (isinstance(a, SymbolAtom) and isinstance(b, SymbolAtom)):
+            if not (isinstance(a, Symbol) and isinstance(b, Symbol)):
                 raise NormalOrderError(a, b)
-            comm = comms.lookup(a.symbol, b.symbol)
+            comm = comms.lookup(a, b)
             if comm is None:
-                raise NormalOrderError(a.symbol.name, b.symbol.name)
+                raise NormalOrderError(a.name, b.name)
             rest = word[:i] + word[i + 1 : j] + word[j + 1 :]
             branch = _product((((coeff, (*central, *((x, 1) for x in rest))),), comm))
             terms.append(_map_num(branch, lambda c, f: _normal_order_mono(c, f, comms)))

@@ -44,12 +44,10 @@ from .scalars import QC
 from .symexpr import (
     CommutatorTable,
     Expr,
-    OpaqueAtom,
     PartialAtom,
     PowAtom,
     RepAtom,
     Symbol,
-    SymbolAtom,
     SymbolKind,
 )
 
@@ -362,9 +360,9 @@ def context_symbol_table(ctx: DependencyContext):
     return syms, opaques
 
 
-def parse_expr_in_context(text: str, ctx: DependencyContext, lenient=False) -> Expr:
+def parse_expr_in_context(text: str, ctx: DependencyContext) -> Expr:
     syms, opaques = context_symbol_table(ctx)
-    return parse_expr(text, syms, opaques, lenient)
+    return parse_expr(text, syms, opaques)
 
 
 def parse_operator(text: str, ctx: DependencyContext) -> DifferentialOperator:
@@ -539,12 +537,10 @@ def _render_mono(c: QC, word, r):
 
 
 def _render_atom(a, r):
-    if isinstance(a, SymbolAtom):
-        return r.name(a.symbol.name)
-    if isinstance(a, OpaqueAtom):
-        return r.opaque(a.fn.name, [s.name for s in a.args])
+    if isinstance(a, Symbol):
+        return r.name(a.name)
     if isinstance(a, PartialAtom):
-        return r.partial(a)
+        return r.partial(a) if a.orders else r.opaque(a.fn.name, [s.name for s in a.args])
     if isinstance(a, PowAtom):
         return r.pow(_render(a.base, r), a.exp)
     if isinstance(a, RepAtom):

@@ -29,12 +29,10 @@ from wholediff.numcheck import (
 from wholediff.physcases import RETARDED_TP
 from wholediff.symexpr import (
     Expr,
-    OpaqueAtom,
     PartialAtom,
     PowAtom,
     RepAtom,
     Symbol,
-    SymbolAtom,
     SymbolKind,
 )
 from wholediff.wholederiv import whole_partial, whole_partial_raw
@@ -255,8 +253,8 @@ def _reference_eval_poly(p, b):
 
 
 def _reference_eval_atom(a, b):
-    if isinstance(a, SymbolAtom):
-        return b.value(a.symbol.name)
+    if isinstance(a, Symbol):
+        return b.value(a.name)
     if isinstance(a, PowAtom):
         base = _reference_evaluate(a.base, b)
         if base == 0 and a.exp < 0:
@@ -266,7 +264,7 @@ def _reference_eval_atom(a, b):
         if base == 0:
             return 0j
         return cmath.exp(float(a.exp) * cmath.log(base))
-    if isinstance(a, OpaqueAtom):
+    if isinstance(a, PartialAtom) and not a.orders:
         closure = b.opaques.get(a.fn.name)
         if closure is None:
             raise UnboundSymbolError(a.fn.name)

@@ -44,7 +44,7 @@ def _as_sympy(e: Expr):
         term = sympy.Rational(c.re.numerator, c.re.denominator)
         term += sympy.I * sympy.Rational(c.im.numerator, c.im.denominator)
         for a, n in f:
-            term *= sympy.Symbol(a.symbol.name) ** n
+            term *= sympy.Symbol(a.name) ** n
         out += term
     return sympy.expand(out)
 

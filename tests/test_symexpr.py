@@ -26,12 +26,10 @@ from wholediff.scalars import ONE, QC
 from wholediff.symexpr import (
     CommutatorTable,
     Expr,
-    OpaqueAtom,
     PartialAtom,
     PowAtom,
     RepAtom,
     Symbol,
-    SymbolAtom,
     SymbolKind,
     _atom_power,
     _canonical_word,
@@ -221,6 +219,33 @@ def test_partial_atom_multi_index_merges():
     assert fa.total_order == 3
 
 
+def _only_letter(e):
+    ((c, word),) = e._num
+    ((letter, n),) = word
+    assert c == ONE and n == 1 and e.den_is_one()
+    return letter
+
+
+def test_symbol_is_its_own_atom_and_an_application_is_its_order_zero_partial():
+    """Expr.symbol puts the Symbol itself in the word.  Expr.opaque builds the
+    partial atom with no orders, keyed as an application so that it sorts
+    before every partial of the function."""
+    assert _only_letter(Expr.symbol(p1)) is p1
+    ctx = build_mass_shell(MassShellScenario(dimension=3))
+    ((fn, args),) = ctx.opaques
+    app = _only_letter(Expr.opaque(fn, args))
+    assert isinstance(app, PartialAtom) and app.orders == ()
+    assert app.key == (2, "f", ("p1", "p2", "p3", "E"))
+    dE = _only_letter(Expr.opaque(fn, args).diff_plain(ctx.find_symbol("E")))
+    assert dE.key == (3, "f", ("p1", "p2", "p3", "E"), (("E", 1),))
+
+
+@pytest.mark.parametrize("exp", [Fraction(-1, 2), Fraction(3, 2), Fraction(2)])
+def test_pow_atom_rejects_an_exponent_outside_zero_one(exp):
+    with pytest.raises(ValueError):
+        PowAtom(X + Y, exp)
+
+
 def test_constant_folding_and_imaginary():
     i = Expr.imaginary_unit()
     assert equals_canonical(i * i, Expr.const(-1))
@@ -287,18 +312,18 @@ def _reference_canonical_word(letters):
 def test_canonical_word_matches_reference_greedy():
     c = Symbol("c", SymbolKind.INDEPENDENT, klass=2)
     central = [
-        SymbolAtom(x),
-        SymbolAtom(x),  # a second object with the same key
-        SymbolAtom(m),
-        SymbolAtom(k),
-        OpaqueAtom(f, (x, y)),
+        x,
+        Symbol("x"),  # a second object with the same key
+        m,
+        k,
+        PartialAtom(f, (x, y), ()),
         PowAtom(X + Y, Fraction(1, 2)),
     ]
     noncommuting = [
-        SymbolAtom(a),
-        SymbolAtom(a),
-        SymbolAtom(b),
-        SymbolAtom(c),
+        a,
+        Symbol("a", SymbolKind.INDEPENDENT, klass=1),
+        b,
+        c,
         RepAtom(E, a, A * B),
     ]
     rng = random.Random(606)
@@ -355,8 +380,8 @@ def test_canonical_word_is_the_brute_force_normal_form():
     sb, sz = (Symbol(n, SymbolKind.INDEPENDENT, klass=1) for n in ("b", "z"))
     sd = Symbol("d", SymbolKind.INDEPENDENT, klass=2)
     alphabet = [
-        SymbolAtom(sb), SymbolAtom(sz), SymbolAtom(sd),
-        SymbolAtom(m), SymbolAtom(x), RepAtom(E, sb, Expr.symbol(sb) * Expr.symbol(sd)),
+        sb, sz, sd,
+        m, x, RepAtom(E, sb, Expr.symbol(sb) * Expr.symbol(sd)),
     ]
     rng = random.Random(1111)
     cancelled = 0
@@ -466,8 +491,8 @@ def _staged_normal_order_mono(coeff, factors, comms, budget=None):
     misses a pair split by a commuting letter, which the kernel corpus never
     builds (test_normal_order_reaches_pairs_across_a_commuting_letter)."""
     if budget is None:
-        budget = sum(abs(e) for a, e in factors if isinstance(a, SymbolAtom)
-                     and a.symbol.kind == SymbolKind.COMMUTATOR)
+        budget = sum(abs(e) for a, e in factors if isinstance(a, Symbol)
+                     and a.kind == SymbolKind.COMMUTATOR)
     word = []
     for a, e in factors:
         if a.nc_classes:
@@ -490,11 +515,11 @@ def _staged_normal_order_mono(coeff, factors, comms, budget=None):
         stack.append((c, swapped, b))
         if b + 1 > 1:
             continue
-        if not (isinstance(a1, SymbolAtom) and isinstance(a2, SymbolAtom)):
+        if not (isinstance(a1, Symbol) and isinstance(a2, Symbol)):
             raise NormalOrderError(a1, a2)
-        comm = comms.lookup(a1.symbol, a2.symbol)
+        comm = comms.lookup(a1, a2)
         if comm is None:
-            raise NormalOrderError(a1.symbol.name, a2.symbol.name)
+            raise NormalOrderError(a1.name, a2.name)
         prefix = _mono_expr(ONE, w[:idx])
         suffix = _mono_expr(ONE, w[idx + 2 :])
         branch = Expr.const(c) * prefix * comm * suffix
@@ -748,10 +773,10 @@ def test_canonical_word_of_a_concatenation_is_staged_canonical():
     inverse letters included: the normal form depends on the trace only."""
     c = Symbol("c", SymbolKind.INDEPENDENT, klass=2)
     central = [
-        SymbolAtom(x), SymbolAtom(x), SymbolAtom(m), SymbolAtom(k),
-        OpaqueAtom(f, (x, y)), PowAtom(X + Y, Fraction(1, 2)),
+        x, Symbol("x"), m, k,
+        PartialAtom(f, (x, y), ()), PowAtom(X + Y, Fraction(1, 2)),
     ]
-    noncommuting = [SymbolAtom(a), SymbolAtom(a), SymbolAtom(b), SymbolAtom(c), RepAtom(E, a, A * B)]
+    noncommuting = [a, Symbol("a", SymbolKind.INDEPENDENT, klass=1), b, c, RepAtom(E, a, A * B)]
     rng = random.Random(808)
 
     def letter():
@@ -773,7 +798,7 @@ def test_canonical_word_of_a_concatenation_is_staged_canonical():
 def test_canonical_word_of_a_cancelling_concatenation_is_staged_canonical():
     """With b < d < z in key order, z and b in class 1, d in class 2:
     d z z^-1 b folds to d b, which canonicalizes to b d."""
-    sb, sz = (SymbolAtom(Symbol(n, SymbolKind.INDEPENDENT, klass=1)) for n in ("b", "z"))
-    sd = SymbolAtom(Symbol("d", SymbolKind.INDEPENDENT, klass=2))
+    sb, sz = (Symbol(n, SymbolKind.INDEPENDENT, klass=1) for n in ("b", "z"))
+    sd = Symbol("d", SymbolKind.INDEPENDENT, klass=2)
     u, v, w = ((sd, 1), (sz, 1)), ((sz, -1),), ((sb, 1),)
     assert _canonical_word(u + v + w) == _canonical_word(_canonical_word(u + v) + w) == ((sb, 1), (sd, 1))
