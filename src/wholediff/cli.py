@@ -15,10 +15,9 @@ import dataclasses
 import json
 import os
 import sys
-from typing import Dict, Optional
+from typing import Dict
 
 from .depctx import DependencyContext, ORDERING_MODES
-from .diffop import DifferentialOperator, apply, commutator
 from .errors import (
     ContextError,
     EvaluationError,
@@ -26,16 +25,9 @@ from .errors import (
     RootSolveError,
     WholediffError,
 )
-from .numcheck import SamplerSpec, shipped_closures, verify_identity
-from .physcases import (
-    MassShellScenario,
-    RetardedScenario,
-    build_mass_shell,
-    build_retarded,
-    position_commutator_table,
-)
-from .symexpr import Expr, SymbolKind
+from .symexpr import Expr
 from .textio import (
+    SourceSpan,
     parse_context,
     parse_expr,
     parse_expr_in_context,
@@ -111,7 +103,8 @@ def _apply_target(text: str, ctx: DependencyContext) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands.  Each imports the modules that only it runs, so a process
+# loads no more of the package than its subcommand needs.
 # ---------------------------------------------------------------------------
 
 
@@ -134,9 +127,13 @@ def cmd_derive(args) -> int:
 
 
 def cmd_commutator(args) -> int:
+    from .diffop import apply, commutator
+
     ctx = _load_context(args.ctx)
     mode = args.ordering or ctx.ordering_mode
     if args.feynman:
+        from .physcases import MassShellScenario, build_mass_shell
+
         dim = 0
         while ctx.find_symbol(f"p{dim + 1}") is not None:
             dim += 1
@@ -157,6 +154,15 @@ def cmd_commutator(args) -> int:
 
 
 def cmd_scenario(args) -> int:
+    from .physcases import (
+        RETARDED_TP,
+        MassShellScenario,
+        RetardedScenario,
+        build_mass_shell,
+        build_retarded,
+        position_commutator_table,
+    )
+
     if args.name == "mass-shell":
         s = MassShellScenario(
             dimension=args.dim,
@@ -181,8 +187,6 @@ def cmd_scenario(args) -> int:
     if args.name == "retarded":
         if args.trajectory is None:
             raise _UsageError("scenario retarded requires --trajectory")
-        from .physcases import RETARDED_TP
-
         table: Dict[str, object] = {"tp": RETARDED_TP}
         traj = parse_expr(args.trajectory, list(table.values()), lenient=True)
         params = tuple(
@@ -202,6 +206,8 @@ def cmd_scenario(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .numcheck import SamplerSpec, shipped_closures, verify_identity
+
     if args.seed < 0:
         raise _UsageError(f"--seed must be non-negative, not {args.seed}")
     if args.samples < 1:
@@ -244,8 +250,6 @@ def cmd_verify(args) -> int:
 
 
 def _span_of(text: str):
-    from .textio import SourceSpan
-
     return SourceSpan(0, len(text))
 
 
@@ -282,7 +286,11 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("scenario", help="prebuilt scenario bundles")
     s.add_argument("name")
     s.add_argument("--dim", type=int, default=3)
-    s.add_argument("--sign", type=int, choices=(1, -1), default=1)
+    s.add_argument(
+        "--sign", type=int, choices=(1, -1), default=1,
+        help="mass-shell sheet; the file is the same on both sheets, "
+        "the sheet is chosen by verify --sign",
+    )
     s.add_argument("--ordering", choices=ORDERING_MODES, default=None)
     s.add_argument("--feynman", action="store_true")
     s.add_argument("--trajectory", default=None)

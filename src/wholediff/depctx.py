@@ -20,7 +20,6 @@ from .errors import (
     EvaluationError,
     RootSolveError,
 )
-from .numcheck import _compile, _program
 from .symexpr import (
     CommutatorTable,
     Expr,
@@ -233,6 +232,8 @@ class DependencyContext:
         return diags
 
     def _numeric_agreement(self, a: Expr, b: Expr) -> bool:
+        from .numcheck import _program
+
         a_at, b_at = _program(a), _program(b)
         for sign in (+1, -1):
             try:
@@ -420,6 +421,8 @@ def _constraint_derivatives(g: Expr, u: Symbol) -> tuple:
     compiled once rather than at every sample and finite-difference probe:
     g, g_u and g_uu compiled as functions of (values, u), the last two None
     unless g_uuu is zero, so that the closed form applies (else brentq)."""
+    from .numcheck import _compile  # loaded by the first context that samples
+
     gu = g.diff_plain(u)
     guu = gu.diff_plain(u)
     if guu.diff_plain(u).is_zero():

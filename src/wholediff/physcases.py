@@ -14,7 +14,6 @@ from typing import Optional, Tuple
 from .depctx import DependencyContext, implicit_partial
 from .diffop import DifferentialOperator, apply, commutator
 from .errors import ContextError, DegenerateConstraintError
-from .numcheck import NumericBinding, evaluate
 from .symexpr import CommutatorTable, Expr, Symbol, SymbolKind
 
 _NC_CLASS = 1  # momentum components share one noncommuting class
@@ -22,7 +21,12 @@ _NC_CLASS = 1  # momentum components share one noncommuting class
 
 @dataclass(frozen=True)
 class MassShellScenario:
-    """E = ±sqrt(p^2 + m^2) with a chosen product-ordering convention."""
+    """E = ±sqrt(p^2 + m^2) with a chosen product-ordering convention.
+
+    `sign` names a sheet but does not change the context: the constraint
+    and the representations dE/dp_i = p_i/E hold on both sheets, so both
+    signs build the same context and write the same file.  The sheet is
+    chosen where the context is sampled (`verify --sign`, SamplerSpec.sign)."""
 
     dimension: int = 3
     sign: int = +1
@@ -178,6 +182,8 @@ def build_retarded(s: RetardedScenario) -> DependencyContext:
             )
     speed = traj.diff_plain(tp)
     if not speed.symbols():
+        from .numcheck import NumericBinding, evaluate
+
         v = evaluate(speed, NumericBinding(values={}))
         if abs(v) >= 1.0:
             raise DegenerateConstraintError(

@@ -35,10 +35,9 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .depctx import ORDERING_MODES, DependencyContext
-from .diffop import DifferentialOperator, compose
 from .errors import ContextError, ParseError
 from .scalars import QC
 from .symexpr import (
@@ -50,6 +49,9 @@ from .symexpr import (
     Symbol,
     SymbolKind,
 )
+
+if TYPE_CHECKING:
+    from .diffop import DifferentialOperator
 
 
 @dataclass(frozen=True)
@@ -109,9 +111,9 @@ def _lex(text: str, pos: int = 0, end: Optional[int] = None) -> List[Token]:
 
 class _ExprParser:
     """Recursive descent over one token stream.  `parse(self.sum_)` reads an
-    expression, `parse(self.operator)` an operator literal over `ctx`.
-    Unknown identifiers are declared with kind `declare`, or rejected when
-    it is None."""
+    expression, `parse(self.operator)` an operator literal over `ctx`, built
+    with the `diffop` module.  Unknown identifiers are declared with kind
+    `declare`, or rejected when it is None."""
 
     def __init__(
         self,
@@ -120,6 +122,7 @@ class _ExprParser:
         opaques: Dict[str, Tuple[Symbol, ...]],
         declare: Optional[SymbolKind] = None,
         ctx: Optional[DependencyContext] = None,
+        diffop=None,
     ):
         self.toks = tokens
         self.pos = 0
@@ -127,6 +130,7 @@ class _ExprParser:
         self.opaques = opaques
         self.declare = declare
         self.ctx = ctx
+        self.diffop = diffop
 
     def peek(self) -> Token:
         return self.toks[self.pos]
@@ -299,14 +303,14 @@ class _ExprParser:
                 self.next()
             elif self.peek().kind not in ("id", "num") and not self.at_op("("):
                 return acc
-            acc = compose(acc, self.op_factor())
+            acc = self.diffop.compose(acc, self.op_factor())
 
     def op_factor(self) -> DifferentialOperator:
         t = self.peek()
         if t.text in ("W", "D") and self.toks[self.pos + 1].text == "[":
             return self.generator()
         if t.kind == "num" or self.at_op("("):
-            return DifferentialOperator.multiplication(self.ctx, self.atom())
+            return self.diffop.DifferentialOperator.multiplication(self.ctx, self.atom())
         raise ParseError(
             f"expected an operator factor, found {t.text or 'end of input'!r}", t.span
         )
@@ -329,7 +333,7 @@ class _ExprParser:
                 vtok.span,
             )
         self.expect_op("]")
-        return DifferentialOperator.generator(self.ctx, v, mode)
+        return self.diffop.DifferentialOperator.generator(self.ctx, v, mode)
 
 
 def _as_rational(e: Expr, span: SourceSpan) -> Fraction:
@@ -368,8 +372,10 @@ def parse_expr_in_context(text: str, ctx: DependencyContext) -> Expr:
 def parse_operator(text: str, ctx: DependencyContext) -> DifferentialOperator:
     """Parse an operator literal; products compose left-to-right with the
     leftmost factor acting last."""
+    from . import diffop  # only operator literals need the operator algebra
+
     syms, opaques = context_symbol_table(ctx)
-    p = _ExprParser(_lex(text), {s.name: s for s in syms}, opaques, ctx=ctx)
+    p = _ExprParser(_lex(text), {s.name: s for s in syms}, opaques, ctx=ctx, diffop=diffop)
     return p.parse(p.operator)
 
 

@@ -324,6 +324,40 @@ def test_verify_does_not_import_numpy(ctx_file):
     assert "verdict: pass" in proc.stdout
 
 
+@pytest.mark.parametrize("argv, loaded, absent", [
+    (["derive", "{ctx}", "--expr", "f", "--wrt", "p1"],
+     {"cli", "textio", "wholederiv"}, {"numcheck", "physcases", "diffop"}),
+    (["verify", "{ctx}", "--lhs", "E^2", "--rhs", "p1^2+p2^2+p3^2+m^2", "--samples", "5"],
+     {"numcheck"}, {"physcases", "diffop"}),
+    (["commutator", "{ctx}", "--a", "W[p1]", "--b", "D[E]", "--apply", "f"],
+     {"diffop"}, {"physcases", "numcheck"}),
+    (["scenario", "mass-shell", "--out", "{out}"], {"physcases", "diffop"}, {"numcheck"}),
+], ids=["derive", "verify", "commutator", "scenario"])
+def test_each_subcommand_imports_only_the_modules_it_runs(
+    ctx_file, tmp_path, argv, loaded, absent
+):
+    """A process compiles what it imports, so each subcommand loads its own
+    modules only: numcheck for verify, physcases for scenarios."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    argv = [a.format(ctx=ctx_file, out=str(tmp_path)) for a in argv]
+    code = (
+        "import sys\n"
+        "from wholediff.cli import main\n"
+        f"rc = main({argv!r})\n"
+        "assert rc == 0, rc\n"
+        "print(' '.join(m[len('wholediff.'):] for m in sys.modules"
+        " if m.startswith('wholediff.')), file=sys.stderr)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    modules = set(proc.stderr.split())
+    assert loaded <= modules
+    assert not absent & modules
+
+
 def test_verify_json_byte_stable(ctx_file, capsys):
     argv = [
         "verify", ctx_file,

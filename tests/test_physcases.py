@@ -18,6 +18,7 @@ from wholediff.physcases import (
     position_commutator_table,
 )
 from wholediff.symexpr import Expr, Symbol, SymbolKind, equals_canonical
+from wholediff.textio import serialize_context
 
 
 def syms(ctx, *names):
@@ -56,6 +57,17 @@ def test_momentum_energy_commutator_sheet_covariant():
     assert equals_canonical(
         momentum_energy_commutator(a, 1), momentum_energy_commutator(b, 1)
     )
+
+
+def test_mass_shell_context_is_the_same_on_both_sheets():
+    """The sign does not enter the context: the sheet is chosen by the
+    sampler (verify --sign), not by the file."""
+    for mode in ("commuting", "operator", "paper"):
+        a, b = (
+            serialize_context(build_mass_shell(MassShellScenario(sign=s, ordering_mode=mode)))
+            for s in (+1, -1)
+        )
+        assert a == b
 
 
 def test_momentum_energy_commutator_d1():
