@@ -2,10 +2,11 @@
 presets, and numeric identity verification.
 
 Exit codes: 0 success/verified, 1 verification failed, 2 parse or usage
-error, 3 context-validation error, 4 numeric failure, 141 stdout closed
-before the output was written (128 + SIGPIPE).  JSON output is a
-stable tree {"command", "context", "result"}; identical invocation and
-seed produce byte-identical JSON.
+error, 3 context error or an expression the engine does not support
+(UnsupportedExpressionError, NormalOrderError), 4 numeric failure, 141
+stdout closed before the output was written (128 + SIGPIPE).  JSON output
+is a stable tree {"command", "context", "result"}; identical invocation
+and seed produce byte-identical JSON.
 """
 
 from __future__ import annotations

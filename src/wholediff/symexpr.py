@@ -11,7 +11,8 @@ commutativity class is central: it commutes with every factor, so the
 central factors of a word are simply sorted by key and only the others
 run the ordering greedy.  A Symbol is its own atom; an opaque function's
 application is the order-zero case of its plain-partial atom; a
-non-integer rational power lives in a power atom.
+non-integer rational power lives in a power atom, which has the
+commutativity classes of its base.
 
 Expr.key, the nested-tuple form that ==, hash and power-atom keys compare,
 is built on first use and kept; most intermediate values never need it.
@@ -161,10 +162,7 @@ class PowAtom(Atom):
     """base ** exponent with a rational exponent in (0, 1), sqrt included.
     Expr.__pow__ multiplies out the integer part of any other exponent."""
 
-    # A power of a noncommutative base is treated as commuting (the class
-    # default of no nc_classes); in-scope algebra never reorders through
-    # such atoms.
-    __slots__ = ("base", "exp")
+    __slots__ = ("base", "exp", "nc_classes")
 
     def __init__(self, base: "Expr", exp: Fraction):
         exp = Fraction(exp)
@@ -172,6 +170,7 @@ class PowAtom(Atom):
             raise ValueError(f"PowAtom requires an exponent in (0, 1), not {exp}")
         self.base = base
         self.exp = exp
+        self.nc_classes = base.nc_classes()
         self.key = (_RANK_POW, base.key, (exp.numerator, exp.denominator))
 
     def mentions(self, sym):
@@ -800,30 +799,15 @@ def _as_bare_symbol(e: Expr) -> Optional[Symbol]:
 
 
 def _check_cycles(bindings):
+    from graphlib import CycleError, TopologicalSorter
+
     graph = {s: [t for t in e.symbols() if t in bindings] for s, e in bindings.items()}
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {s: WHITE for s in graph}
-    for start in graph:
-        if color[start] != WHITE:
-            continue
-        stack = [(start, iter(graph[start]))]
-        color[start] = GRAY
-        path = [start]
-        while stack:
-            node, it = stack[-1]
-            adv = next(it, None)
-            if adv is None:
-                color[node] = BLACK
-                stack.pop()
-                path.pop()
-                continue
-            if color[adv] == GRAY:
-                cyc = path[path.index(adv) :] + [adv]
-                raise SubstitutionCycleError(cyc)
-            if color[adv] == WHITE:
-                color[adv] = GRAY
-                stack.append((adv, iter(graph[adv])))
-                path.append(adv)
+    try:
+        TopologicalSorter(graph).prepare()
+    except CycleError as err:
+        # graphlib lists the cycle in predecessor order; report it the way
+        # the bindings point (x -> y when x is bound to an expression in y).
+        raise SubstitutionCycleError(reversed(err.args[1])) from None
 
 
 _E_ZERO = Expr._raw((), _POLY_ONE)
@@ -929,7 +913,9 @@ def _normal_order_mono(coeff: QC, factors, comms: CommutatorTable) -> Expr:
             if a.key <= b.key or a.nc_classes.isdisjoint(b.nc_classes):
                 continue
             if not (isinstance(a, Symbol) and isinstance(b, Symbol)):
-                raise NormalOrderError(a, b)
+                from .textio import print_expr
+
+                raise NormalOrderError(print_expr(Expr.atom(a)), print_expr(Expr.atom(b)))
             comm = comms.lookup(a, b)
             if comm is None:
                 raise NormalOrderError(a.name, b.name)

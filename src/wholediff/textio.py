@@ -2,7 +2,8 @@
 dependency-context files, and printers (text, json, latex).
 
 Grammar (one token stream, one parser; `expr` serves expressions and the
-sub-expressions of context files, `operator` serves operator literals):
+sub-expressions of context files, `operator` serves operator literals,
+`statement` each line of a context file):
 
   expr     := term (('+' | '-') term)*
   term     := unary (('*' | '/') unary)*
@@ -15,18 +16,19 @@ sub-expressions of context files, `operator` serves operator literals):
   operator := '-'? opterm (('+' | '-') opterm)*
   opterm   := opfactor ('*'? opfactor)*       leftmost factor acts last
   opfactor := ('W' | 'D') '[' ID ']' | NUM | '(' expr ')'
+  statement := ('independent' | 'param') ID+ | 'dependent' ID
+            | 'representation' DID '/' DID '=' expr
+            | 'constraint' expr '=' '0' 'solves' ID
+            | 'opaque' ID '(' ID (',' ID)* ')'
+            | 'commutator' '[' ID ',' ID ']' '=' expr
+            | 'ordering' ('commuting' | 'operator' | 'paper')
 
 ID is [A-Za-z_][A-Za-z0-9_]*; NUM is an exact decimal rational; `i` is the
 imaginary unit.  `D[f,v,...]` repeats a variable for higher order.  In an
 operator, `W[v]` is the whole and `D[v]` the plain derivative, and a
-number or parenthesized expression multiplies.
-
-Context files are line-based statements with `#` comments:
-  independent <id>+            param <id>+             dependent <id>
-  representation d<dep>/d<indep> = <expr>
-  constraint <expr> = 0 solves <dep>
-  opaque <id>(<id>,...)        commutator [<id>,<id>] = <expr>
-  ordering <commuting|operator|paper>
+number or parenthesized expression multiplies.  DID is one ID made of
+`d` and a name (`dE` names `E`).  `#` starts a comment that runs to the
+end of the line.
 """
 
 from __future__ import annotations
@@ -94,11 +96,8 @@ def _lex(text: str, pos: int = 0, end: Optional[int] = None) -> List[Token]:
             raise ParseError(
                 f"unexpected character {rest[0]!r}", SourceSpan(at, at + 1)
             )
-        for kind in ("num", "id", "op"):
-            tok = m.group(kind)
-            if tok is not None:
-                out.append(Token(kind, tok, SourceSpan(m.start(kind), m.end(kind))))
-                break
+        kind = m.lastgroup
+        out.append(Token(kind, m.group(kind), SourceSpan(m.start(kind), m.end(kind))))
         pos = m.end()
     out.append(Token("end", "", SourceSpan(end, end)))
     return out
@@ -383,142 +382,135 @@ def parse_operator(text: str, ctx: DependencyContext) -> DifferentialOperator:
 # Context file parser
 # ---------------------------------------------------------------------------
 
-_REP_RE = re.compile(r"^representation\s+d([A-Za-z_]\w*)\s*/\s*d([A-Za-z_]\w*)\s*=\s*(.+)$")
-_CON_RE = re.compile(r"^constraint\s+(.+?)=\s*0\s+solves\s+([A-Za-z_]\w*)\s*$")
-_OPQ_RE = re.compile(r"^opaque\s+([A-Za-z_]\w*)\s*\(\s*([A-Za-z_]\w*(?:\s*,\s*[A-Za-z_]\w*)*)\s*\)\s*$")
-_COMM_RE = re.compile(r"^commutator\s+\[\s*([A-Za-z_]\w*)\s*,\s*([A-Za-z_]\w*)\s*\]\s*=\s*(.+)$")
-_IDLIST_RE = re.compile(r"^(independent|param|dependent)\s+([A-Za-z_]\w*(?:\s+[A-Za-z_]\w*)*)\s*$")
-_ORD_RE = re.compile(r"^ordering\s+(\w+)\s*$")
+
+def _name(p: _ExprParser, prefix: str = "") -> Token:
+    """The next token as a name; with prefix 'd', the <name> of `d<name>`."""
+    t = p.next()
+    name = t.text[len(prefix) :]
+    if t.kind != "id" or not t.text.startswith(prefix) or not name or name[0].isdigit():
+        raise ParseError("expected a name", t.span)
+    return Token("id", name, SourceSpan(t.span.start + len(prefix), t.span.end))
 
 
 def parse_context(text: str) -> DependencyContext:
     """Parse a context file and validate it; error-level diagnostics raise."""
-    independents: List[str] = []
-    params: List[str] = []
-    dependents: List[str] = []
-    reps: List[Tuple[str, str, int, int]] = []
-    cons: List[Tuple[str, int, int]] = []
-    opqs: List[Tuple[str, List[str], int]] = []
-    comms: List[Tuple[str, str, int, int]] = []
+    declared = {"independent": [], "param": [], "dependent": []}
+    reps, cons, opqs, comms = [], [], [], []
     ordering = None
 
+    # Each line is lexed once.  Sub-expressions stay token slices until the
+    # symbol table exists: commutator brackets decide which independents
+    # are noncommuting before any symbol is made.
     offset = 0
     for raw_line in text.split("\n"):
-        line = raw_line.split("#", 1)[0]
-        stripped = line.strip()
-        start = offset + line.index(stripped[0]) if stripped else offset
+        toks = _lex(text, offset, offset + len(raw_line.split("#", 1)[0].rstrip()))
         offset += len(raw_line) + 1
-        if not stripped:
+        if len(toks) == 1:
             continue
-        m = _IDLIST_RE.match(stripped)
-        if m:
-            bucket = {"independent": independents, "param": params, "dependent": dependents}[m.group(1)]
-            names = m.group(2).split()
-            if m.group(1) == "dependent" and len(names) != 1:
-                raise ParseError(
-                    "one dependent per statement", SourceSpan(start, start + len(stripped))
-                )
-            bucket.extend(names)
-            continue
-        m = _REP_RE.match(stripped)
-        if m:
-            reps.append((m.group(1), m.group(2), start + m.start(3), start + m.end(3)))
-            continue
-        m = _CON_RE.match(stripped)
-        if m:
-            cons.append((m.group(2), start + m.start(1), start + m.end(1)))
-            continue
-        m = _OPQ_RE.match(stripped)
-        if m:
-            opqs.append((m.group(1), [a.strip() for a in m.group(2).split(",")], start))
-            continue
-        m = _COMM_RE.match(stripped)
-        if m:
-            comms.append((m.group(1), m.group(2), start + m.start(3), start + m.end(3)))
-            continue
-        m = _ORD_RE.match(stripped)
-        if m:
-            if m.group(1) not in ORDERING_MODES:
-                raise ParseError(
-                    f"unknown ordering mode '{m.group(1)}'",
-                    SourceSpan(start, start + len(stripped)),
-                )
-            ordering = m.group(1)
-            continue
-        raise ParseError(
-            f"unrecognized statement: {stripped.split()[0]!r}",
-            SourceSpan(start, start + len(stripped)),
-        )
+        whole = SourceSpan(toks[0].span.start, toks[-2].span.end)
+        p = _ExprParser(toks, {}, {})
+        kw = p.next().text
+        try:
+            if kw in declared:
+                names = [_name(p)]
+                while p.peek().kind != "end":
+                    names.append(_name(p))
+                declared[kw].extend(names)
+            elif kw == "representation" or kw == "commutator":
+                if kw == "representation":
+                    a = _name(p, "d")
+                    p.expect_op("/")
+                    b = _name(p, "d")
+                else:
+                    p.expect_op("[")
+                    a = _name(p)
+                    p.expect_op(",")
+                    b = _name(p)
+                    p.expect_op("]")
+                p.expect_op("=")
+                if p.peek().kind == "end":
+                    raise ParseError("expected a value", p.peek().span)
+                (reps if kw == "representation" else comms).append((a, b, toks[p.pos :]))
+                p.pos = len(toks) - 1
+            elif kw == "constraint":  # `= 0 solves <dep>` ends the line
+                lhs = toks[1:-5]
+                p.pos = 1 + len(lhs)
+                eq = p.expect_op("=")
+                if not lhs or p.next().text != "0" or p.next().text != "solves":
+                    raise ParseError("expected '= 0 solves'", eq.span)
+                end = Token("end", "", SourceSpan(eq.span.start, eq.span.start))
+                cons.append((lhs + [end], _name(p)))
+            elif kw == "opaque":
+                fn = _name(p)
+                p.expect_op("(")
+                args = [_name(p)]
+                while p.at_op(","):
+                    p.next()
+                    args.append(_name(p))
+                p.expect_op(")")
+                opqs.append((fn, args))
+            elif kw == "ordering":
+                ordering = _name(p).text
+            else:
+                raise ParseError("unknown keyword", whole)
+            p.parse(lambda: None)  # nothing may follow the statement
+        except ParseError:
+            word = text[whole.start : whole.end].split()[0]
+            raise ParseError(f"unrecognized statement: {word!r}", whole) from None
+        if kw == "dependent" and len(names) != 1:
+            raise ParseError("one dependent per statement", whole)
+        if kw == "ordering" and ordering not in ORDERING_MODES:
+            raise ParseError(f"unknown ordering mode '{ordering}'", whole)
 
-    nc_names = {n for a, b, _, _ in comms for n in (a, b)}
-
-    def make(name, kind):
-        klass = 1 if name in nc_names and kind == SymbolKind.INDEPENDENT else 0
-        return Symbol(name, kind, klass=klass)
-
+    nc_names = {t.text for a, b, _ in comms for t in (a, b)}
     table: Dict[str, Symbol] = {}
-    sym_independents = []
-    for n in independents:
-        table[n] = make(n, SymbolKind.INDEPENDENT)
-        sym_independents.append(table[n])
-    sym_params = []
-    for n in params:
-        table.setdefault(n, make(n, SymbolKind.PARAMETER))
-        sym_params.append(table[n])
-    sym_dependents = []
-    for n in dependents:
-        table.setdefault(n, make(n, SymbolKind.DEPENDENT))
-        sym_dependents.append(table[n])
+    syms = {}
+    kinds = (SymbolKind.INDEPENDENT, SymbolKind.PARAMETER, SymbolKind.DEPENDENT)
+    for kw, kind in zip(declared, kinds):
+        nc = nc_names if kind == SymbolKind.INDEPENDENT else ()
+        syms[kw] = tuple(table.setdefault(t.text, Symbol(t.text, kind, klass=int(t.text in nc)))
+                         for t in declared[kw])
     sym_opaques = []
-    for fname, argnames, at in opqs:
-        fsym = table.setdefault(fname, Symbol(fname, SymbolKind.OPAQUE))
-        args = []
-        for a in argnames:
-            if a not in table:
-                raise ParseError(
-                    f"opaque argument '{a}' is not a declared symbol",
-                    SourceSpan(at, at + len(a)),
-                )
-            args.append(table[a])
-        sym_opaques.append((fsym, tuple(args)))
+    for fn, args in opqs:
+        fsym = table.setdefault(fn.text, Symbol(fn.text, SymbolKind.OPAQUE))
+        for a in args:
+            if a.text not in table:
+                raise ParseError(f"opaque argument '{a.text}' is not a declared symbol", a.span)
+        sym_opaques.append((fsym, tuple(table[a.text] for a in args)))
 
     opq_map = {f.name: args for f, args in sym_opaques}
+    resolve = _ExprParser([], table, opq_map).resolve
 
-    def parse_sub(at: int, end: int, declare: Optional[SymbolKind] = None) -> Expr:
-        # Sub-expressions are lexed in place, so error spans index into `text`.
-        p = _ExprParser(_lex(text, at, end), table, opq_map, declare)
+    def parse_sub(toks: List[Token], declare: Optional[SymbolKind] = None) -> Expr:
+        p = _ExprParser(toks, table, opq_map, declare)
         return p.parse(p.sum_)
 
     ctable = CommutatorTable()
-    for a, b, at, end in comms:
-        for n in (a, b):
-            if n not in table:
-                raise ParseError(f"unknown identifier '{n}'", SourceSpan(at, at + len(n)))
-        ctable.declare(table[a], table[b], parse_sub(at, end, SymbolKind.COMMUTATOR))
+    for a, b, value in comms:
+        ctable.declare(resolve(a.text, a.span), resolve(b.text, b.span),
+                       parse_sub(value, SymbolKind.COMMUTATOR))
 
     constraints = []
-    for dep, at, end in cons:
-        if dep not in table:
-            raise ParseError(f"unknown dependent '{dep}'", SourceSpan(at, at + len(dep)))
-        constraints.append((parse_sub(at, end), table[dep]))
+    for lhs, dep in cons:
+        if dep.text not in table:
+            raise ParseError(f"unknown dependent '{dep.text}'", dep.span)
+        constraints.append((parse_sub(lhs), table[dep.text]))
 
     if ordering is None:
         ordering = "operator" if comms else "commuting"
 
     ctx = DependencyContext(
-        independents=tuple(sym_independents),
-        parameters=tuple(sym_params),
-        dependents=tuple(sym_dependents),
+        independents=syms["independent"],
+        parameters=syms["param"],
+        dependents=syms["dependent"],
         constraints=tuple(constraints),
         opaques=tuple(sym_opaques),
         commutators=ctable,
         ordering_mode=ordering,
     )
-    for dep, indep, at, end in reps:
-        for n in (dep, indep):
-            if n not in table:
-                raise ParseError(f"unknown identifier '{n}'", SourceSpan(at, at + len(n)))
-        ctx.declare_representation(table[dep], table[indep], parse_sub(at, end))
+    for dep, indep, value in reps:
+        ctx.declare_representation(resolve(dep.text, dep.span), resolve(indep.text, indep.span),
+                                   parse_sub(value))
 
     errors = [d for d in ctx.validate() if d.level == "error"]
     if errors:

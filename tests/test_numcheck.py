@@ -10,6 +10,7 @@ from wholediff import MassShellScenario, RetardedScenario, build_mass_shell, bui
 from wholediff.depctx import sample_on_shell, solve_dependents
 from wholediff.errors import (
     EvaluationError,
+    NormalOrderError,
     SingularityError,
     UnboundSymbolError,
     UnsupportedExpressionError,
@@ -362,7 +363,7 @@ def _reference_corpus(ctx, rng):
             continue
         try:
             out += [whole_partial_raw(e, v, ctx), whole_partial(e, v, ctx)]
-        except UnsupportedExpressionError:  # a sum denominator with p_i
+        except (UnsupportedExpressionError, NormalOrderError):  # p_i in a sum denominator or power
             pass
     return out
 

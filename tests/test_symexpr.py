@@ -109,6 +109,12 @@ def test_substitution():
 def test_substitution_cycle_detected():
     with pytest.raises(SubstitutionCycleError):
         substitute(X + Y, {x: Y, y: X})
+    # the message reads in binding direction: x is bound to an expression in y
+    z = Symbol("z")
+    with pytest.raises(SubstitutionCycleError, match=r"^cyclic substitution: x -> y -> z -> x$"):
+        substitute(X, {x: Y + 1, y: 2 * Expr.symbol(z), z: X * Y})
+    with pytest.raises(SubstitutionCycleError, match=r"^cyclic substitution: x -> x$"):
+        substitute(Y, {x: X + 1})
 
 
 def test_noncommuting_order_preserved():
@@ -142,6 +148,21 @@ def test_normal_order_undeclared_pair_raises():
     tab = CommutatorTable()
     with pytest.raises(NormalOrderError):
         normal_order(B * A, tab)
+
+
+def test_normal_order_refuses_a_noncommuting_power():
+    """sqrt(m^2 + p1^2) has the classes of p1, so in operator mode it does
+    not commute with p1, and ordering the pair needs a term that normal
+    ordering cannot make: it raises instead of dropping that term."""
+
+    def ordered(mode):
+        ctx = build_mass_shell(MassShellScenario(dimension=2, ordering_mode=mode))
+        q1, q2, mm = (Expr.symbol(ctx.find_symbol(n)) for n in ("p1", "p2", "m"))
+        return normal_order(q2 * (mm ** 2 + q1 ** 2) ** Fraction(1, 2) * q1, ctx.commutators)
+
+    with pytest.raises(NormalOrderError, match=r"\(sqrt\(m\^2 \+ p1\^2\), p1\)$"):
+        ordered("operator")
+    assert print_expr(ordered("commuting")) == "p1*p2*sqrt(m^2 + p1^2)"
 
 
 def test_nc_sum_denominator_rejected():

@@ -388,8 +388,16 @@ def test_serialize_context_round_trip():
         (MASS_SHELL_SRC.replace("= p1/E", "= p1/qq"), "qq"),
         (MASS_SHELL_SRC.replace("- m^2 = 0", "- m^2) = 0"), ")"),
         (MASS_SHELL_SRC + "commutator [p1,p2] = kappa12 + @\n", "@"),
+        # statement-level names: the span covers the name itself
+        (MASS_SHELL_SRC + "representation dX/dp1 = p1/E\n", "X"),
+        (MASS_SHELL_SRC + "commutator [p1,q] = kappa\n", "q"),
+        (MASS_SHELL_SRC.replace("solves E", "solves Z"), "Z"),
+        (MASS_SHELL_SRC + "opaque g(p1,zz)\n", "zz"),
+        # a name the lexer cannot read is refused where it is declared
+        (MASS_SHELL_SRC.replace("param m", "param m mé"), "é"),
     ],
-    ids=["representation", "constraint", "commutator"],
+    ids=["representation", "constraint", "commutator", "representation name",
+         "commutator name", "constraint name", "opaque argument", "non-ascii name"],
 )
 def test_parse_context_sub_expression_error_spans(tmp_path, src, offending):
     with pytest.raises(ParseError) as exc:
@@ -398,6 +406,49 @@ def test_parse_context_sub_expression_error_spans(tmp_path, src, offending):
     ctx_file = tmp_path / "bad.ctx"
     ctx_file.write_text(src)
     assert cli_main(["derive", str(ctx_file), "--expr", "E", "--wrt", "p1"]) == 2
+
+
+@pytest.mark.parametrize(
+    "stmt, expect",
+    [
+        # accepted: the statement reads as its canonical spelling
+        ("representation  dE / dp1=p1/E", "representation dE/dp1 = p1/E"),
+        ("commutator[p1,p2]=kappa12", "commutator [p1,p2] = kappa12"),
+        ("opaque g ( p1 , E )", "opaque g(p1,E)"),
+        ("param q\r", "param q"),
+        ("param  q   # comment \r", "param q"),
+        ("  # comment only", ""),
+        ("constraint E^2-m^2=0solves E", "constraint E^2 - m^2 = 0 solves E"),
+        ("ordering  paper \r", "ordering paper"),
+        # rejected
+        ("representation dE/dp1 =", ParseError),
+        ("commutator [p1,p2] =   # empty value", ParseError),
+        ("constraint E^2 - m^2 = 0.0 solves E", ParseError),
+        ("constraint E^2 - m^2 = 0 solves", ParseError),
+        ("constraint = 0 solves E", ParseError),
+        ("representation dE/d = 1", ParseError),
+        ("representation dE/d1 = 1", ParseError),
+        ("representation E/dp1 = 1", ParseError),
+        ("opaque (p1)", ParseError),
+        ("opaque g(p1,)", ParseError),
+        ("independent", ParseError),
+        ("independent p4,p5", ParseError),
+        ("dependent E F", ParseError),
+        ("ordering", ParseError),
+        ("ordering paper operator", ParseError),
+        ("ordering sideways", ParseError),
+        ("= 0", ParseError),
+        ("commutator [p1,p2] = 1", ContextError),
+    ],
+)
+def test_parse_context_statement_table(stmt, expect):
+    src = MASS_SHELL_SRC + stmt + "\n"
+    if isinstance(expect, str):
+        want = parse_context(MASS_SHELL_SRC + expect + "\n")
+        assert serialize_context(parse_context(src)) == serialize_context(want)
+    else:
+        with pytest.raises(expect):
+            parse_context(src)
 
 
 def test_parse_context_semantic_errors():
