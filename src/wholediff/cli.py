@@ -12,11 +12,10 @@ and seed produce byte-identical JSON.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
-from typing import Dict
+from typing import Dict, Optional
 
 from .depctx import DependencyContext, ORDERING_MODES
 from .errors import (
@@ -51,12 +50,16 @@ class _UsageError(Exception):
     pass
 
 
-def _load_context(path: str) -> DependencyContext:
+def _load_context(path: str, ordering: Optional[str] = None) -> DependencyContext:
+    """Parse a context file; an --ordering is read as a last `ordering` line."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return parse_context(fh.read())
+            text = fh.read()
     except OSError as exc:
         raise _UsageError(f"cannot read context file: {exc}") from None
+    if ordering is not None:
+        text += f"\nordering {ordering}\n"
+    return parse_context(text)
 
 
 def _write_out(out_dir: str, name: str, text: str) -> str:
@@ -130,8 +133,7 @@ def cmd_derive(args) -> int:
 def cmd_commutator(args) -> int:
     from .diffop import apply, commutator
 
-    ctx = _load_context(args.ctx)
-    mode = args.ordering or ctx.ordering_mode
+    ctx = _load_context(args.ctx, args.ordering)
     if args.feynman:
         from .physcases import MassShellScenario, build_mass_shell
 
@@ -139,10 +141,8 @@ def cmd_commutator(args) -> int:
         while ctx.find_symbol(f"p{dim + 1}") is not None:
             dim += 1
         ctx = build_mass_shell(
-            MassShellScenario(dimension=dim or 3, ordering_mode=mode, feynman=True)
+            MassShellScenario(dimension=dim or 3, ordering_mode=ctx.ordering_mode, feynman=True)
         )
-    elif args.ordering and args.ordering != ctx.ordering_mode:
-        ctx = dataclasses.replace(ctx, ordering_mode=mode)
     A = parse_operator(args.a, ctx)
     B = parse_operator(args.b, ctx)
     C = commutator(A, B)
@@ -217,11 +217,17 @@ def cmd_verify(args) -> int:
     lhs = _apply_target(args.lhs, ctx)
     rhs = _apply_target(args.rhs, ctx)
     spec = SamplerSpec(kind=args.sampler, sign=args.sign)
-    closures = shipped_closures(len(ctx.independents))
-    closure = closures.get(args.closure)
-    if closure is None:
+    if args.closure not in shipped_closures():
         raise _UsageError(f"unknown closure '{args.closure}'")
-    opaques = {fn.name: closure for fn, _ in ctx.opaques}
+    mentioned = lhs.symbols() | rhs.symbols()
+    opaques = {}
+    for fn, fargs in ctx.opaques:  # a shipped closure stands in for f(p1,...,pd,E) only
+        names = [a.name for a in fargs]
+        if names == [f"p{i}" for i in range(1, len(names))] + ["E"]:
+            opaques[fn.name] = shipped_closures(len(names) - 1)[args.closure]
+        elif fn in mentioned:
+            raise _UsageError(f"closure '{args.closure}' stands in for f(p1,...,pd,E) only, "
+                              f"not for opaque {fn.name}({','.join(names)})")
     report = verify_identity(
         lhs,
         rhs,

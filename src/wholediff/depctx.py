@@ -141,12 +141,8 @@ class DependencyContext:
         for role, syms in groups:
             for s in syms:
                 if s.name in names:
-                    diags.append(
-                        Diagnostic(
-                            "error",
-                            f"symbol '{s.name}' declared both {names[s.name]} and {role}",
-                        )
-                    )
+                    how = "twice" if names[s.name] == role else f"both {names[s.name]} and {role}"
+                    diags.append(Diagnostic("error", f"symbol '{s.name}' declared {how}"))
                 names.setdefault(s.name, role)
 
         for fn, args in self.opaques:
@@ -159,14 +155,11 @@ class DependencyContext:
                         )
                     )
 
-        seen_fns = set()
-        for fn, args in self.opaques:
-            key = fn.name
-            if key in seen_fns:
-                diags.append(Diagnostic("error", f"opaque '{fn.name}' declared twice"))
-            seen_fns.add(key)
-
         for u in self.dependents:
+            n = sum(dep == u for _, dep in self.constraints)
+            if n > 1:
+                msg = f"dependent '{u.name}' is solved by {n} constraints"
+                diags.append(Diagnostic("error", msg))
             g = self.constraint_for(u)
             for v in self.independents:
                 declared = self.representations.get((u.name, v.name))

@@ -47,9 +47,10 @@ def build_mass_shell(s: MassShellScenario) -> DependencyContext:
 
     With feynman=True (3-D only) the momentum commutators are
     [p1,p2] = i*B3, [p2,p3] = i*B1, [p3,p1] = i*B2; otherwise a
-    noncommuting ordering mode installs generic antisymmetric kappa_ij."""
+    noncommuting ordering mode installs generic antisymmetric kappa_ij.  As
+    in a context file, only a momentum with a commutator is noncommuting."""
     d = s.dimension
-    noncommuting = s.ordering_mode != "commuting"
+    noncommuting = s.ordering_mode != "commuting" and d >= 2
     if s.feynman and d != 3:
         raise ContextError("the B-field commutation relations need exactly 3 momenta")
 

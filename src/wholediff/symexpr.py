@@ -400,8 +400,6 @@ class Expr:
                 "sum denominators containing noncommuting symbols are not supported"
             )
         num, den = _cancel_content(num, den)
-        if len(den) == 1:
-            return cls._from_fraction(num, den)
         lead = den[0][0]
         if not lead.is_one():
             inv = lead.inverse()
@@ -874,13 +872,9 @@ def _commutator_powers(factors) -> list:
 def normal_order(e, commutators: CommutatorTable) -> Expr:
     """Put the noncommuting letters of each word in key order, with a
     commutator term for each out-of-order pair (first order in the
-    commutators; see _normal_order_mono)."""
-    e = Expr._coerce(e)
-    if _poly_has_word(e._den):
-        raise UnsupportedExpressionError(
-            "cannot normal-order an expression with noncommuting denominator"
-        )
-    return _map_num(e, lambda c, f: _normal_order_mono(c, f, commutators))
+    commutators; see _normal_order_mono).  A denominator holds no
+    noncommuting letter (_from_fraction refuses one), so it is left as it is."""
+    return _map_num(Expr._coerce(e), lambda c, f: _normal_order_mono(c, f, commutators))
 
 
 def _map_num(e: Expr, fn) -> Expr:
@@ -915,7 +909,10 @@ def _normal_order_mono(coeff: QC, factors, comms: CommutatorTable) -> Expr:
             if not (isinstance(a, Symbol) and isinstance(b, Symbol)):
                 from .textio import print_expr
 
-                raise NormalOrderError(print_expr(Expr.atom(a)), print_expr(Expr.atom(b)))
+                pair = tuple(print_expr(Expr.atom(x)) for x in (a, b))
+                exc = NormalOrderError(*pair)
+                exc.args = ("cannot normal-order a non-symbol factor in the pair (%s, %s)" % pair,)
+                raise exc
             comm = comms.lookup(a, b)
             if comm is None:
                 raise NormalOrderError(a.name, b.name)

@@ -399,8 +399,8 @@ def parse_context(text: str) -> DependencyContext:
     ordering = None
 
     # Each line is lexed once.  Sub-expressions stay token slices until the
-    # symbol table exists: commutator brackets decide which independents
-    # are noncommuting before any symbol is made.
+    # symbol table exists: commutator brackets and the ordering decide which
+    # independents are noncommuting before any symbol is made.
     offset = 0
     for raw_line in text.split("\n"):
         toks = _lex(text, offset, offset + len(raw_line.split("#", 1)[0].rstrip()))
@@ -462,7 +462,11 @@ def parse_context(text: str) -> DependencyContext:
         if kw == "ordering" and ordering not in ORDERING_MODES:
             raise ParseError(f"unknown ordering mode '{ordering}'", whole)
 
-    nc_names = {t.text for a, b, _ in comms for t in (a, b)}
+    # The one rule for which symbols commute: an independent is noncommuting
+    # iff a commutator statement names it and the ordering is not commuting.
+    if ordering is None:
+        ordering = "operator" if comms else "commuting"
+    nc_names = {t.text for a, b, _ in comms for t in (a, b)} if ordering != "commuting" else ()
     table: Dict[str, Symbol] = {}
     syms = {}
     kinds = (SymbolKind.INDEPENDENT, SymbolKind.PARAMETER, SymbolKind.DEPENDENT)
@@ -495,9 +499,6 @@ def parse_context(text: str) -> DependencyContext:
         if dep.text not in table:
             raise ParseError(f"unknown dependent '{dep.text}'", dep.span)
         constraints.append((parse_sub(lhs), table[dep.text]))
-
-    if ordering is None:
-        ordering = "operator" if comms else "commuting"
 
     ctx = DependencyContext(
         independents=syms["independent"],

@@ -82,14 +82,12 @@ def whole_partial_wrt_dependent(e, u: Symbol, ctx: "DependencyContext") -> Expr:
 
 
 def derive_raw(e, v: Symbol, mode: str, ctx: "DependencyContext") -> Expr:
-    """One derivative step ('plain' or 'whole') with whole_partial_raw's markers."""
+    """One derivative step ('plain' or 'whole') with whole_partial_raw's
+    markers.  DerivativeGenerator admits no other mode, and
+    DifferentialOperator no whole step along a dependent."""
     if mode == "plain":
         return Expr._coerce(e).diff_plain(v)
-    if mode == "whole":
-        if ctx.is_dependent(v):
-            return Expr._coerce(e).diff_plain(v)
-        return whole_partial_raw(e, v, ctx)
-    raise ValueError(f"unknown derivative mode {mode!r}")
+    return whole_partial_raw(e, v, ctx)
 
 
 def mixed_difference(e, v1: Symbol, v2: Symbol, ctx: "DependencyContext") -> Expr:

@@ -102,6 +102,24 @@ def test_commutator_ordering_option_overrides_the_file(tmp_path, capsys):
     assert outs[0] == outs[1] == "kappa12*D[f,E]/E^3\n"
 
 
+def test_commuting_ordering_makes_declared_commutators_change_nothing(tmp_path, capsys):
+    """Under ordering commuting every momentum commutes, so [W[p1], W[p2]] f
+    is 0 whether the file or --ordering says so; the commutator line is
+    still read."""
+    for name, extra, option in (("option", "", ["--ordering", "commuting"]),
+                                ("file", "ordering commuting\n", [])):
+        path = tmp_path / f"{name}.ctx"
+        path.write_text(MASS_SHELL_SRC + "commutator [p1, p2] = kappa12\n" + extra)
+        code, out, _ = run(capsys, "commutator", str(path), "--a", "W[p1]", "--b", "W[p2]",
+                           "--apply", "f", *option)
+        assert (code, out) == (0, "0\n")
+    path = tmp_path / "bad.ctx"
+    path.write_text(MASS_SHELL_SRC + "commutator [p1, p2] = 1\n")
+    code, _, err = run(capsys, "commutator", str(path), "--a", "W[p1]", "--b", "W[p2]",
+                       "--apply", "f", "--ordering", "commuting")
+    assert code == 3 and "[p1, p2]" in err
+
+
 def test_commutator_without_a_commutator_symbol_is_a_context_error(tmp_path, capsys):
     """[p1, p2] = 1 is not of first order in a commutator symbol, so normal
     ordering would drop its second-order terms (p2^2 p1^2 would lose its
@@ -193,6 +211,20 @@ def test_scenario_out_missing_directory_is_created(tmp_path, capsys, argv, writt
 def test_scenario_unknown_exit2(capsys):
     code, _, err = run(capsys, "scenario", "unknown")
     assert code == 2
+
+
+def test_verify_closure_only_stands_in_for_the_mass_shell_field(tmp_path, capsys):
+    """The shipped closures are functions of (p1, ..., pd, E): an identity
+    over the retarded scenario's g(x, tp) is a usage error naming g, and one
+    that mentions no opaque still runs."""
+    run(capsys, "scenario", "retarded", "--trajectory", "tp/2", "--out", str(tmp_path))
+    ctx = str(tmp_path / "retarded.ctx")
+    code, out, err = run(capsys, "verify", ctx, "--lhs", "g(x,tp)", "--rhs", "g(x,tp)",
+                         "--samples", "3")
+    assert code == 2 and out == ""
+    assert err.startswith("usage error:") and "g(x,tp)" in err
+    code, out, _ = run(capsys, "verify", ctx, "--lhs", "2*tp", "--rhs", "tp+tp", "--samples", "3")
+    assert code == 0 and out.endswith("verdict: pass\n")
 
 
 def test_scenario_retarded_superluminal_exit3(tmp_path, capsys):

@@ -18,7 +18,12 @@ from wholediff.physcases import (
     position_commutator_table,
 )
 from wholediff.symexpr import Expr, Symbol, SymbolKind, equals_canonical
-from wholediff.textio import serialize_context
+from wholediff.textio import (
+    parse_context,
+    parse_expr,
+    parse_expr_in_context,
+    serialize_context,
+)
 
 
 def syms(ctx, *names):
@@ -68,6 +73,48 @@ def test_mass_shell_context_is_the_same_on_both_sheets():
             for s in (+1, -1)
         )
         assert a == b
+
+
+def _scenario_contexts():
+    for d in (1, 2, 3):
+        for mode in ("commuting", "operator", "paper"):
+            yield f"mass-shell d{d} {mode}", build_mass_shell(
+                MassShellScenario(dimension=d, ordering_mode=mode))
+    for mode in ("operator", "paper"):
+        yield f"mass-shell feynman {mode}", build_mass_shell(
+            MassShellScenario(dimension=3, ordering_mode=mode, feynman=True))
+    for text in ("tp/2", "tp^3/10"):
+        traj = parse_expr(text, [RETARDED_TP], lenient=True)
+        yield f"retarded {text}", build_retarded(RetardedScenario(trajectory=traj))
+
+
+@pytest.mark.parametrize("name, ctx", list(_scenario_contexts()),
+                         ids=[n for n, _ in _scenario_contexts()])
+def test_scenario_is_the_context_its_file_parses_to(name, ctx):
+    """A scenario decides which momenta commute by the rule of the parser:
+    its file parses back to the same symbols, classes and ordering."""
+    text = serialize_context(ctx)
+    back = parse_context(text)
+
+    def table(c):
+        return [(s.name, s.kind, s.klass) for s in c.all_symbols()]
+
+    assert table(back) == table(ctx)
+    assert back.ordering_mode == ctx.ordering_mode
+    assert serialize_context(back) == text
+
+
+def test_one_momentum_commutes_in_every_mode():
+    """With one momentum no commutator is declared, so p1 commutes, and
+    W[p1] of sqrt(m^2 + p1^2) f is the commuting-mode result."""
+    field = "sqrt(m^2+p1^2)*f(p1,E)"
+    outs = []
+    for mode in ("commuting", "operator", "paper"):
+        ctx = build_mass_shell(MassShellScenario(dimension=1, ordering_mode=mode))
+        assert ctx.find_symbol("p1").klass == 0
+        p1 = ctx.find_symbol("p1")
+        outs.append(apply(DifferentialOperator.whole(ctx, p1), parse_expr_in_context(field, ctx)))
+    assert equals_canonical(outs[1], outs[0]) and equals_canonical(outs[2], outs[0])
 
 
 def test_momentum_energy_commutator_d1():

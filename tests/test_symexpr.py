@@ -165,6 +165,18 @@ def test_normal_order_refuses_a_noncommuting_power():
     assert print_expr(ordered("commuting")) == "p1*p2*sqrt(m^2 + p1^2)"
 
 
+def test_normal_order_error_names_the_non_symbol_factor():
+    """[p1, p2] is declared: what stops the ordering is the power, so the
+    error says so rather than naming a missing commutator."""
+    ctx = build_mass_shell(MassShellScenario(dimension=2, ordering_mode="operator"))
+    q1, q2, mm = (Expr.symbol(ctx.find_symbol(n)) for n in ("p1", "p2", "m"))
+    with pytest.raises(NormalOrderError) as exc:
+        normal_order(q2 * (mm ** 2 + q1 ** 2) ** Fraction(1, 2) * q1, ctx.commutators)
+    assert str(exc.value) == ("cannot normal-order a non-symbol factor in the pair "
+                              "(sqrt(m^2 + p1^2), p1)")
+    assert exc.value.pair == ("sqrt(m^2 + p1^2)", "p1")
+
+
 def test_nc_sum_denominator_rejected():
     with pytest.raises(UnsupportedExpressionError):
         Expr.one() / (A * B + Expr.one())

@@ -439,16 +439,49 @@ def test_parse_context_sub_expression_error_spans(tmp_path, src, offending):
         ("ordering sideways", ParseError),
         ("= 0", ParseError),
         ("commutator [p1,p2] = 1", ContextError),
+        # E is solved by one constraint: a second one is refused
+        ("constraint E^2 - m^2 = 0 solves E", ContextError),
     ],
 )
 def test_parse_context_statement_table(stmt, expect):
-    src = MASS_SHELL_SRC + stmt + "\n"
+    base = MASS_SHELL_SRC
+    if isinstance(expect, str) and stmt.startswith("constraint"):
+        # an accepted constraint stands in for the file's own
+        base = "".join(ln for ln in base.splitlines(True) if not ln.startswith("constraint"))
+    src = base + stmt + "\n"
     if isinstance(expect, str):
-        want = parse_context(MASS_SHELL_SRC + expect + "\n")
+        want = parse_context(base + expect + "\n")
         assert serialize_context(parse_context(src)) == serialize_context(want)
     else:
         with pytest.raises(expect):
             parse_context(src)
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ("representation dE/dp1 = f(p1,p2,p3,E)\n",
+         "representation dE/dp1 mentions disallowed symbol 'f'"),
+        ("constraint E^2 - m^2 = 0 solves E\n", "dependent 'E' is solved by 2 constraints"),
+        ("opaque f(p1,E)\n", "symbol 'f' declared twice"),
+    ],
+    ids=["opaque in representation", "two constraints", "opaque twice"],
+)
+def test_parse_context_reports_each_error_once(extra, message):
+    with pytest.raises(ContextError) as exc:
+        parse_context(MASS_SHELL_SRC + extra)
+    assert str(exc.value) == message
+
+
+def test_parse_context_commuting_ordering_keeps_the_commutators():
+    """ordering commuting makes every symbol commute; the commutator lines
+    are still read and written back."""
+    src = MASS_SHELL_SRC + "commutator [p1,p2] = kappa12\n"
+    for tail, klass in (("ordering commuting\n", 0), ("", 1),
+                        ("ordering commuting\nordering paper\n", 1)):
+        ctx = parse_context(src + tail)
+        assert [s.klass for s in ctx.independents] == [klass, klass, 0]
+        assert "commutator [p1,p2] = kappa12" in serialize_context(ctx)
 
 
 def test_parse_context_semantic_errors():
