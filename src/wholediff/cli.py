@@ -141,7 +141,7 @@ def cmd_commutator(args) -> int:
         while ctx.find_symbol(f"p{dim + 1}") is not None:
             dim += 1
         ctx = build_mass_shell(
-            MassShellScenario(dimension=dim or 3, ordering_mode=ctx.ordering_mode, feynman=True)
+            MassShellScenario(dimension=dim, ordering_mode=ctx.ordering_mode, feynman=True)
         )
     A = parse_operator(args.a, ctx)
     B = parse_operator(args.b, ctx)

@@ -2,21 +2,24 @@
 noncommuting momentum components), the position-operator commutator
 table, and the retarded-time constraint of a moving source.
 
+A mass-shell scenario is the context its file parses to: build_mass_shell
+writes the scenario's context statements and returns parse_context of
+them, so the parser alone decides which momenta commute.
+
 Units are c = hbar = 1 throughout.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
-from .depctx import DependencyContext, implicit_partial
+from .depctx import ORDERING_MODES, DependencyContext, implicit_partial
 from .diffop import DifferentialOperator, apply, commutator
 from .errors import ContextError, DegenerateConstraintError
-from .symexpr import CommutatorTable, Expr, Symbol, SymbolKind
-
-_NC_CLASS = 1  # momentum components share one noncommuting class
+from .symexpr import Expr, Symbol, SymbolKind
+from .textio import parse_context
 
 
 @dataclass(frozen=True)
@@ -38,6 +41,8 @@ class MassShellScenario:
             raise ContextError("mass-shell scenario needs at least one momentum")
         if self.sign not in (+1, -1):
             raise ContextError("sign must be +1 or -1")
+        if self.ordering_mode not in ORDERING_MODES:
+            raise ContextError(f"unknown ordering mode '{self.ordering_mode}'")
 
 
 def build_mass_shell(s: MassShellScenario) -> DependencyContext:
@@ -47,51 +52,28 @@ def build_mass_shell(s: MassShellScenario) -> DependencyContext:
 
     With feynman=True (3-D only) the momentum commutators are
     [p1,p2] = i*B3, [p2,p3] = i*B1, [p3,p1] = i*B2; otherwise a
-    noncommuting ordering mode installs generic antisymmetric kappa_ij.  As
-    in a context file, only a momentum with a commutator is noncommuting."""
+    noncommuting ordering mode declares generic antisymmetric kappa_ij."""
     d = s.dimension
-    noncommuting = s.ordering_mode != "commuting" and d >= 2
     if s.feynman and d != 3:
         raise ContextError("the B-field commutation relations need exactly 3 momenta")
-
-    klass = _NC_CLASS if noncommuting else 0
-    ps = tuple(Symbol(f"p{i}", SymbolKind.INDEPENDENT, klass=klass) for i in range(1, d + 1))
-    m = Symbol("m", SymbolKind.PARAMETER)
-    E = Symbol("E", SymbolKind.DEPENDENT)
-    f = Symbol("f", SymbolKind.OPAQUE)
-
-    EE = Expr.symbol(E)
-    g = Expr.symbol(m) ** 2 - EE ** 2
-    for p in ps:
-        g = g + Expr.symbol(p) ** 2
-
-    table = CommutatorTable()
-    params = [m]
-    if noncommuting:
+    ps = [f"p{i}" for i in range(1, d + 1)]
+    lines = [
+        "independent " + " ".join(ps),
+        "param m",
+        "dependent E",
+        "constraint " + " + ".join(f"{p}^2" for p in ps) + " + m^2 - E^2 = 0 solves E",
+        *(f"representation dE/d{p} = {p}/E" for p in ps),
+        f"opaque f({','.join(ps)},E)",
+    ]
+    if s.ordering_mode != "commuting" and d >= 2:
         if s.feynman:
-            bs = tuple(Symbol(f"B{k}", SymbolKind.COMMUTATOR) for k in (1, 2, 3))
-            i_unit = Expr.imaginary_unit()
-            table.declare(ps[0], ps[1], i_unit * Expr.symbol(bs[2]))
-            table.declare(ps[1], ps[2], i_unit * Expr.symbol(bs[0]))
-            table.declare(ps[2], ps[0], i_unit * Expr.symbol(bs[1]))
+            lines += ["commutator [p1,p2] = i*B3", "commutator [p2,p3] = i*B1",
+                      "commutator [p3,p1] = i*B2"]
         else:
-            for i in range(d):
-                for j in range(i + 1, d):
-                    k = Symbol(f"kappa{i + 1}{j + 1}", SymbolKind.COMMUTATOR)
-                    table.declare(ps[i], ps[j], Expr.symbol(k))
-
-    ctx = DependencyContext(
-        independents=ps,
-        parameters=tuple(params),
-        dependents=(E,),
-        constraints=((g, E),),
-        opaques=((f, ps + (E,)),),
-        commutators=table,
-        ordering_mode=s.ordering_mode,
-    )
-    for p in ps:
-        ctx.declare_representation(E, p, Expr.symbol(p) / EE)
-    return ctx
+            lines += [f"commutator [{a},{b}] = kappa{a[1:]}{b[1:]}"
+                      for a, b in itertools.combinations(ps, 2)]
+    lines.append(f"ordering {s.ordering_mode}")
+    return parse_context("\n".join(lines))
 
 
 def _field(ctx: DependencyContext) -> Expr:

@@ -873,8 +873,12 @@ def normal_order(e, commutators: CommutatorTable) -> Expr:
     """Put the noncommuting letters of each word in key order, with a
     commutator term for each out-of-order pair (first order in the
     commutators; see _normal_order_mono).  A denominator holds no
-    noncommuting letter (_from_fraction refuses one), so it is left as it is."""
-    return _map_num(Expr._coerce(e), lambda c, f: _normal_order_mono(c, f, commutators))
+    noncommuting letter (_from_fraction refuses one), so it is left as it is.
+    A numerator with no noncommuting letter is already in normal form."""
+    e = Expr._coerce(e)
+    if not _poly_has_word(e._num):
+        return e
+    return _map_num(e, lambda c, f: _normal_order_mono(c, f, commutators))
 
 
 def _map_num(e: Expr, fn) -> Expr:

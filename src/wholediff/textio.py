@@ -491,8 +491,17 @@ def parse_context(text: str) -> DependencyContext:
 
     ctable = CommutatorTable()
     for a, b, value in comms:
-        ctable.declare(resolve(a.text, a.span), resolve(b.text, b.span),
-                       parse_sub(value, SymbolKind.COMMUTATOR))
+        pair = resolve(a.text, a.span), resolve(b.text, b.span)
+        # The rule above marks only independents noncommuting, and [a, a] is
+        # 0, so any other pair would leave the declared value unused.
+        for t, sym in zip((a, b), pair):
+            if sym.kind != SymbolKind.INDEPENDENT:
+                raise ParseError("commutator needs two different independent variables, "
+                                 f"'{t.text}' is not one", t.span)
+        if a.text == b.text:
+            raise ParseError("commutator needs two different independent variables, "
+                             f"'{b.text}' is named twice", b.span)
+        ctable.declare(*pair, parse_sub(value, SymbolKind.COMMUTATOR))
 
     constraints = []
     for lhs, dep in cons:

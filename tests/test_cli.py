@@ -88,6 +88,19 @@ def test_commutator_feynman(ctx_file, capsys):
     assert out.strip() == "i*B3*D[f,E]/E^3"
 
 
+@pytest.mark.parametrize("scenario", [["retarded", "--trajectory", "tp^3/10"],
+                                      ["mass-shell", "--dim", "2"]])
+def test_commutator_feynman_needs_three_momenta_in_the_file(tmp_path, capsys, scenario):
+    """--feynman builds the mass shell with the file's momenta; a file with
+    none or two of them is a context error (exit 3)."""
+    assert run(capsys, "scenario", *scenario, "--out", str(tmp_path))[0] == 0
+    (path,) = tmp_path.glob("*.ctx")
+    code, out, err = run(capsys, "commutator", str(path), "--a", "W[x]", "--b", "W[t]",
+                         "--feynman")
+    assert (code, out) == (3, "")
+    assert err.startswith("context error:")
+
+
 def test_commutator_ordering_option_overrides_the_file(tmp_path, capsys):
     """--ordering without --feynman reorders the file's own context: the
     result is that of the file with the ordering line."""
@@ -151,6 +164,62 @@ def test_scenario_mass_shell(tmp_path, capsys):
     assert (tmp_path / "mass-shell.ctx").exists()
     entries = doc["result"]["position_commutators"]
     assert len(entries) == 4 and entries[0][0] == "0"
+
+
+_SCENARIO_FILES = {
+    "--dim 1 --ordering operator": """\
+independent p1
+param m
+dependent E
+constraint -E^2 + m^2 + p1^2 = 0 solves E
+representation dE/dp1 = p1/E
+opaque f(p1,E)
+ordering operator
+""",
+    "--dim 2 --ordering operator": """\
+independent p1 p2
+param m
+dependent E
+constraint -E^2 + m^2 + p1^2 + p2^2 = 0 solves E
+representation dE/dp1 = p1/E
+representation dE/dp2 = p2/E
+opaque f(p1,p2,E)
+commutator [p1,p2] = kappa12
+ordering operator
+""",
+    "--dim 3 --ordering commuting": """\
+independent p1 p2 p3
+param m
+dependent E
+constraint -E^2 + m^2 + p1^2 + p2^2 + p3^2 = 0 solves E
+representation dE/dp1 = p1/E
+representation dE/dp2 = p2/E
+representation dE/dp3 = p3/E
+opaque f(p1,p2,p3,E)
+ordering commuting
+""",
+    "--dim 3 --ordering paper --feynman": """\
+independent p1 p2 p3
+param m
+dependent E
+constraint -E^2 + m^2 + p1^2 + p2^2 + p3^2 = 0 solves E
+representation dE/dp1 = p1/E
+representation dE/dp2 = p2/E
+representation dE/dp3 = p3/E
+opaque f(p1,p2,p3,E)
+commutator [p1,p2] = i*B3
+commutator [p2,p3] = i*B1
+commutator [p3,p1] = i*B2
+ordering paper
+""",
+}
+
+
+@pytest.mark.parametrize("options", list(_SCENARIO_FILES))
+def test_scenario_mass_shell_file_is_pinned(tmp_path, capsys, options):
+    code, _, _ = run(capsys, "scenario", "mass-shell", *options.split(), "--out", str(tmp_path))
+    assert code == 0
+    assert (tmp_path / "mass-shell.ctx").read_text() == _SCENARIO_FILES[options]
 
 
 def test_scenario_retarded(tmp_path, capsys):

@@ -35,6 +35,8 @@ def test_scenario_invariants():
         MassShellScenario(dimension=0)
     with pytest.raises(ContextError):
         MassShellScenario(sign=2)
+    with pytest.raises(ContextError, match="unknown ordering mode 'bogus'"):
+        MassShellScenario(ordering_mode="bogus")
     with pytest.raises(ContextError):
         build_mass_shell(MassShellScenario(dimension=2, feynman=True))
 
@@ -102,6 +104,31 @@ def test_scenario_is_the_context_its_file_parses_to(name, ctx):
     assert table(back) == table(ctx)
     assert back.ordering_mode == ctx.ordering_mode
     assert serialize_context(back) == text
+
+
+# all_symbols() of each mass shell as name:<kind initial><klass>.  The
+# momenta are noncommuting (klass 1) exactly where commutators are declared.
+_MASS_SHELL_SYMBOLS = {
+    (1, "commuting", False): "p1:i0 m:p0 E:d0 f:o0",
+    (1, "operator", False): "p1:i0 m:p0 E:d0 f:o0",
+    (1, "paper", False): "p1:i0 m:p0 E:d0 f:o0",
+    (2, "commuting", False): "p1:i0 p2:i0 m:p0 E:d0 f:o0",
+    (2, "operator", False): "p1:i1 p2:i1 m:p0 E:d0 f:o0 kappa12:c0",
+    (2, "paper", False): "p1:i1 p2:i1 m:p0 E:d0 f:o0 kappa12:c0",
+    (3, "commuting", False): "p1:i0 p2:i0 p3:i0 m:p0 E:d0 f:o0",
+    (3, "operator", False): "p1:i1 p2:i1 p3:i1 m:p0 E:d0 f:o0 kappa12:c0 kappa13:c0 kappa23:c0",
+    (3, "paper", False): "p1:i1 p2:i1 p3:i1 m:p0 E:d0 f:o0 kappa12:c0 kappa13:c0 kappa23:c0",
+    (3, "operator", True): "p1:i1 p2:i1 p3:i1 m:p0 E:d0 f:o0 B3:c0 B1:c0 B2:c0",
+    (3, "paper", True): "p1:i1 p2:i1 p3:i1 m:p0 E:d0 f:o0 B3:c0 B1:c0 B2:c0",
+}
+
+
+@pytest.mark.parametrize("d, mode, feynman", list(_MASS_SHELL_SYMBOLS))
+def test_mass_shell_symbols_and_ordering_are_pinned(d, mode, feynman):
+    ctx = build_mass_shell(MassShellScenario(dimension=d, ordering_mode=mode, feynman=feynman))
+    table = " ".join(f"{s.name}:{s.kind[0]}{s.klass}" for s in ctx.all_symbols())
+    assert table == _MASS_SHELL_SYMBOLS[d, mode, feynman]
+    assert ctx.ordering_mode == mode
 
 
 def test_one_momentum_commutes_in_every_mode():

@@ -393,11 +393,19 @@ def test_serialize_context_round_trip():
         (MASS_SHELL_SRC + "commutator [p1,q] = kappa\n", "q"),
         (MASS_SHELL_SRC.replace("solves E", "solves Z"), "Z"),
         (MASS_SHELL_SRC + "opaque g(p1,zz)\n", "zz"),
+        # a commutator pairs two different independents, else its value is unused
+        (MASS_SHELL_SRC + "commutator [p1,m] = kappa\n", "m"),
+        (MASS_SHELL_SRC + "commutator [E,p1] = kappa\n", "E"),
+        (MASS_SHELL_SRC + "commutator [p1,f] = kappa\n", "f"),
+        (MASS_SHELL_SRC + "commutator [p1,p2] = kappa\ncommutator [kappa,p1] = k2\n", "kappa"),
+        (MASS_SHELL_SRC + "commutator [p1,p1] = kappa\n", "p1"),
         # a name the lexer cannot read is refused where it is declared
         (MASS_SHELL_SRC.replace("param m", "param m mé"), "é"),
     ],
     ids=["representation", "constraint", "commutator", "representation name",
-         "commutator name", "constraint name", "opaque argument", "non-ascii name"],
+         "commutator name", "constraint name", "opaque argument",
+         "commutator parameter", "commutator dependent", "commutator opaque",
+         "commutator symbol", "commutator repeated", "non-ascii name"],
 )
 def test_parse_context_sub_expression_error_spans(tmp_path, src, offending):
     with pytest.raises(ParseError) as exc:

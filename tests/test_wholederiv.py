@@ -188,3 +188,26 @@ def test_derive_tower_matches_golden_digests(bench_workloads):
         assert w.digest(w.tower_output(m, ctxs[mode], text)) == golden[key], key
         checked += 1
     assert checked == 60
+
+
+def test_commuting_ordering_does_no_normal_ordering(monkeypatch):
+    """Under ordering commuting every letter is central: declared
+    commutators cause no normal ordering and change no output."""
+    from wholediff import symexpr
+    from wholediff.diffop import apply
+    from wholediff.textio import parse_context, parse_operator, print_expr, serialize_context
+
+    bare = serialize_context(build_mass_shell(MassShellScenario(ordering_mode="commuting")))
+    declared = serialize_context(build_mass_shell(MassShellScenario(ordering_mode="operator")))
+    declared = declared.replace("ordering operator", "ordering commuting")
+    assert "commutator [p1,p2]" in declared
+    calls = []
+    real = symexpr._normal_order_mono
+    monkeypatch.setattr(symexpr, "_normal_order_mono", lambda *a: calls.append(a) or real(*a))
+    outs = []
+    for text in (declared, bare):
+        ctx = parse_context(text)
+        op = parse_operator("W[p1]*W[p2]*W[p3]*W[p1]*W[p2]", ctx)
+        outs.append(print_expr(apply(op, field_of(ctx))))
+    assert len(calls) == 0
+    assert outs[0] == outs[1]
