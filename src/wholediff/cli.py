@@ -12,7 +12,6 @@ and seed produce byte-identical JSON.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from typing import Dict, Optional
@@ -79,6 +78,8 @@ def _write_out(out_dir: str, name: str, text: str) -> str:
 
 def _emit(args, command: str, context_name: str, result, text_lines) -> None:
     if args.format == "json":
+        import json
+
         doc = {"command": command, "context": context_name, "result": result}
         print(json.dumps(doc, separators=(", ", ": ")))
     else:
@@ -213,6 +214,9 @@ def cmd_verify(args) -> int:
         raise _UsageError(f"--seed must be non-negative, not {args.seed}")
     if args.samples < 1:
         raise _UsageError(f"--samples must be at least 1, not {args.samples}")
+    for flag, tol in (("--tol", args.tol), ("--tol-abs", args.tol_abs)):
+        if not 0 <= tol < float("inf"):
+            raise _UsageError(f"{flag} must be finite and non-negative, not {tol}")
     ctx = _load_context(args.ctx)
     lhs = _apply_target(args.lhs, ctx)
     rhs = _apply_target(args.rhs, ctx)

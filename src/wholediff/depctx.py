@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .errors import (
@@ -25,6 +24,7 @@ from .symexpr import (
     Expr,
     Symbol,
     SymbolKind,
+    _Frozen,
     equals_canonical,
 )
 
@@ -43,10 +43,11 @@ _AGREEMENT_SEED = 0
 _AGREEMENT_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    level: str  # "error" | "warning"
-    message: str
+class Diagnostic(_Frozen):
+    __slots__ = ("level", "message")
+
+    def __init__(self, level: str, message: str):  # level: "error" | "warning"
+        self._init(level, message)
 
     def __str__(self):
         return f"{self.level}: {self.message}"
@@ -63,28 +64,28 @@ def implicit_partial(g: Expr, u: Symbol, v: Symbol) -> Expr:
     return -gv / gu
 
 
-@dataclass
 class DependencyContext:
-    independents: Tuple[Symbol, ...]
-    parameters: Tuple[Symbol, ...] = ()
-    dependents: Tuple[Symbol, ...] = ()
-    # (dependent name, independent name) -> declared d(dependent)/d(independent)
-    representations: Dict[Tuple[str, str], Expr] = field(default_factory=dict)
-    constraints: Tuple[Tuple[Expr, Symbol], ...] = ()
-    opaques: Tuple[Tuple[Symbol, Tuple[Symbol, ...]], ...] = ()
-    commutators: CommutatorTable = field(default_factory=CommutatorTable)
-    ordering_mode: str = "operator"
-    # (constraints, dependents, plans) as _solve_plans last built them.
-    _plans: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("independents", "parameters", "dependents", "representations",
+                 "constraints", "opaques", "commutators", "ordering_mode", "_plans")
 
-    def __post_init__(self):
-        self.independents = tuple(self.independents)
-        self.parameters = tuple(self.parameters)
-        self.dependents = tuple(self.dependents)
-        self.constraints = tuple(self.constraints)
-        self.opaques = tuple((f, tuple(a)) for f, a in self.opaques)
-        if self.ordering_mode not in ORDERING_MODES:
-            raise ContextError(f"unknown ordering mode {self.ordering_mode!r}")
+    # representations: (dependent name, independent name) -> declared derivative
+    def __init__(self, independents: Tuple[Symbol, ...], parameters: Tuple[Symbol, ...] = (),
+                 dependents: Tuple[Symbol, ...] = (),
+                 representations: Optional[Dict[Tuple[str, str], Expr]] = None,
+                 constraints: Tuple[Tuple[Expr, Symbol], ...] = (),
+                 opaques: Tuple[Tuple[Symbol, Tuple[Symbol, ...]], ...] = (),
+                 commutators: Optional[CommutatorTable] = None, ordering_mode: str = "operator"):
+        if ordering_mode not in ORDERING_MODES:
+            raise ContextError(f"unknown ordering mode {ordering_mode!r}")
+        self.independents = tuple(independents)
+        self.parameters = tuple(parameters)
+        self.dependents = tuple(dependents)
+        self.representations = {} if representations is None else representations
+        self.constraints = tuple(constraints)
+        self.opaques = tuple((f, tuple(a)) for f, a in opaques)
+        self.commutators = CommutatorTable() if commutators is None else commutators
+        self.ordering_mode = ordering_mode
+        self._plans = None  # (constraints, dependents, plans) as _solve_plans last built them
 
     # -- lookups ---------------------------------------------------------
 

@@ -18,54 +18,57 @@ once, after the terms they share have cancelled."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from .depctx import DependencyContext
 from .errors import ContextError, ContextMismatchError
-from .symexpr import Expr, Symbol
+from .symexpr import Expr, Symbol, _Frozen
 from .wholederiv import derive_raw, finalize
 
 PLAIN = "plain"
 WHOLE = "whole"
 
 
-@dataclass(frozen=True)
-class DerivativeGenerator:
-    variable: Symbol
-    mode: str  # "plain" | "whole"
+class DerivativeGenerator(_Frozen):
+    __slots__ = ("variable", "mode", "_key")  # _key: its place in a term's sort key
 
-    def __post_init__(self):
-        if self.mode not in (PLAIN, WHOLE):
-            raise ValueError(f"unknown generator mode {self.mode!r}")
-        # The generator's place in a term's sort key, built once.
-        object.__setattr__(self, "_key", (self.mode, self.variable.name))
+    def __init__(self, variable: Symbol, mode: str):  # mode: "plain" | "whole"
+        if mode not in (PLAIN, WHOLE):
+            raise ValueError(f"unknown generator mode {mode!r}")
+        self._init(variable, mode, (mode, variable.name))
+
+    def __eq__(self, other):
+        if other.__class__ is not DerivativeGenerator:
+            return NotImplemented
+        return self is other or (self.variable == other.variable and self.mode == other.mode)
+
+    def __hash__(self):
+        return hash((self.variable, self.mode))
 
     def label(self) -> str:
         return ("W" if self.mode == WHOLE else "D") + f"[{self.variable.name}]"
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
-class DifferentialOperator:
+class DifferentialOperator(_Frozen):
     """Immutable operator tied to one dependency context."""
 
-    context: DependencyContext
-    terms: Sequence[Tuple[Expr, Tuple[DerivativeGenerator, ...]]]
+    __slots__ = ("context", "terms")
 
-    def __post_init__(self):
+    def __init__(self, context: DependencyContext,
+                 terms: Sequence[Tuple[Expr, Tuple[DerivativeGenerator, ...]]]):
         # Each whole generator object is checked once; the terms keep every
         # generator alive, so the ids stay distinct.
         checked = set()
-        for _coeff, gens in self.terms:
+        for _coeff, gens in terms:
             for g in gens:
                 if g.mode == WHOLE and id(g) not in checked:
-                    if not self.context.is_independent(g.variable):
+                    if not context.is_independent(g.variable):
                         raise ContextError(
                             f"whole-derivative generator variable {g.variable.name} "
                             "is not independent in this context"
                         )
                     checked.add(id(g))
-        object.__setattr__(self, "terms", _merge_terms(self.terms))
+        self._init(context, _merge_terms(terms))
 
     # -- constructors ----------------------------------------------------
 
@@ -114,8 +117,7 @@ class DifferentialOperator:
         # Negation keeps every word and makes no coefficient zero, so the
         # terms stay merged and sorted: no check and no merge.
         op = object.__new__(DifferentialOperator)
-        object.__setattr__(op, "context", self.context)
-        object.__setattr__(op, "terms", tuple((-c, g) for c, g in self.terms))
+        op._init(self.context, tuple((-c, g) for c, g in self.terms))
         return op
 
     def scale(self, coeff) -> "DifferentialOperator":

@@ -18,7 +18,6 @@ same error, at the same point, as evaluating every occurrence would.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from .errors import (
@@ -41,7 +40,6 @@ _TINY = 1e-300
 _TERMS_PER_LINE = 32
 
 
-@dataclass
 class OpaqueFn:
     """Concrete stand-in for an opaque function symbol.
 
@@ -54,16 +52,22 @@ class OpaqueFn:
     The closures must be pure: a compiled program calls each one once per
     point for each distinct application and reuses the value."""
 
-    fn: Callable[..., complex]
-    partials: Dict[tuple, Callable[..., complex]] = field(default_factory=dict)
+    __slots__ = ("fn", "partials")
+
+    def __init__(self, fn: Callable[..., complex],
+                 partials: Optional[Dict[tuple, Callable[..., complex]]] = None):
+        self.fn, self.partials = fn, {} if partials is None else partials
 
 
-@dataclass
 class NumericBinding:
     """Map from symbol names to numeric values plus opaque closures."""
 
-    values: Dict[str, complex] = field(default_factory=dict)
-    opaques: Dict[str, OpaqueFn] = field(default_factory=dict)
+    __slots__ = ("values", "opaques")
+
+    def __init__(self, values: Optional[Dict[str, complex]] = None,
+                 opaques: Optional[Dict[str, OpaqueFn]] = None):
+        self.values = {} if values is None else values
+        self.opaques = {} if opaques is None else opaques
 
     def value(self, name: str) -> complex:
         if name not in self.values:
@@ -321,24 +325,26 @@ def fd_commutator_pE(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class FailureDiagnostic:
-    sample_index: int
-    binding: Dict[str, complex]
-    lhs: Optional[complex]
-    rhs: Optional[complex]
-    error: Optional[str] = None
+    __slots__ = ("sample_index", "binding", "lhs", "rhs", "error")
+
+    def __init__(self, sample_index: int, binding: Dict[str, complex], lhs: Optional[complex],
+                 rhs: Optional[complex], error: Optional[str] = None):
+        self.sample_index, self.binding, self.lhs, self.rhs = sample_index, binding, lhs, rhs
+        self.error = error
 
 
-@dataclass
 class VerificationReport:
-    samples: int
-    failures: int
-    max_abs_err: float
-    max_rel_err: float
-    tol_abs: float
-    tol_rel: float
-    diagnostics: List[FailureDiagnostic] = field(default_factory=list)
+    __slots__ = ("samples", "failures", "max_abs_err", "max_rel_err", "tol_abs", "tol_rel",
+                 "diagnostics")
+
+    def __init__(self, samples: int, failures: int, max_abs_err: float, max_rel_err: float,
+                 tol_abs: float, tol_rel: float,
+                 diagnostics: Optional[List[FailureDiagnostic]] = None):
+        self.samples, self.failures = samples, failures
+        self.max_abs_err, self.max_rel_err = max_abs_err, max_rel_err
+        self.tol_abs, self.tol_rel = tol_abs, tol_rel
+        self.diagnostics = [] if diagnostics is None else diagnostics
 
     @property
     def verdict(self) -> str:
@@ -379,20 +385,19 @@ def _fmt_complex(z) -> Optional[str]:
     return repr(complex(z))
 
 
-@dataclass
 class SamplerSpec:
     """Sampling strategy: 'on-shell' with a sheet sign, or 'box' drawing
     every non-opaque symbol from fixed ranges (dependents included,
     off-shell, sign times uniform in [1/2, 2])."""
 
-    kind: str = "on-shell"  # "on-shell" | "box"
-    sign: int = +1
+    __slots__ = ("kind", "sign")
 
-    def __post_init__(self):
-        if self.kind not in ("on-shell", "box"):
-            raise ValueError(f"unknown sampler kind {self.kind!r}")
-        if self.sign not in (+1, -1):
-            raise ValueError(f"sampler sign must be +1 or -1, not {self.sign!r}")
+    def __init__(self, kind: str = "on-shell", sign: int = +1):  # kind: "on-shell" | "box"
+        if kind not in ("on-shell", "box"):
+            raise ValueError(f"unknown sampler kind {kind!r}")
+        if sign not in (+1, -1):
+            raise ValueError(f"sampler sign must be +1 or -1, not {sign!r}")
+        self.kind, self.sign = kind, sign
 
     def draw(self, ctx: DependencyContext, index: int, seed: int) -> Dict[str, complex]:
         from .depctx import _Stream, _draw_free
@@ -422,6 +427,8 @@ def verify_identity(
 
     if samples < 1:
         raise ValueError(f"samples must be at least 1, not {samples}")
+    if not (0 <= tol_rel < cmath.inf and 0 <= tol_abs < cmath.inf):
+        raise ValueError(f"tolerances must be finite and non-negative, not {tol_rel}, {tol_abs}")
     if sampler.kind == "on-shell":
         points = sample_on_shell(ctx, samples, seed, sign=sampler.sign)
     else:

@@ -12,18 +12,16 @@ Units are c = hbar = 1 throughout.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Tuple
 
 from .depctx import ORDERING_MODES, DependencyContext, implicit_partial
 from .diffop import DifferentialOperator, apply, commutator
 from .errors import ContextError, DegenerateConstraintError
-from .symexpr import Expr, Symbol, SymbolKind
+from .symexpr import Expr, Symbol, SymbolKind, _Frozen
 from .textio import parse_context
 
 
-@dataclass(frozen=True)
-class MassShellScenario:
+class MassShellScenario(_Frozen):
     """E = ±sqrt(p^2 + m^2) with a chosen product-ordering convention.
 
     `sign` names a sheet but does not change the context: the constraint
@@ -31,18 +29,17 @@ class MassShellScenario:
     signs build the same context and write the same file.  The sheet is
     chosen where the context is sampled (`verify --sign`, SamplerSpec.sign)."""
 
-    dimension: int = 3
-    sign: int = +1
-    ordering_mode: str = "operator"
-    feynman: bool = False
+    __slots__ = ("dimension", "sign", "ordering_mode", "feynman")
 
-    def __post_init__(self):
-        if self.dimension < 1:
+    def __init__(self, dimension: int = 3, sign: int = +1, ordering_mode: str = "operator",
+                 feynman: bool = False):
+        if dimension < 1:
             raise ContextError("mass-shell scenario needs at least one momentum")
-        if self.sign not in (+1, -1):
+        if sign not in (+1, -1):
             raise ContextError("sign must be +1 or -1")
-        if self.ordering_mode not in ORDERING_MODES:
-            raise ContextError(f"unknown ordering mode '{self.ordering_mode}'")
+        if ordering_mode not in ORDERING_MODES:
+            raise ContextError(f"unknown ordering mode '{ordering_mode}'")
+        self._init(dimension, sign, ordering_mode, feynman)
 
 
 def build_mass_shell(s: MassShellScenario) -> DependencyContext:
@@ -105,15 +102,17 @@ def momentum_momentum_commutator(ctx: DependencyContext, i: int, j: int) -> Expr
     return apply(commutator(A, B), _field(ctx))
 
 
-@dataclass(frozen=True)
-class PositionCommutatorTable:
+class PositionCommutatorTable(_Frozen):
     """Antisymmetric table of position-operator commutators.
 
     Convention: x^0 = i*D[E], x^k = -i*W[p_k]; entries[mu][nu] is the
     commutator of the corresponding pair."""
 
-    operators: Tuple[DifferentialOperator, ...]
-    entries: Tuple[Tuple[DifferentialOperator, ...], ...]
+    __slots__ = ("operators", "entries")
+
+    def __init__(self, operators: Tuple[DifferentialOperator, ...],
+                 entries: Tuple[Tuple[DifferentialOperator, ...], ...]):
+        self._init(operators, entries)
 
     @property
     def dimension(self) -> int:
@@ -138,13 +137,15 @@ def position_commutator_table(ctx: DependencyContext) -> PositionCommutatorTable
     )
 
 
-@dataclass(frozen=True)
-class RetardedScenario:
+class RetardedScenario(_Frozen):
     """Signal observed at (x, t) was emitted at the earlier time tp
-    satisfying tp + R(tp) = t with R = x - x0(tp), x > x0 assumed."""
+    satisfying tp + R(tp) = t with R = x - x0(tp), x > x0 assumed.  The
+    trajectory is x0 as an expression in tp and parameters."""
 
-    trajectory: Expr  # x0 as an expression in tp and parameters
-    parameters: Tuple[Symbol, ...] = ()
+    __slots__ = ("trajectory", "parameters")
+
+    def __init__(self, trajectory: Expr, parameters: Tuple[Symbol, ...] = ()):
+        self._init(trajectory, parameters)
 
 
 RETARDED_TP = Symbol("tp", SymbolKind.DEPENDENT)

@@ -35,7 +35,6 @@ than 1 is recomputed by Expr.__pow__ and summed after the merged part.  The
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
@@ -82,8 +81,23 @@ class SymbolKind:
     ALL = (INDEPENDENT, DEPENDENT, PARAMETER, OPAQUE, COMMUTATOR)
 
 
-@dataclass(frozen=True, slots=True, repr=False)
-class Symbol(Atom):
+class _Frozen:
+    """Base of the immutable value classes: _init sets the slots once (Token and
+    SourceSpan, made per token, set theirs directly); assignment raises AttributeError."""
+
+    __slots__ = ()
+
+    def _init(self, *values):
+        for name, v in zip(self.__slots__, values):
+            object.__setattr__(self, name, v)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r} of a frozen record")
+
+    __delattr__ = __setattr__
+
+
+class Symbol(Atom, _Frozen):
     """Named atom with a kind and a commutativity class.
 
     Class 0 commutes with everything; symbols sharing a nonzero class may
@@ -92,19 +106,25 @@ class Symbol(Atom):
     and nc_classes are set once, here, and take no part in ==.
     """
 
-    name: str
-    kind: str = SymbolKind.PARAMETER
-    klass: int = 0
-    key: tuple = field(init=False, compare=False)
-    nc_classes: frozenset = field(init=False, compare=False)
+    __slots__ = ("name", "kind", "klass", "nc_classes")
 
-    def __post_init__(self):
-        if self.kind not in SymbolKind.ALL:
-            raise ValueError(f"unknown symbol kind {self.kind!r}")
-        if self.kind == SymbolKind.COMMUTATOR:
-            object.__setattr__(self, "klass", 0)
-        object.__setattr__(self, "key", (_RANK_SYMBOL, self.name, self.kind, self.klass))
-        object.__setattr__(self, "nc_classes", frozenset({self.klass} if self.klass else ()))
+    def __init__(self, name: str, kind: str = SymbolKind.PARAMETER, klass: int = 0):
+        if kind not in SymbolKind.ALL:
+            raise ValueError(f"unknown symbol kind {kind!r}")
+        if kind == SymbolKind.COMMUTATOR:
+            klass = 0
+        self._init(name, kind, klass, frozenset({klass} if klass else ()))
+        object.__setattr__(self, "key", (_RANK_SYMBOL, name, kind, klass))
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not Symbol:
+            return NotImplemented
+        return self.name == other.name and self.kind == other.kind and self.klass == other.klass
+
+    def __hash__(self):
+        return hash((self.name, self.kind, self.klass))
 
     def mentions(self, sym):
         return self == sym

@@ -33,9 +33,7 @@ end of the line.
 
 from __future__ import annotations
 
-import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
@@ -50,20 +48,21 @@ from .symexpr import (
     RepAtom,
     Symbol,
     SymbolKind,
+    _Frozen,
 )
 
 if TYPE_CHECKING:
     from .diffop import DifferentialOperator
 
 
-@dataclass(frozen=True)
-class SourceSpan:
-    start: int
-    end: int
+class SourceSpan(_Frozen):
+    __slots__ = ("start", "end")
 
-    def __post_init__(self):
-        if self.start > self.end:
+    def __init__(self, start: int, end: int):
+        if start > end:
             raise ValueError("span start exceeds end")
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "end", end)
 
 
 # ---------------------------------------------------------------------------
@@ -75,11 +74,13 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "num" | "id" | "op" | "end"
-    text: str
-    span: SourceSpan
+class Token(_Frozen):
+    __slots__ = ("kind", "text", "span")  # kind: "num" | "id" | "op" | "end"
+
+    def __init__(self, kind: str, text: str, span: SourceSpan):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "text", text)
+        object.__setattr__(self, "span", span)
 
 
 def _lex(text: str, pos: int = 0, end: Optional[int] = None) -> List[Token]:
@@ -736,7 +737,11 @@ def print_expr(e: Expr, format: str = "text") -> str:
     if r is None:
         raise ValueError(f"unknown format {format!r}")
     out = _render(e, r)
-    return json.dumps(out, separators=(", ", ": ")) if format == "json" else out
+    if format == "json":
+        import json
+
+        return json.dumps(out, separators=(", ", ": "))
+    return out
 
 
 def print_operator(op) -> str:

@@ -369,6 +369,26 @@ def test_verify_rejects_negative_seed_and_no_samples_exit2(ctx_file, capsys, fla
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("flags", [
+    ["--tol", "nan", "--tol-abs", "nan"], ["--tol", "nan"], ["--tol-abs", "nan"],
+    ["--tol-abs", "inf"], ["--tol", "inf"], ["--tol", "-0.5"], ["--tol-abs", "-1"],
+])
+def test_verify_rejects_tolerances_that_are_not_finite_and_non_negative(ctx_file, capsys, flags):
+    """E^2 = p1^2 is false on the shell: a NaN or infinite tolerance made
+    every sample pass, and a negative one means nothing, so each is a usage
+    error (exit 2), not a verdict."""
+    code, out, err = run(capsys, "verify", ctx_file, "--lhs", "E^2", "--rhs", "p1^2", *flags)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"usage error: {flags[0]} must be finite and non-negative, not ")
+
+
+def test_verify_accepts_zero_tolerances(ctx_file, capsys):
+    code, out, _ = run(capsys, "verify", ctx_file, "--lhs", "E^2", "--rhs", "p1^2",
+                       "--tol", "0", "--tol-abs", "0", "--samples", "5")
+    assert code == 1 and "verdict: fail" in out
+
+
 @pytest.mark.parametrize("argv", [
     ["derive", "{ctx}", "--expr", "f", "--wrt", "p1"],
     ["commutator", "{ctx}", "--a", "W[p1]", "--b", "D[E]"],

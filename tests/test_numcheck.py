@@ -185,11 +185,13 @@ def test_verify_identity_evaluation_errors_are_failures(ms_commuting):
 def test_sampler_spec_rejects_unknown_kind_and_sign():
     with pytest.raises(ValueError, match="unknown sampler kind 'onshell'"):
         SamplerSpec(kind="onshell")
-    with pytest.raises(ValueError, match="sign must be"):
+    with pytest.raises(ValueError, match=r"^sampler sign must be \+1 or -1, not 0$"):
         SamplerSpec(sign=0)
     with pytest.raises(ValueError, match="sign must be"):
         SamplerSpec(kind="box", sign=2)
     assert SamplerSpec(kind="box", sign=-1).sign == -1
+    assert (SamplerSpec().kind, SamplerSpec().sign) == ("on-shell", 1)
+    assert (SamplerSpec("box", -1).kind, SamplerSpec("box", -1).sign) == ("box", -1)
 
 
 def test_box_sampler_off_shell(ms_commuting):
@@ -219,6 +221,16 @@ def test_verify_identity_rejects_fewer_than_one_sample(ms_commuting, samples):
     """No sample checked is no verdict, not a pass."""
     with pytest.raises(ValueError, match="samples must be at least 1"):
         verify_identity(P1, P1, ms_commuting, SamplerSpec(), samples=samples)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1e-9])
+@pytest.mark.parametrize("which", ["tol_rel", "tol_abs"])
+def test_verify_identity_rejects_tolerances_not_finite_and_non_negative(ms_commuting, which, bad):
+    """A NaN or infinite tolerance passes every sample, even of a false
+    identity; a negative one is meaningless."""
+    with pytest.raises(ValueError, match="tolerances must be finite and non-negative"):
+        verify_identity(P1, 2 * P1, ms_commuting, SamplerSpec(), samples=3, **{which: bad})
+    assert verify_identity(P1, P1, ms_commuting, SamplerSpec(), samples=3, **{which: 0.0}).passed
 
 
 # ---------------------------------------------------------------------------

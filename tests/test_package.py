@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import wholediff
+from test_cli import MASS_SHELL_SRC
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -85,6 +86,26 @@ def test_import_loads_no_submodule_until_a_name_is_read():
     assert numcheck == "wholediff.numcheck"
 
 
+@pytest.mark.parametrize("argv, absent", [
+    (["derive", "{ctx}", "--expr", "f", "--wrt", "p1"], {"dataclasses", "inspect", "json"}),
+    (["verify", "{ctx}", "--lhs", "E^2", "--rhs", "p1^2+p2^2+p3^2+m^2", "--samples", "50"],
+     {"dataclasses", "inspect"}),
+], ids=["derive", "verify"])
+def test_cli_start_up_loads_no_code_generation_or_json(tmp_path, argv, absent):
+    """A fresh process pays for every module it imports: a command loads
+    neither dataclasses nor inspect, and text output does not load json."""
+    ctx = tmp_path / "mass-shell.ctx"
+    ctx.write_text(MASS_SHELL_SRC)
+    argv = [a.format(ctx=ctx) for a in argv]
+    out = run_fresh(
+        "import sys\n"
+        "from wholediff.cli import main\n"
+        f"assert main({argv!r}) == 0\n"
+        "print(' '.join(sorted(sys.modules)))\n"
+    )
+    loaded = set(out.splitlines()[-1].split())
+    assert "wholediff.cli" in loaded
+    assert not absent & loaded
 def test_star_import_in_a_fresh_process():
     out = run_fresh(
         "from wholediff import *\n"

@@ -31,9 +31,14 @@ def syms(ctx, *names):
 
 
 def test_scenario_invariants():
-    with pytest.raises(ContextError):
+    s = MassShellScenario()
+    assert (s.dimension, s.sign, s.ordering_mode, s.feynman) == (3, 1, "operator", False)
+    s = MassShellScenario(dimension=2, sign=-1, ordering_mode="paper", feynman=True)
+    assert (s.dimension, s.sign, s.ordering_mode, s.feynman) == (2, -1, "paper", True)
+    assert MassShellScenario(1, -1, "commuting").sign == -1
+    with pytest.raises(ContextError, match="^mass-shell scenario needs at least one momentum$"):
         MassShellScenario(dimension=0)
-    with pytest.raises(ContextError):
+    with pytest.raises(ContextError, match=r"^sign must be \+1 or -1$"):
         MassShellScenario(sign=2)
     with pytest.raises(ContextError, match="unknown ordering mode 'bogus'"):
         MassShellScenario(ordering_mode="bogus")

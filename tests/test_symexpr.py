@@ -144,6 +144,17 @@ def test_normal_order_first_order_truncation():
     assert equals_canonical(out, normal_order(expected, tab))
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "_normal_order_mono skips every pair of a word that holds a commutator "
+    "symbol, at any power (ROADMAP item 10)"))
+def test_normal_order_of_a_word_with_an_inverse_commutator_symbol():
+    """b a / k = a b / k - [a, b] / k = a b / k - 1: dividing by k leaves a
+    term of order zero in the commutators, which the ordering must keep."""
+    tab = CommutatorTable()
+    tab.declare(a, b, K)
+    assert equals_canonical(normal_order(B * A / K, tab), A * B / K - 1)
+
+
 def test_normal_order_undeclared_pair_raises():
     tab = CommutatorTable()
     with pytest.raises(NormalOrderError):

@@ -502,8 +502,12 @@ def test_parse_context_semantic_errors():
 
 
 def test_source_span_invariant():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^span start exceeds end$"):
         SourceSpan(5, 2)
+    with pytest.raises(ValueError, match="^span start exceeds end$"):
+        SourceSpan(start=5, end=2)
+    span = SourceSpan(end=5, start=5)
+    assert (span.start, span.end) == (5, 5)
 
 
 @pytest.mark.xfail(
