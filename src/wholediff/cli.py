@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from typing import Dict, Optional
 
@@ -265,6 +266,14 @@ def _span_of(text: str):
 
 
 class _ArgumentParser(argparse.ArgumentParser):
+    def __init__(self, *args, **kw):
+        super().__init__(*args, **kw)
+        # argparse reads a word that starts with '-' as an option unless it looks
+        # like a negative number, which means only -12 or -1.5.  Read every word
+        # that starts with one '-' and names no option (-p1*f(p1,E), -1e-9) as a
+        # value, as it reads -12.
+        self._negative_number_matcher = re.compile("-(?!-)")
+
     def error(self, message):
         raise _UsageError(message)
 

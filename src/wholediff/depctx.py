@@ -71,7 +71,6 @@ class DependencyContext:
     # representations: (dependent name, independent name) -> declared derivative
     def __init__(self, independents: Tuple[Symbol, ...], parameters: Tuple[Symbol, ...] = (),
                  dependents: Tuple[Symbol, ...] = (),
-                 representations: Optional[Dict[Tuple[str, str], Expr]] = None,
                  constraints: Tuple[Tuple[Expr, Symbol], ...] = (),
                  opaques: Tuple[Tuple[Symbol, Tuple[Symbol, ...]], ...] = (),
                  commutators: Optional[CommutatorTable] = None, ordering_mode: str = "operator"):
@@ -80,7 +79,7 @@ class DependencyContext:
         self.independents = tuple(independents)
         self.parameters = tuple(parameters)
         self.dependents = tuple(dependents)
-        self.representations = {} if representations is None else representations
+        self.representations = {}
         self.constraints = tuple(constraints)
         self.opaques = tuple((f, tuple(a)) for f, a in opaques)
         self.commutators = CommutatorTable() if commutators is None else commutators
@@ -334,7 +333,6 @@ def sample_on_shell(
     count: int,
     seed: int,
     sign: int = +1,
-    overrides: Optional[Dict[str, float]] = None,
 ) -> List[Dict[str, complex]]:
     """Deterministic numeric bindings on the constraint surface.
 
@@ -348,8 +346,6 @@ def sample_on_shell(
         rng = _Stream(seed, k)
         for _attempt in range(64):
             vals = _draw_free(ctx, rng)
-            if overrides:
-                vals.update(overrides)
             try:
                 dep_vals = solve_dependents(ctx, vals, sign=sign)
             except RootSolveError:

@@ -3,16 +3,14 @@
 Internal normal form: every expression is a fraction num/den of two
 "polynomials", each polynomial a merged, sorted tuple of monomials, each
 monomial an exact scalar coefficient times an ordered word of atomic
-factors with integer exponents.  Factors whose commutativity classes are
-disjoint may be reordered; factors sharing a nonzero class keep their
-written order, and inverse letters cancel (a normal form of the trace
-group: Diekert & Rozenberg, The Book of Traces, 1995).  A factor with no
-commutativity class is central: it commutes with every factor, so the
-central factors of a word are simply sorted by key and only the others
-run the ordering greedy.  A Symbol is its own atom; an opaque function's
-application is the order-zero case of its plain-partial atom; a
-non-integer rational power lives in a power atom, which has the
-commutativity classes of its base.
+factors with integer exponents.  A factor is central or noncommuting, a
+yes/no property: the noncommuting factors of a word form one class and
+keep their written order, the central factors commute with everything and
+are merged in by key, and neighbouring equal letters fold, inverse letters
+cancelling.  A Symbol is its own atom; an opaque function's application is
+the order-zero case of its plain-partial atom; a non-integer rational
+power lives in a power atom, which is noncommuting when its base holds a
+noncommuting letter.
 
 Expr.key, the nested-tuple form that ==, hash and power-atom keys compare,
 is built on first use and kept; most intermediate values never need it.
@@ -62,7 +60,7 @@ class Atom:
 
     __slots__ = ("key",)
 
-    nc_classes: frozenset = frozenset()
+    noncommuting = False
 
     def mentions(self, sym: Symbol) -> bool:
         raise NotImplementedError
@@ -100,20 +98,24 @@ class _Frozen:
 class Symbol(Atom, _Frozen):
     """Named atom with a kind and a commutativity class.
 
-    Class 0 commutes with everything; symbols sharing a nonzero class may
-    carry declared commutators.  Commutator-kind symbols are central and
-    are forced into class 0.  A symbol is its own monomial factor: its key
-    and nc_classes are set once, here, and take no part in ==.
+    Class 0 commutes with everything; class 1 holds the noncommuting
+    symbols, which may carry declared commutators.  Commutator-kind symbols
+    are central and are forced into class 0.  A symbol is its own monomial
+    factor: its key and noncommuting flag are set once, here, and take no
+    part in ==.
     """
 
-    __slots__ = ("name", "kind", "klass", "nc_classes")
+    __slots__ = ("name", "kind", "klass", "noncommuting")
 
     def __init__(self, name: str, kind: str = SymbolKind.PARAMETER, klass: int = 0):
         if kind not in SymbolKind.ALL:
             raise ValueError(f"unknown symbol kind {kind!r}")
+        if klass not in (0, 1):
+            raise ValueError(f"symbol class must be 0 (central) or 1 (noncommuting), "
+                             f"not {klass!r}")
         if kind == SymbolKind.COMMUTATOR:
             klass = 0
-        self._init(name, kind, klass, frozenset({klass} if klass else ()))
+        self._init(name, kind, klass, klass == 1)
         object.__setattr__(self, "key", (_RANK_SYMBOL, name, kind, klass))
 
     def __eq__(self, other):
@@ -182,7 +184,7 @@ class PowAtom(Atom):
     """base ** exponent with a rational exponent in (0, 1), sqrt included.
     Expr.__pow__ multiplies out the integer part of any other exponent."""
 
-    __slots__ = ("base", "exp", "nc_classes")
+    __slots__ = ("base", "exp", "noncommuting")
 
     def __init__(self, base: "Expr", exp: Fraction):
         exp = Fraction(exp)
@@ -190,7 +192,7 @@ class PowAtom(Atom):
             raise ValueError(f"PowAtom requires an exponent in (0, 1), not {exp}")
         self.base = base
         self.exp = exp
-        self.nc_classes = base.nc_classes()
+        self.noncommuting = base.noncommuting()
         self.key = (_RANK_POW, base.key, (exp.numerator, exp.denominator))
 
     def mentions(self, sym):
@@ -213,13 +215,13 @@ class RepAtom(Atom):
     representation with a sum denominator or a fractional power.  Its key
     holds the expansion, so markers that expand differently differ."""
 
-    __slots__ = ("dependent", "independent", "expansion", "nc_classes")
+    __slots__ = ("dependent", "independent", "expansion", "noncommuting")
 
     def __init__(self, dependent: Symbol, independent: Symbol, expansion: "Expr"):
         self.dependent = dependent
         self.independent = independent
         self.expansion = expansion
-        self.nc_classes = expansion.nc_classes()
+        self.noncommuting = expansion.noncommuting()
         self.key = (_RANK_REP, dependent.name, independent.name, expansion.key)
 
     def mentions(self, sym):
@@ -249,37 +251,23 @@ def _mono_fkey(factors):
 
 
 def _canonical_word(letters):
-    """Greedy trace-monoid canonical form: repeatedly emit the smallest
-    letter that commutes with everything still ahead of it, folding equal
-    neighbours.
-
-    A central letter (no nc_classes) is always movable and blocks nothing,
-    so the greedy emits the central letters in key order, interleaved by
-    key with the sequence it would emit from the other letters alone; only
-    those run the quadratic greedy loop, and only when their classes differ:
-    letters that all have the same classes keep their written order.  Ties
-    between equal keys go to the earlier letter, as in the plain greedy.  A
-    noncommuting letter that cancels in the fold can leave the rest out of
-    order (d z z^-1 b folds to d b, canonically b d), so that word is
+    """Canonical form of a word, folding equal neighbours: the noncommuting
+    letters keep their written order, and the central letters, which
+    commute with every letter, are sorted by key and merged into that
+    sequence by key, ties going to the earlier letter.  This is the least
+    word, in key order, that the commuting swaps reach.  A noncommuting
+    letter that cancels in the fold can leave the rest out of order
+    (m z z^-1 b folds to m b, canonically b m), so that word is
     canonicalized again."""
-    central, rem = [], []
+    central, word = [], []
     for i, (a, e) in enumerate(letters):
         if e:
-            (rem if a.nc_classes else central).append((a.key, i, a, e))
+            (word if a.noncommuting else central).append((a.key, i, a, e))
     central.sort()
     merged = central
-    if rem:
+    if word:
         merged, n = [], 0
-        greedy = len({a.nc_classes for _k, _i, a, _e in rem}) > 1
-        while rem:
-            best = 0
-            for i, (k, _i, a, _e) in enumerate(rem[1:] if greedy else (), 1):
-                if k < rem[best][0] and all(
-                    rem[j][0] == k or rem[j][2].nc_classes.isdisjoint(a.nc_classes)
-                    for j in range(i)
-                ):
-                    best = i
-            letter = rem.pop(best)
+        for letter in word:
             while n < len(central) and central[n] < letter:
                 merged.append(central[n])
                 n += 1
@@ -291,7 +279,7 @@ def _canonical_word(letters):
             _k, pa, pe = out.pop()
             if pe + e:
                 out.append((k, pa, pe + e))
-            elif pa.nc_classes:
+            elif pa.noncommuting:
                 again = True
         else:
             out.append((k, a, e))
@@ -315,16 +303,8 @@ def _poly_key(p):
 _POLY_ONE = ((ONE, ()),)
 
 
-def _poly_nc_classes(p):
-    s = set()
-    for _c, f in p:
-        for a, _e in f:
-            s |= a.nc_classes
-    return s
-
-
 def _poly_has_word(p):
-    return any(a.nc_classes for _c, f in p for a, _e in f)
+    return any(a.noncommuting for _c, f in p for a, _e in f)
 
 
 def _mono_expr(coeff: QC, letters) -> "Expr":
@@ -509,8 +489,8 @@ class Expr:
             object.__setattr__(self, "_key", (_poly_key(self._num), _poly_key(self._den)))
         return self._key
 
-    def nc_classes(self) -> frozenset:
-        return frozenset(_poly_nc_classes(self._num) | _poly_nc_classes(self._den))
+    def noncommuting(self) -> bool:
+        return _poly_has_word(self._num) or _poly_has_word(self._den)
 
     def mentions(self, sym: Symbol) -> bool:
         for p in (self._num, self._den):
@@ -705,7 +685,7 @@ def _cancel_content(num, den):
             powers = {
                 a.key: (a, e)
                 for a, e in f
-                if not a.nc_classes and not isinstance(a, PowAtom)
+                if not a.noncommuting and not isinstance(a, PowAtom)
             }
             if common is None:
                 common = powers
@@ -918,7 +898,7 @@ def _normal_order_mono(coeff: QC, factors, comms: CommutatorTable) -> Expr:
     additions over sum denominators."""
     central, word = [], []
     for a, e in factors:
-        if not a.nc_classes:
+        if not a.noncommuting:
             central.append((a, e))
         elif e < 0:
             raise UnsupportedExpressionError("negative power of a noncommuting factor")
@@ -928,7 +908,7 @@ def _normal_order_mono(coeff: QC, factors, comms: CommutatorTable) -> Expr:
     for j, b in enumerate(() if _commutator_powers(central) else word):
         for i in sorted(range(j), key=lambda i: word[i].key, reverse=True):
             a = word[i]
-            if a.key <= b.key or a.nc_classes.isdisjoint(b.nc_classes):
+            if a.key <= b.key:
                 continue
             if not (isinstance(a, Symbol) and isinstance(b, Symbol)):
                 from .textio import print_expr

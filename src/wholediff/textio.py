@@ -502,6 +502,8 @@ def parse_context(text: str) -> DependencyContext:
         if a.text == b.text:
             raise ParseError("commutator needs two different independent variables, "
                              f"'{b.text}' is named twice", b.span)
+        if ctable.lookup(*pair) is not None:
+            raise ParseError(f"commutator of {a.text} and {b.text} is declared twice", b.span)
         ctable.declare(*pair, parse_sub(value, SymbolKind.COMMUTATOR))
 
     constraints = []
@@ -520,8 +522,16 @@ def parse_context(text: str) -> DependencyContext:
         ordering_mode=ordering,
     )
     for dep, indep, value in reps:
-        ctx.declare_representation(resolve(dep.text, dep.span), resolve(indep.text, indep.span),
-                                   parse_sub(value))
+        u, v = resolve(dep.text, dep.span), resolve(indep.text, indep.span)
+        # The derivative engine reads only d<dependent>/d<independent>.
+        for t, sym, kind, role in ((dep, u, SymbolKind.DEPENDENT, "a dependent"),
+                                   (indep, v, SymbolKind.INDEPENDENT, "an independent")):
+            if sym.kind != kind:
+                raise ParseError("representation needs d<dependent>/d<independent>, "
+                                 f"'{t.text}' is not {role}", t.span)
+        if (u.name, v.name) in ctx.representations:
+            raise ParseError(f"representation d{u.name}/d{v.name} is declared twice", indep.span)
+        ctx.declare_representation(u, v, parse_sub(value))
 
     errors = [d for d in ctx.validate() if d.level == "error"]
     if errors:

@@ -133,6 +133,20 @@ def test_commuting_ordering_makes_declared_commutators_change_nothing(tmp_path, 
     assert code == 3 and "[p1, p2]" in err
 
 
+def test_noncommuting_momenta_form_one_class(tmp_path, capsys):
+    """With [p1, p2] and [q1, q2] declared, q1 and p1 do not commute either:
+    ordering q1 p1 needs [q1, p1], which is not declared (exit 3)."""
+    path = tmp_path / "two-pairs.ctx"
+    path.write_text("independent p1 p2 q1 q2\nparam m\ndependent E\n"
+                    "constraint E^2 - p1^2 - p2^2 - q1^2 - q2^2 - m^2 = 0 solves E\n"
+                    "opaque f(p1,p2,q1,q2,E)\n"
+                    "commutator [p1,p2] = kappa\ncommutator [q1,q2] = lam\n")
+    code, out, err = run(capsys, "derive", str(path), "--expr", "q1*p1*f(p1,p2,q1,q2,E)",
+                         "--wrt", "p2")
+    assert (code, out) == (3, "")
+    assert err == "error: no commutator declared for noncommuting pair (q1, p1)\n"
+
+
 def test_commutator_without_a_commutator_symbol_is_a_context_error(tmp_path, capsys):
     """[p1, p2] = 1 is not of first order in a commutator symbol, so normal
     ordering would drop its second-order terms (p2^2 p1^2 would lose its
@@ -387,6 +401,40 @@ def test_verify_accepts_zero_tolerances(ctx_file, capsys):
     code, out, _ = run(capsys, "verify", ctx_file, "--lhs", "E^2", "--rhs", "p1^2",
                        "--tol", "0", "--tol-abs", "0", "--samples", "5")
     assert code == 1 and "verdict: fail" in out
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["derive", "{ctx}", "--expr", "-p1*f(p1,p2,p3,E)", "--wrt", "p1"], 0),
+    (["commutator", "{ctx}", "--a", "-W[p1]", "--b", "-D[E]", "--apply", "-f(p1,p2,p3,E)"], 0),
+    (["verify", "{ctx}", "--lhs", "-E^2", "--rhs", "-p1^2-p2^2-p3^2-m^2", "--samples", "5",
+      "--sign", "-1"], 0),
+    (["verify", "{ctx}", "--lhs", "E^2", "--rhs", "p1^2", "--tol", "-1e-9"], 2),
+    (["verify", "{ctx}", "--lhs", "E^2", "--rhs", "p1^2", "--tol-abs", "-1e-9"], 2),
+    (["scenario", "retarded", "--trajectory", "-tp/2", "--out", "{out}"], 0),
+    (["scenario", "mass-shell", "--dim", "1", "--sign", "-1", "--out", "{out}"], 0),
+], ids=["derive", "commutator", "verify", "tol", "tol-abs", "trajectory", "sign"])
+def test_option_value_may_start_with_a_dash(ctx_file, tmp_path, capsys, argv, code):
+    """argparse reads -p1*f(...) or -1e-9 as an option string; each reaches
+    its option instead, exactly as the --option=value spelling does."""
+    argv = [a.format(ctx=ctx_file, out=tmp_path) for a in argv]
+    joined = []
+    for a in argv:
+        if a[:1] == "-" and a[:2] != "--":
+            a = f"{joined.pop()}={a}"
+        joined.append(a)
+    got = run(capsys, *argv)
+    assert got[0] == code and got == run(capsys, *joined)
+    if code:
+        assert got[2].startswith(f"usage error: {argv[-2]} must be finite and non-negative")
+
+
+@pytest.mark.parametrize("value", ["--wrt", "-h"])
+def test_an_option_is_not_read_as_the_value_of_another(ctx_file, capsys, value):
+    """A missing value is still a usage error: the next option is not taken
+    for it."""
+    code, out, err = run(capsys, "derive", ctx_file, "--expr", value, "p1")
+    assert (code, out) == (2, "")
+    assert err == "usage error: argument --expr: expected one argument\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -95,9 +95,10 @@ def test_sample_on_shell_negative_sheet():
 
 
 def test_sample_overrides_345():
+    """At p1 = 3, p2 = 0, m = 4 the positive sheet has E = 5."""
     ctx = make_ctx()
-    pts = sample_on_shell(ctx, 1, seed=0, overrides={"p1": 3.0, "p2": 0.0, "m": 4.0})
-    assert pts[0]["E"] == pytest.approx(5.0, abs=1e-12)
+    sol = solve_dependents(ctx, {"p1": 3.0, "p2": 0.0, "m": 4.0})
+    assert sol["E"] == pytest.approx(5.0, abs=1e-12)
 
 
 def test_solve_dependents_near_keeps_sheet():

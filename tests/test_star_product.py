@@ -39,7 +39,7 @@ def _as_sympy(e: Expr):
     assert e.den_is_one()
     out = 0
     for c, f in e._num:
-        keys = [a.key for a, _e in f if a.nc_classes]
+        keys = [a.key for a, _e in f if a.noncommuting]
         assert keys == sorted(keys)
         term = sympy.Rational(c.re.numerator, c.re.denominator)
         term += sympy.I * sympy.Rational(c.im.numerator, c.im.denominator)

@@ -200,12 +200,11 @@ def test_commutator_table_antisymmetry():
     assert tab.lookup(a, Symbol("c")) is None
 
 
-@pytest.mark.parametrize("klass", [2, 0], ids=["other class", "central"])
-def test_normal_order_reaches_pairs_across_a_commuting_letter(klass):
-    """In b c d a, c commutes with the rest, so b and a are never neighbours:
-    normal ordering still sorts them and emits [b, a]."""
+def test_normal_order_reaches_pairs_across_a_commuting_letter():
+    """In b c d a, the central c commutes with the rest, so b and a are never
+    neighbours: normal ordering still sorts them and emits [b, a]."""
     lo, hi, mid = (Symbol(n, SymbolKind.INDEPENDENT, klass=1) for n in ("a", "b", "d"))
-    c = Symbol("c", SymbolKind.INDEPENDENT, klass=klass)
+    c = Symbol("c", SymbolKind.INDEPENDENT)
     tab = CommutatorTable()
     ks = {}
     for u, v in ((hi, lo), (mid, lo), (mid, hi)):
@@ -329,7 +328,7 @@ def _reference_canonical_word(letters):
     where one greedy pass is not a normal form."""
 
     def commutes(u, v):
-        return u.key == v.key or u.nc_classes.isdisjoint(v.nc_classes)
+        return u.key == v.key or not (u.noncommuting and v.noncommuting)
 
     rem = [(a, e) for a, e in letters if e != 0]
     out = []
@@ -343,7 +342,7 @@ def _reference_canonical_word(letters):
         if out and out[-1][0].key == a.key:
             pa, pe = out[-1]
             if pe + e == 0:
-                if a.nc_classes:
+                if a.noncommuting:
                     return None
                 out.pop()
             else:
@@ -354,7 +353,8 @@ def _reference_canonical_word(letters):
 
 
 def test_canonical_word_matches_reference_greedy():
-    c = Symbol("c", SymbolKind.INDEPENDENT, klass=2)
+    """Central letters and one noncommuting class, negative powers included."""
+    c = Symbol("c", SymbolKind.INDEPENDENT, klass=1)
     central = [
         x,
         Symbol("x"),  # a second object with the same key
@@ -385,7 +385,7 @@ def test_canonical_word_matches_reference_greedy():
         got = _canonical_word(word)
         assert len(got) == len(want)
         assert all(ga is wa and ge == we for (ga, ge), (wa, we) in zip(got, want))
-        mixed += any(l.nc_classes for l, _ in word) and any(not l.nc_classes for l, _ in word)
+        mixed += any(l.noncommuting for l, _ in word) and any(not l.noncommuting for l, _ in word)
     assert mixed > 1000
 
 
@@ -394,7 +394,7 @@ def _brute_force_canonical_word(letters):
     shortest words reached from letters by swapping adjacent commuting
     letters and merging adjacent letters with equal keys: a breadth-first
     search over every word the rewrites reach."""
-    start = tuple((l.key, e, l.nc_classes) for l, e in letters if e)
+    start = tuple((l.key, e, l.noncommuting) for l, e in letters if e)
     seen, frontier = {start}, [start]
     while frontier:
         reached = []
@@ -403,7 +403,7 @@ def _brute_force_canonical_word(letters):
                 (k1, e1, c1), (k2, e2, c2) = w[i], w[i + 1]
                 if k1 == k2:
                     v = w[:i] + (((k1, e1 + e2, c1),) if e1 + e2 else ()) + w[i + 2 :]
-                elif c1.isdisjoint(c2):
+                elif not (c1 and c2):
                     v = w[:i] + (w[i + 1], w[i]) + w[i + 2 :]
                 else:
                     continue
@@ -415,28 +415,33 @@ def _brute_force_canonical_word(letters):
     return min(tuple((k, e) for k, e, _c in w) for w in seen if len(w) == shortest)
 
 
-def test_canonical_word_is_the_brute_force_normal_form():
+def test_canonical_word_is_the_brute_force_normal_form(monkeypatch):
     """_canonical_word agrees with the exhaustive search on random words of
     up to seven letters, and is idempotent.  Keys run b < d < m < x < z:
-    z in class 1 is keyed above d in class 2, the central m between b and z
-    in class 1, and a representation marker, keyed last, spans both
-    classes."""
+    b and z are noncommuting, the central d and m lie between them, so a
+    cancelled z can leave b after a central letter (the second pass), and a
+    representation marker, keyed last, is noncommuting through b."""
     sb, sz = (Symbol(n, SymbolKind.INDEPENDENT, klass=1) for n in ("b", "z"))
-    sd = Symbol("d", SymbolKind.INDEPENDENT, klass=2)
+    sd = Symbol("d", SymbolKind.INDEPENDENT)
     alphabet = [
         sb, sz, sd,
         m, x, RepAtom(E, sb, Expr.symbol(sb) * Expr.symbol(sd)),
     ]
     rng = random.Random(1111)
-    cancelled = 0
+    cancelled = []
     for _ in range(1500):
         word = [(rng.choice(alphabet), rng.choice((1, 1, -1, -1, 2)))
                 for _ in range(rng.randint(0, 7))]
         got = _canonical_word(word)
         assert tuple((l.key, e) for l, e in got) == _brute_force_canonical_word(word), word
         assert _canonical_word(got) == got
-        cancelled += _reference_canonical_word(word) is None
-    assert cancelled > 150
+        if _reference_canonical_word(word) is None:
+            cancelled.append((word, got))
+    assert len(cancelled) > 150
+    # Without the second pass some of those words come out out of order.
+    one_pass = _canonical_word
+    monkeypatch.setattr(symexpr, "_canonical_word", lambda word: word)
+    assert sum(one_pass(word) != got for word, got in cancelled) > 10
 
 
 class _Keyed:
@@ -523,7 +528,7 @@ def _first_inversion(word):
     for i in range(len(word) - 1):
         a, _ = word[i]
         b, _ = word[i + 1]
-        if b.key < a.key and not a.nc_classes.isdisjoint(b.nc_classes):
+        if b.key < a.key and a.noncommuting and b.noncommuting:
             return i
     return None
 
@@ -539,7 +544,7 @@ def _staged_normal_order_mono(coeff, factors, comms, budget=None):
                      and a.kind == SymbolKind.COMMUTATOR)
     word = []
     for a, e in factors:
-        if a.nc_classes:
+        if a.noncommuting:
             if e < 0:
                 raise UnsupportedExpressionError("negative power of a noncommuting factor")
             word.extend([(a, 1)] * e)
@@ -706,10 +711,10 @@ def _kernel_corpus(mode, cases=40, seed=707):
 
 
 def _two_class_context(ordering):
-    """Context whose independents p, a share class 1 and d, between them in
-    key order, is in class 2, with dE/ds = s/E declared for each."""
+    """Context whose independents p, a are noncommuting and d, between them
+    in key order, is central, with dE/ds = s/E declared for each."""
     pa, pp = (Symbol(n, SymbolKind.INDEPENDENT, klass=1) for n in ("a", "p"))
-    pd = Symbol("d", SymbolKind.INDEPENDENT, klass=2)
+    pd = Symbol("d", SymbolKind.INDEPENDENT)
     ind = (pp, pa, pd)
     g = M ** 2 - EE ** 2
     for s in ind:
@@ -725,8 +730,8 @@ def _two_class_context(ordering):
 
 def _two_class_corpus(ordering, record):
     """W-words of expressions with noncommuting letters at negative powers,
-    in the two-class context: d p p^-1 a folds to d a, whose canonical form
-    is a d."""
+    in the context with central d: d p p^-1 a folds to d a, whose canonical
+    form is a d."""
     ctx = _two_class_context(ordering)
     ind = ctx.independents
     pp, pa, pd = ind
@@ -789,15 +794,15 @@ def test_product_by_one_is_the_other_factor(mode):
         assert x.key == _mul_without_unit_rule(x, one).key == _mul_without_unit_rule(one, x).key
     assert sum(not x.den_is_one() for x in exprs) > 10
     if ctx.commutators:
-        assert sum(bool(x.nc_classes()) for x in exprs) > 10
+        assert sum(x.noncommuting() for x in exprs) > 10
 
 
 def test_product_by_one_of_a_cancelled_word_is_the_word():
-    """With b < d < z in key order, z and b in class 1, d in class 2,
+    """With b < d < z in key order, z and b noncommuting and d central,
     (d z)(z^-1 b) is already the canonical word b d, so a product by one
     returns it and the full product agrees."""
     sb, sz = (Expr.symbol(Symbol(n, SymbolKind.INDEPENDENT, klass=1)) for n in ("b", "z"))
-    sd = Expr.symbol(Symbol("d", SymbolKind.INDEPENDENT, klass=2))
+    sd = Expr.symbol(Symbol("d", SymbolKind.INDEPENDENT))
     x = (sd * sz) * (sz ** -1 * sb)
     assert x.key == (sd * sb).key == _mul_without_unit_rule(x, Expr.one()).key
     assert x * Expr.one() is x and Expr.one() * x is x
@@ -815,7 +820,7 @@ def test_cancelling_inverse_in_one_class_gives_the_canonical_product():
 def test_canonical_word_of_a_concatenation_is_staged_canonical():
     """Canonicalizing u + v + w at once equals canonicalizing u + v first,
     inverse letters included: the normal form depends on the trace only."""
-    c = Symbol("c", SymbolKind.INDEPENDENT, klass=2)
+    c = Symbol("c", SymbolKind.INDEPENDENT, klass=1)
     central = [
         x, Symbol("x"), m, k,
         PartialAtom(f, (x, y), ()), PowAtom(X + Y, Fraction(1, 2)),
@@ -840,9 +845,9 @@ def test_canonical_word_of_a_concatenation_is_staged_canonical():
 
 
 def test_canonical_word_of_a_cancelling_concatenation_is_staged_canonical():
-    """With b < d < z in key order, z and b in class 1, d in class 2:
+    """With b < d < z in key order, z and b noncommuting and d central:
     d z z^-1 b folds to d b, which canonicalizes to b d."""
     sb, sz = (Symbol(n, SymbolKind.INDEPENDENT, klass=1) for n in ("b", "z"))
-    sd = Symbol("d", SymbolKind.INDEPENDENT, klass=2)
+    sd = Symbol("d", SymbolKind.INDEPENDENT)
     u, v, w = ((sd, 1), (sz, 1)), ((sz, -1),), ((sb, 1),)
     assert _canonical_word(u + v + w) == _canonical_word(_canonical_word(u + v) + w) == ((sb, 1), (sd, 1))

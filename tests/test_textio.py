@@ -399,13 +399,28 @@ def test_serialize_context_round_trip():
         (MASS_SHELL_SRC + "commutator [p1,f] = kappa\n", "f"),
         (MASS_SHELL_SRC + "commutator [p1,p2] = kappa\ncommutator [kappa,p1] = k2\n", "kappa"),
         (MASS_SHELL_SRC + "commutator [p1,p1] = kappa\n", "p1"),
+        # a pair declared twice, in either order, would silently keep the last value
+        (MASS_SHELL_SRC + "commutator [p1,p2] = kappa\ncommutator [p2,p1] = kappa\n", "p1"),
+        (MASS_SHELL_SRC + "commutator [p1,p2] = kappa\ncommutator [p1,p2] = k2\n", "p2"),
+        # a representation is d<dependent>/d<independent>, else it is never read
+        (MASS_SHELL_SRC + "representation dm/dp1 = p1\n", "m"),
+        (MASS_SHELL_SRC + "representation dE/dm = p1\n", "m"),
+        (MASS_SHELL_SRC + "representation dE/dE = 1\n", "E"),
+        (MASS_SHELL_SRC + "representation dp1/dp2 = p1\n", "p1"),
+        (MASS_SHELL_SRC + "representation df/dp1 = p1\n", "f"),
+        # a second one would silently replace the first
+        (MASS_SHELL_SRC + "representation dE/dp1 = 2*p1/E\n", "p1"),
         # a name the lexer cannot read is refused where it is declared
         (MASS_SHELL_SRC.replace("param m", "param m mé"), "é"),
     ],
     ids=["representation", "constraint", "commutator", "representation name",
          "commutator name", "constraint name", "opaque argument",
          "commutator parameter", "commutator dependent", "commutator opaque",
-         "commutator symbol", "commutator repeated", "non-ascii name"],
+         "commutator symbol", "commutator repeated", "commutator pair reversed twice",
+         "commutator pair twice", "representation of a parameter",
+         "representation over a parameter", "representation over a dependent",
+         "representation of an independent", "representation of an opaque",
+         "representation twice", "non-ascii name"],
 )
 def test_parse_context_sub_expression_error_spans(tmp_path, src, offending):
     with pytest.raises(ParseError) as exc:
@@ -449,13 +464,23 @@ def test_parse_context_sub_expression_error_spans(tmp_path, src, offending):
         ("commutator [p1,p2] = 1", ContextError),
         # E is solved by one constraint: a second one is refused
         ("constraint E^2 - m^2 = 0 solves E", ContextError),
+        # only d<dependent>/d<independent> is read, and only once
+        ("representation dm/dp1 = p1", ParseError),
+        ("representation dE/dm = p1", ParseError),
+        ("representation dE/dE = 1", ParseError),
+        ("representation dp1/dp2 = p1", ParseError),
+        ("representation dE/dp1 = p1/E", ParseError),
+        # one commutator per pair, in either order
+        ("commutator [p1,p2] = kappa\ncommutator [p2,p1] = kappa", ParseError),
+        ("commutator [p1,p2] = kappa\ncommutator [p1,p2] = kappa", ParseError),
     ],
 )
 def test_parse_context_statement_table(stmt, expect):
     base = MASS_SHELL_SRC
-    if isinstance(expect, str) and stmt.startswith("constraint"):
-        # an accepted constraint stands in for the file's own
-        base = "".join(ln for ln in base.splitlines(True) if not ln.startswith("constraint"))
+    kw = stmt.split()[0]
+    if isinstance(expect, str) and kw in ("constraint", "representation"):
+        # an accepted constraint or representation stands in for the file's own
+        base = "".join(ln for ln in base.splitlines(True) if not ln.startswith(kw))
     src = base + stmt + "\n"
     if isinstance(expect, str):
         want = parse_context(base + expect + "\n")
@@ -466,18 +491,19 @@ def test_parse_context_statement_table(stmt, expect):
 
 
 @pytest.mark.parametrize(
-    "extra, message",
+    "src, message",
     [
-        ("representation dE/dp1 = f(p1,p2,p3,E)\n",
+        (MASS_SHELL_SRC.replace("dp1 = p1/E", "dp1 = f(p1,p2,p3,E)"),
          "representation dE/dp1 mentions disallowed symbol 'f'"),
-        ("constraint E^2 - m^2 = 0 solves E\n", "dependent 'E' is solved by 2 constraints"),
-        ("opaque f(p1,E)\n", "symbol 'f' declared twice"),
+        (MASS_SHELL_SRC + "constraint E^2 - m^2 = 0 solves E\n",
+         "dependent 'E' is solved by 2 constraints"),
+        (MASS_SHELL_SRC + "opaque f(p1,E)\n", "symbol 'f' declared twice"),
     ],
     ids=["opaque in representation", "two constraints", "opaque twice"],
 )
-def test_parse_context_reports_each_error_once(extra, message):
+def test_parse_context_reports_each_error_once(src, message):
     with pytest.raises(ContextError) as exc:
-        parse_context(MASS_SHELL_SRC + extra)
+        parse_context(src)
     assert str(exc.value) == message
 
 

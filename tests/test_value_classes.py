@@ -31,15 +31,28 @@ def test_symbol_equality_and_hash():
     assert twin is not P1 and twin == P1 and hash(twin) == hash(P1)
     assert hash(P1) == hash(("p1", SymbolKind.INDEPENDENT, 1))
     assert P1 != Symbol("p1", SymbolKind.DEPENDENT, klass=1)
-    assert P1 != Symbol("p1", SymbolKind.INDEPENDENT, klass=2)
+    assert P1 != Symbol("p1", SymbolKind.INDEPENDENT, klass=0)
     assert P1 != Symbol("p2", SymbolKind.INDEPENDENT, klass=1)
     assert P1.__eq__("p1") is NotImplemented and P1 != "p1"
     assert P1.__eq__(DerivativeGenerator(P1, "plain")) is NotImplemented
     assert len({P1, twin, Symbol("p1", SymbolKind.INDEPENDENT)}) == 2
-    assert Symbol("k", SymbolKind.COMMUTATOR, klass=3) == Symbol("k", SymbolKind.COMMUTATOR)
+    assert Symbol("k", SymbolKind.COMMUTATOR, klass=1) == Symbol("k", SymbolKind.COMMUTATOR)
     assert Symbol("m") == Symbol("m", SymbolKind.PARAMETER, 0)
     with pytest.raises(ValueError, match="unknown symbol kind 'bogus'"):
         Symbol("x", "bogus")
+
+
+@pytest.mark.parametrize("klass", [2, -1, 3], ids=["2", "-1", "3"])
+def test_symbol_class_is_central_or_noncommuting(klass):
+    """Class 0 is central and class 1 noncommuting; there is no other class,
+    for a commutator symbol either."""
+    assert not Symbol("c", SymbolKind.INDEPENDENT).noncommuting
+    assert Symbol("c", SymbolKind.INDEPENDENT, klass=1).noncommuting
+    assert not Symbol("k", SymbolKind.COMMUTATOR, klass=1).noncommuting
+    for kind in (SymbolKind.INDEPENDENT, SymbolKind.COMMUTATOR):
+        with pytest.raises(ValueError, match="^symbol class must be 0 .central. or 1 "
+                                             rf".noncommuting., not {klass}$"):
+            Symbol("c", kind, klass=klass)
 
 
 def test_derivative_generator_equality_and_hash():
@@ -49,7 +62,7 @@ def test_derivative_generator_equality_and_hash():
     assert hash(g) == hash((P1, "whole"))
     assert g != DerivativeGenerator(P1, "plain")
     assert g != DerivativeGenerator(Symbol("p1", SymbolKind.DEPENDENT, klass=1), "whole")
-    assert g != DerivativeGenerator(Symbol("p1", SymbolKind.INDEPENDENT, klass=2), "whole")
+    assert g != DerivativeGenerator(Symbol("p1", SymbolKind.INDEPENDENT, klass=0), "whole")
     assert g.__eq__(P1) is NotImplemented and g != (P1, "whole")
     assert {g: 1}[twin] == 1
 
