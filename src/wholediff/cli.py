@@ -166,9 +166,13 @@ def cmd_scenario(args) -> int:
         position_commutator_table,
     )
 
+    unread = {"mass-shell": ("trajectory",), "retarded": ("dim", "ordering", "feynman")}
+    for option in unread.get(args.name, ()):
+        if getattr(args, option) not in (None, False):
+            raise _UsageError(f"scenario {args.name} has no use for --{option}")
     if args.name == "mass-shell":
         s = MassShellScenario(
-            dimension=args.dim,
+            dimension=3 if args.dim is None else args.dim,
             sign=args.sign,
             ordering_mode=args.ordering or "operator",
             feynman=args.feynman,
@@ -176,15 +180,10 @@ def cmd_scenario(args) -> int:
         ctx = build_mass_shell(s)
         ctx_path = _write_out(args.out, "mass-shell.ctx", serialize_context(ctx))
         table = position_commutator_table(ctx)
-        entries = [
-            [print_operator(table.entries[mu][nu]) for nu in range(args.dim + 1)]
-            for mu in range(args.dim + 1)
-        ]
+        entries = [[print_operator(op) for op in row] for row in table.entries]
         result = {"ctx_file": ctx_path, "position_commutators": entries}
-        lines = [f"wrote {ctx_path}", "position commutator table:"]
-        for mu in range(args.dim + 1):
-            for nu in range(args.dim + 1):
-                lines.append(f"  [{mu}][{nu}] = {entries[mu][nu]}")
+        lines = [f"wrote {ctx_path}", "position commutator table:"] + [
+            f"  [{mu}][{nu}] = {e}" for mu, row in enumerate(entries) for nu, e in enumerate(row)]
         _emit(args, "scenario", args.name, result, lines)
         return EXIT_OK
     if args.name == "retarded":
@@ -274,6 +273,10 @@ class _ArgumentParser(argparse.ArgumentParser):
         # value, as it reads -12.
         self._negative_number_matcher = re.compile("-(?!-)")
 
+    def _get_option_tuples(self, option_string):
+        # Only an exact -h is help: -h1*f(p1,E) is a value, not -h with 1*f(p1,E).
+        return [] if option_string[1] != "-" else super()._get_option_tuples(option_string)
+
     def error(self, message):
         raise _UsageError(message)
 
@@ -305,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("scenario", help="prebuilt scenario bundles")
     s.add_argument("name")
-    s.add_argument("--dim", type=int, default=3)
+    s.add_argument("--dim", type=int, default=None, help="mass-shell dimension (default 3)")
     s.add_argument(
         "--sign", type=int, choices=(1, -1), default=1,
         help="mass-shell sheet; the file is the same on both sheets, "

@@ -69,6 +69,8 @@ class QC:
         )
 
     def inverse(self) -> "QC":
+        if self is ONE:
+            return ONE
         if not self.im and self.re:
             return _real(1 / self.re)
         n = self.re * self.re + self.im * self.im

@@ -15,20 +15,20 @@ noncommuting letter.
 Expr.key, the nested-tuple form that ==, hash and power-atom keys compare,
 is built on first use and kept; most intermediate values never need it.
 
-Every sum of several terms goes through Expr.sum: the numerators of the
-terms with denominator 1 are merged in one pass, the terms with a sum
-denominator are added one by one in the order given, and that partial sum
-is added to the merged part last.  The order matters: there is no
-multivariate GCD (_cancel_content strips only common monomials), so the
-canonical form of a sum over different sum denominators depends on the
-order of the additions.
+A sum adds its terms with denominator 1 by merging their monomials in one
+pass, then adds the terms with a sum denominator one by one in source order:
+with no multivariate GCD (_cancel_content strips only common monomials), the
+canonical form of a sum over different sum denominators depends on that
+order.  Expr.sum sums a list of terms; diff_plain, expand_rep_atoms and
+normal_order stream the (coefficient, canonical word) monomials of each
+source term (a monomial; for diff_plain, a monomial and one of its atoms)
+into one merge, and build as an Expr only a source term whose product meets
+a sum denominator or leaves a power atom at an exponent other than 1.
 
-A product (Expr *, a sum over a monomial, a derivative term, a
-representation or commutator product) is made in one step: each output
-word, the concatenation of one word per factor, is canonicalized once, and
-all are merged once; a word in which a power atom ends at an exponent other
-than 1 is recomputed by Expr.__pow__ and summed after the merged part.  The
-(commuting) sum denominators multiply the same way and divide last.
+A product is made in one step: each output word, the concatenation of one
+word per factor, is canonicalized once, and all are merged once; a word in
+which a power atom ends at an exponent other than 1 is recomputed by
+Expr.__pow__ and added after.  Sum denominators multiply and divide last.
 """
 
 from __future__ import annotations
@@ -247,7 +247,7 @@ class RepAtom(Atom):
 
 
 def _mono_fkey(factors):
-    return tuple((a.key, e) for a, e in factors)
+    return tuple([(a.key, e) for a, e in factors])
 
 
 def _canonical_word(letters):
@@ -283,7 +283,7 @@ def _canonical_word(letters):
                 again = True
         else:
             out.append((k, a, e))
-    word = tuple((a, e) for _k, a, e in out)
+    word = tuple([(a, e) for _k, a, e in out])
     return _canonical_word(word) if again else word
 
 
@@ -293,7 +293,7 @@ def _poly_merge(monos) -> tuple:
         k = _mono_fkey(f)
         b = buckets.get(k)
         buckets[k] = (c, f) if b is None else (b[0] + c, b[1])
-    return tuple(buckets[k] for k in sorted(buckets) if not buckets[k][0].is_zero())
+    return tuple([buckets[k] for k in sorted(buckets) if not buckets[k][0].is_zero()])
 
 
 def _poly_key(p):
@@ -318,7 +318,7 @@ def _mono_expr(coeff: QC, letters) -> "Expr":
     kept, expansions = [], []
     for a, e in _canonical_word(letters):
         if isinstance(a, PowAtom) and e != 1:
-            expansions.append(_atom_power(a, e))
+            expansions.append(a.base ** (a.exp * e))
         else:
             kept.append((a, e))
     out = Expr._raw(((coeff, tuple(kept)),), _POLY_ONE)
@@ -340,14 +340,23 @@ def _product(factors) -> "Expr":
     return num / _mul_polys(*dens) if dens else num
 
 
+def _words(factors) -> list:
+    """(coeff, canonical word) per product of one monomial of each factor, a
+    polynomial or an Expr; an Expr with a sum denominator raises _NotPlain."""
+    monos = [(ONE, ())]
+    for p in factors:
+        if p.__class__ is Expr:
+            if p._den != _POLY_ONE:
+                raise _NotPlain
+            p = p._num
+        monos = [(c1 * c2, f1 + f2) for c1, f1 in monos for c2, f2 in p]
+    return [(c, _canonical_word(f)) for c, f in monos]
+
+
 def _mul_polys(*polys) -> "Expr":
     """Product of polynomials: one canonical word per output monomial."""
-    monos = [(ONE, ())]
-    for p in polys:
-        monos = [(c1 * c2, f1 + f2) for c1, f1 in monos for c2, f2 in p]
     merged, rest = [], []
-    for c, f in monos:
-        f = _canonical_word(f)
+    for c, f in _words(polys):
         if any(e != 1 and isinstance(a, PowAtom) for a, e in f):
             rest.append(_mono_expr(c, f))
         else:
@@ -717,23 +726,10 @@ def _cancel_content(num, den):
 
 
 def _poly_diff(p, v) -> "Expr":
-    terms = []
-    for c, f in p:
-        for i, (a, e) in enumerate(f):
-            da = a.diff(v)
-            if da.is_zero():
-                continue
-            terms.append(_product((((c, f[:i]),), ((QC(Fraction(e)), ((a, e - 1),)),), da,
-                                   ((ONE, f[i + 1 :]),))))
-    return Expr.sum(terms)
-
-
-def _atom_power(a: Atom, e: int) -> Expr:
-    if e == 0:
-        return Expr.one()
-    if isinstance(a, PowAtom):
-        return a.base ** (a.exp * e)
-    return _mono_expr(ONE, ((a, e),))
+    """One source term per atom a^e of a monomial c*f: c*e*f[:i]*a^(e-1), da, f[i+1:]."""
+    sources = ((((c if e == 1 else c * QC(e), f[:i] + ((a, e - 1),)),), da, ((ONE, f[i + 1 :]),))
+               for c, f in p for i, (a, e) in enumerate(f) if not (da := a.diff(v)).is_zero())
+    return _stream(lambda ops, *factors: ops.product(factors), sources)
 
 
 def _subst_poly(p, bindings) -> Expr:
@@ -812,6 +808,51 @@ _E_ZERO = Expr._raw((), _POLY_ONE)
 _E_ONE = Expr._raw(_POLY_ONE, _POLY_ONE)
 
 
+class _NotPlain(Exception):
+    """A product would divide by a sum or call Expr.__pow__ (see _Plain)."""
+
+
+def _stream(fn, sources) -> Expr:
+    """Sum of producer fn(ops, *source) over the sources: the monomials that fn
+    builds with _Plain merge once; a source term that raises _NotPlain is built
+    again with _Exact and added after, in source order, as Expr.sum adds it."""
+    merged, rest = [], []
+    for src in sources:
+        try:
+            merged.extend(fn(_Plain, *src))
+        except _NotPlain:
+            rest.append(fn(_Exact, *src))
+    return Expr.sum([_poly_expr(_poly_merge(merged)), *rest])
+
+
+def _map_num(e: Expr, fn, *args) -> Expr:
+    """Stream of fn(ops, c, f, *args) over the c*f of e's numerator, over e's denominator."""
+    out = _stream(fn, ((c, f, *args) for c, f in e._num))
+    return out if e.den_is_one() else out / _poly_expr(e._den)
+
+
+class _Plain:
+    """Builders on lists of monomials: product (unmerged), total, each (fn per merged monomial)."""
+
+    @staticmethod
+    def product(factors) -> list:
+        out = _words(factors)
+        for _c, f in out:
+            for a, e in f:
+                if e != 1 and a.__class__ is PowAtom:
+                    raise _NotPlain
+        return out
+
+    total = staticmethod(lambda terms: [m for t in terms for m in t])
+    each = staticmethod(lambda words, fn, *args: [
+        m for c, f in _poly_merge(words) for m in fn(_Plain, c, f, *args)])
+
+
+class _Exact:
+    """Builders of a source term's Expr, as the per-term path made it."""
+    product, total, each = staticmethod(_product), staticmethod(Expr.sum), staticmethod(_map_num)
+
+
 # ---------------------------------------------------------------------------
 # Public operations
 # ---------------------------------------------------------------------------
@@ -878,17 +919,10 @@ def normal_order(e, commutators: CommutatorTable) -> Expr:
     e = Expr._coerce(e)
     if not _poly_has_word(e._num):
         return e
-    return _map_num(e, lambda c, f: _normal_order_mono(c, f, commutators))
+    return _map_num(e, _normal_order_mono, commutators)
 
 
-def _map_num(e: Expr, fn) -> Expr:
-    """Sum of fn(coeff, factors) over the numerator monomials of e, divided
-    by the denominator of e."""
-    out = Expr.sum(fn(c, f) for c, f in e._num)
-    return out if e.den_is_one() else out / _poly_expr(e._den)
-
-
-def _normal_order_mono(coeff: QC, factors, comms: CommutatorTable) -> Expr:
+def _normal_order_mono(ops, coeff: QC, factors, comms: CommutatorTable):
     """coeff * sort(w) plus, for each pair i < j of noncommuting letters
     with key(w_i) > key(w_j), coeff * [w_i, w_j] * sort(w without them):
     the normal form to first order in the commutators.  A word holding a
@@ -921,11 +955,11 @@ def _normal_order_mono(coeff: QC, factors, comms: CommutatorTable) -> Expr:
             if comm is None:
                 raise NormalOrderError(a.name, b.name)
             rest = word[:i] + word[i + 1 : j] + word[j + 1 :]
-            branch = _product((((coeff, (*central, *((x, 1) for x in rest))),), comm))
-            terms.append(_map_num(branch, lambda c, f: _normal_order_mono(c, f, comms)))
+            branch = ops.product((((coeff, (*central, *((x, 1) for x in rest))),), comm))
+            terms.append(ops.each(branch, _normal_order_mono, comms))
     word.sort(key=lambda a: a.key)
-    terms.append(_mono_expr(coeff, (*central, *((x, 1) for x in word))))
-    return Expr.sum(terms)
+    terms.append(ops.product((((coeff, (*central, *((x, 1) for x in word))),),)))
+    return ops.total(terms)
 
 
 def expand_rep_atoms(e, mode: str = "operator") -> Expr:
@@ -938,36 +972,36 @@ def expand_rep_atoms(e, mode: str = "operator") -> Expr:
     e = Expr._coerce(e)
     if not any(isinstance(a, RepAtom) for a in e.atoms()):
         return e
-    return _map_num(e, lambda c, f: _expand_mono(c, f, mode))
+    return _map_num(e, _expand_mono, mode)
 
 
-def _expand_mono(coeff: QC, factors, mode: str) -> Expr:
-    slots = []
-    units = []
+def _expand_mono(ops, coeff: QC, factors, mode: str):
+    """coeff * factors with each marker replaced by its expansion: one product
+    of the runs of other letters and the expansions between them."""
+    runs, reps = [[]], []
     for a, e in factors:
-        if isinstance(a, RepAtom):
-            if e < 0:
-                raise UnsupportedExpressionError(
-                    "negative power of representation factor"
-                )
-            for _ in range(e):
-                slots.append(len(units))
-                units.append((a, 1))
-        else:
-            units.append((a, e))
-    if not slots:
-        return _mono_expr(coeff, factors)
+        if not isinstance(a, RepAtom):
+            runs[-1].append((a, e))
+            continue
+        if e < 0:
+            raise UnsupportedExpressionError("negative power of representation factor")
+        for _ in range(e):
+            reps.append(a)
+            runs.append([])
+    if not reps:
+        return ops.product((((coeff, factors),),))
 
-    def assemble(c, assignment):
-        return _product([((c, ()),)] + [assignment[i].expansion if i in assignment
-                                        else ((ONE, (u,)),) for i, u in enumerate(units)])
+    def assemble(c, order):
+        out = [((c, tuple(runs[0])),)]
+        for rep, run in zip(order, runs[1:]):
+            out += [rep.expansion, ((ONE, tuple(run)),)]
+        return ops.product(out)
 
-    reps = [units[i][0] for i in slots]
     if mode == "paper" and len(reps) > 1:
         perms = list(_distinct_permutations(reps))
         c = coeff / QC(len(perms))
-        return Expr.sum(assemble(c, dict(zip(slots, p))) for p in perms)
-    return assemble(coeff, dict(zip(slots, reps)))
+        return ops.total(assemble(c, p) for p in perms)
+    return assemble(coeff, reps)
 
 
 def _distinct_permutations(items):

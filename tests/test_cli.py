@@ -437,6 +437,42 @@ def test_an_option_is_not_read_as_the_value_of_another(ctx_file, capsys, value):
     assert err == "usage error: argument --expr: expected one argument\n"
 
 
+def test_h1_is_a_value_not_the_help_option(ctx_file, capsys):
+    """Only an exact -h is the help option: -h1*f(...) is the expression,
+    as its --expr=-h1*f(...) spelling is."""
+    with open(ctx_file, "a") as fh:
+        fh.write("param h1\n")
+    got = run(capsys, "derive", ctx_file, "--expr", "-h1*f(p1,p2,p3,E)", "--wrt", "p1")
+    assert got == (0, "-h1*p1*D[f,E]/E - h1*D[f,p1]\n", "")
+    assert got == run(capsys, "derive", ctx_file, "--expr=-h1*f(p1,p2,p3,E)", "--wrt", "p1")
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["retarded", "--trajectory", "tp/2", "--dim", "2"], "--dim"),
+    (["retarded", "--trajectory", "tp/2", "--dim", "3"], "--dim"),
+    (["retarded", "--trajectory", "tp/2", "--ordering", "paper"], "--ordering"),
+    (["retarded", "--trajectory", "tp/2", "--feynman"], "--feynman"),
+    (["mass-shell", "--trajectory", "tp/2"], "--trajectory"),
+], ids=["retarded-dim", "retarded-dim-3", "retarded-ordering", "retarded-feynman",
+        "mass-shell-trajectory"])
+def test_scenario_refuses_an_option_it_does_not_read(tmp_path, capsys, argv, option):
+    """Each of these options left the output byte-identical; now it is a
+    usage error that names the option, and nothing is written."""
+    code, out, err = run(capsys, "scenario", *argv, "--out", str(tmp_path / "out"))
+    assert (code, out) == (2, "")
+    assert err == f"usage error: scenario {argv[0]} has no use for {option}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_scenario_mass_shell_dimension_defaults_to_3(tmp_path, capsys):
+    written = []
+    for dim in ([], ["--dim", "3"]):
+        out_dir = tmp_path / str(len(dim))
+        assert run(capsys, "scenario", "mass-shell", *dim, "--out", str(out_dir))[0] == 0
+        written.append((out_dir / "mass-shell.ctx").read_text())
+    assert written[0] == written[1] and "independent p1 p2 p3\n" in written[0]
+
+
 @pytest.mark.parametrize("argv", [
     ["derive", "{ctx}", "--expr", "f", "--wrt", "p1"],
     ["commutator", "{ctx}", "--a", "W[p1]", "--b", "D[E]"],

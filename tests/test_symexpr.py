@@ -8,11 +8,17 @@ from test_properties import _expr_pool, _rand_expr
 from wholediff import (
     DifferentialOperator,
     MassShellScenario,
+    RetardedScenario,
     build_mass_shell,
+    build_retarded,
+    parse_context,
+    parse_expr_in_context,
     parse_operator,
     print_expr,
+    serialize_context,
     symexpr,
 )
+from wholediff.physcases import RETARDED_TP
 from wholediff.depctx import DependencyContext
 from wholediff.diffop import apply, commutator, expand_to_plain
 from wholediff.errors import (
@@ -31,11 +37,10 @@ from wholediff.symexpr import (
     RepAtom,
     Symbol,
     SymbolKind,
-    _atom_power,
     _canonical_word,
     _distinct_permutations,
-    _map_num,
     _mono_expr,
+    _product,
     equals_canonical,
     expand_rep_atoms,
     normal_order,
@@ -502,6 +507,14 @@ def test_cancelled_sum_denominator_is_structurally_x():
 # -- the staged products of the previous kernel, the reference for _product --
 
 
+def _atom_power(a, e):
+    if e == 0:
+        return Expr.one()
+    if isinstance(a, PowAtom):
+        return a.base ** (a.exp * e)
+    return _mono_expr(ONE, ((a, e),))
+
+
 def _staged_mul_polys(p, q):
     """The former _mul_poly_expr and single-monomial-denominator branch of
     Expr._from_fraction: one _mono_expr per pair of monomials."""
@@ -572,9 +585,7 @@ def _staged_normal_order_mono(coeff, factors, comms, budget=None):
         prefix = _mono_expr(ONE, w[:idx])
         suffix = _mono_expr(ONE, w[idx + 2 :])
         branch = Expr.const(c) * prefix * comm * suffix
-        terms.append(
-            _map_num(branch, lambda c2, f2: _staged_normal_order_mono(c2, f2, comms, b + 1))
-        )
+        terms.append(_per_term_map_num(branch, _staged_normal_order_mono, comms, b + 1))
     return Expr.sum(terms)
 
 
@@ -609,7 +620,95 @@ def _staged_expand_mono(coeff, factors, mode):
     return assemble(dict(zip(slots, reps)))
 
 
+# -- the per-term producers of the previous kernel, the reference for the
+# monomial stream: every source term is its own Expr, and each level sums
+# them with Expr.sum --
+
+
+def _per_term_map_num(e, fn, *args):
+    out = Expr.sum(fn(c, f, *args) for c, f in e._num)
+    return out if e.den_is_one() else out / symexpr._poly_expr(e._den)
+
+
+def _per_term_poly_diff(p, v):
+    terms = []
+    for c, f in p:
+        for i, (a, e) in enumerate(f):
+            da = a.diff(v)
+            if da.is_zero():
+                continue
+            terms.append(_product((((c, f[:i]),), ((QC(Fraction(e)), ((a, e - 1),)),), da,
+                                   ((ONE, f[i + 1 :]),))))
+    return Expr.sum(terms)
+
+
+def _per_term_normal_order_mono(coeff, factors, comms):
+    central, word = [], []
+    for a, e in factors:
+        if not a.noncommuting:
+            central.append((a, e))
+        elif e < 0:
+            raise UnsupportedExpressionError("negative power of a noncommuting factor")
+        else:
+            word.extend([a] * e)
+    terms = []
+    for j, b in enumerate(() if symexpr._commutator_powers(central) else word):
+        for i in sorted(range(j), key=lambda i: word[i].key, reverse=True):
+            a = word[i]
+            if a.key <= b.key:
+                continue
+            if not (isinstance(a, Symbol) and isinstance(b, Symbol)):
+                pair = tuple(print_expr(Expr.atom(x)) for x in (a, b))
+                exc = NormalOrderError(*pair)
+                exc.args = ("cannot normal-order a non-symbol factor in the pair (%s, %s)" % pair,)
+                raise exc
+            comm = comms.lookup(a, b)
+            if comm is None:
+                raise NormalOrderError(a.name, b.name)
+            rest = word[:i] + word[i + 1 : j] + word[j + 1 :]
+            branch = _product((((coeff, (*central, *((x, 1) for x in rest))),), comm))
+            terms.append(_per_term_map_num(branch, _per_term_normal_order_mono, comms))
+    word.sort(key=lambda a: a.key)
+    terms.append(_mono_expr(coeff, (*central, *((x, 1) for x in word))))
+    return Expr.sum(terms)
+
+
+def _per_term_expand_mono(coeff, factors, mode):
+    slots = []
+    units = []
+    for a, e in factors:
+        if isinstance(a, RepAtom):
+            if e < 0:
+                raise UnsupportedExpressionError("negative power of representation factor")
+            for _ in range(e):
+                slots.append(len(units))
+                units.append((a, 1))
+        else:
+            units.append((a, e))
+    if not slots:
+        return _mono_expr(coeff, factors)
+
+    def assemble(c, assignment):
+        return _product([((c, ()),)] + [assignment[i].expansion if i in assignment
+                                        else ((ONE, (u,)),) for i, u in enumerate(units)])
+
+    reps = [units[i][0] for i in slots]
+    if mode == "paper" and len(reps) > 1:
+        perms = list(_distinct_permutations(reps))
+        c = coeff / QC(len(perms))
+        return Expr.sum(assemble(c, dict(zip(slots, p))) for p in perms)
+    return assemble(coeff, dict(zip(slots, reps)))
+
+
+_PER_TERM_KERNEL = {
+    "_map_num": _per_term_map_num,
+    "_poly_diff": _per_term_poly_diff,
+    "_normal_order_mono": _per_term_normal_order_mono,
+    "_expand_mono": _per_term_expand_mono,
+}
+
 _STAGED_KERNEL = {
+    "_map_num": _per_term_map_num,
     "_mul_polys": _staged_mul_polys,
     "_poly_diff": _staged_poly_diff,
     "_normal_order_mono": _staged_normal_order_mono,
@@ -764,6 +863,92 @@ def test_fused_product_matches_staged_kernel(mode, monkeypatch):
     assert len(fused) == len(staged) > 150
     for got, want in zip(fused, staged):
         assert got == want
+
+
+def _stream_corpus(tower_domain):
+    """(label, key), or (label, error type, message), of: every derive-tower
+    word of order at most 4 applied to the field in the four modes;
+    sqrt(m^2+p1^2)*f and p1*E^2/(m+E) under W[p1]W[p2] in three modes;
+    W[t]W[t] of tp on the retarded cubic; words with an inverse commutator
+    symbol (ROADMAP item 10); W[p1]W[p2] f with a commutator value that has
+    a sum denominator; and words whose products meet sqrt(m) twice.  Contexts are built inside, so whichever kernel
+    is installed makes every value."""
+    out = []
+
+    def record(label, thunk):
+        try:
+            out.append((label, thunk().key))
+        except (ArithmeticError, WholediffError) as exc:
+            out.append((label, type(exc).__name__, str(exc)))
+
+    def word(text, ctx, target=None):
+        return apply(parse_operator(text, ctx), target or Expr.opaque(*ctx.opaques[0]))
+
+    ctxs = {mode: _kernel_context(mode) for mode in _KERNEL_MODES}
+    for mode, text in tower_domain(4):
+        record(f"{mode} {text}", lambda: word(text, ctxs[mode]))
+    for mode in ("commuting", "operator", "paper"):
+        for text in ("sqrt(m^2+p1^2)*f(p1,p2,p3,E)", "p1*E^2/(m+E)"):
+            record(f"{mode} W[p1]W[p2] {text}",
+                   lambda: word("W[p1]W[p2]", ctxs[mode], parse_expr_in_context(text, ctxs[mode])))
+        text = serialize_context(ctxs[mode]).replace("= kappa12\n", "= kappa12/(1+m^2)\n")
+        record(f"{mode} W[p1]W[p2] f, [p1,p2] = kappa12/(1+m^2)",
+               lambda: word("W[p1]W[p2]", parse_context(text)))
+        # Square roots that meet in a word: sqrt(m)^2 folds to m.
+        root = parse_context(serialize_context(ctxs[mode]).replace(
+            "dE/dp1 = p1/E", "dE/dp1 = p1*E/sqrt(m)").replace("= kappa12\n", "= kappa12*sqrt(m)\n"))
+        record(f"{mode} W[p1]W[p1] sqrt(m)*f, sqrt(m) in dE/dp1",
+               lambda: word("W[p1]W[p1]", root, parse_expr_in_context("sqrt(m)*f(p1,p2,p3,E)", root)))
+        record(f"{mode} W[p1]W[p2]W[p1] f, sqrt(m) in dE/dp1 and [p1,p2]",
+               lambda: word("W[p1]W[p2]W[p1]", root))
+    tp = Expr.symbol(RETARDED_TP)
+    cubic = build_retarded(RetardedScenario(trajectory=tp ** 3 / 10))
+    record("retarded W[t]W[t] tp", lambda: word("W[t]W[t]", cubic, tp))
+    ctx = ctxs["operator"]
+    item10 = parse_expr_in_context("p2*p1*p3/kappa12", ctx)
+    record("W[p3] p2*p1*p3/kappa12", lambda: word("W[p3]", ctx, item10))
+    tab = CommutatorTable()
+    tab.declare(a, b, K)
+    record("normal_order(b*a/k)", lambda: normal_order(B * A / K, tab))
+    return out
+
+
+def test_stream_adds_sum_denominator_terms_after_the_merge_in_source_order():
+    """A stream sums its source terms as Expr.sum does: the monomials with
+    denominator 1 merge once and the terms with a sum denominator follow in
+    source order, which fixes the form since there is no GCD."""
+    terms = [X, X / (1 + X), 2 * Y / (1 + M), X ** 2, -X / (1 + X)]
+    got = symexpr._stream(lambda ops, t: ops.product((t,)), [(t,) for t in terms])
+    assert got.key == Expr.sum(terms).key
+    assert got.key != Expr.sum([X, X ** 2, X / (1 + X), -X / (1 + X), 2 * Y / (1 + M)]).key
+
+
+def test_monomial_stream_matches_per_term_producers(bench_workloads, monkeypatch):
+    """Streaming the monomials of diff_plain, expand_rep_atoms and
+    normal_order into one merge gives the keys that the per-term producers
+    give, and the corpus takes the per-term fallback in each producer."""
+    reached = set()
+    stream = symexpr._stream
+
+    def recording(fn, sources):
+        def traced(ops, *src):
+            if ops is symexpr._Exact:
+                reached.add(fn.__qualname__.split(".")[0])
+            return fn(ops, *src)
+
+        return stream(traced, sources)
+
+    monkeypatch.setattr(symexpr, "_stream", recording)
+    streamed = _stream_corpus(bench_workloads.tower_domain)
+    assert reached == {"_poly_diff", "_expand_mono", "_normal_order_mono"}
+    monkeypatch.setattr(symexpr, "_stream", stream)
+    for name, fn in _PER_TERM_KERNEL.items():
+        monkeypatch.setattr(symexpr, name, fn)
+    per_term = _stream_corpus(bench_workloads.tower_domain)
+    assert len(streamed) == len(per_term) == 84 + 15 + 3
+    for got, want in zip(streamed, per_term):
+        assert got == want
+    assert sum(len(r) == 3 for r in streamed) < 10
 
 
 def _mul_without_unit_rule(a, b):
