@@ -343,6 +343,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if not getattr(args, "subcommand", None):
             raise _UsageError("a subcommand is required")
+        # Only expressions have a LaTeX form: derive and commutator --apply print one.
+        if args.format == "latex" and not (args.fn is cmd_derive or getattr(args, "apply", None)):
+            raise _UsageError(f"{args.subcommand} has no LaTeX output")
         return args.fn(args)
     except BrokenPipeError:  # stdout was closed: keep the flush at exit quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -4,17 +4,11 @@ commutators, and term-level simplification.
 An operator is a finite sum of terms, each a coefficient expression times
 an ordered product of derivative generators; generators apply
 right-to-left (the rightmost acts first) and the coefficient multiplies
-from the left.  Application semantics define correctness; composition is
-required to agree with nested application and pushes derivatives through
-coefficients via the product rule.
-
-Each call of compose, commutator or expand_to_plain takes the derivative
-of a coefficient object along a generator once: the finalized derivative
-is kept in a dict made for that call, and expand_to_plain builds the
-elementary plain operator of each whole generator once, so its
-representation coefficients are the same objects throughout.  Nothing is
-kept between calls.  op_equals expands the difference of its operands
-once, after the terms they share have cancelled."""
+from the left.  apply is the one definition of a generator (wholederiv's
+derivative steps, resolved by finalize); composition agrees with nested
+application, pushing derivatives through coefficients by the product rule,
+and takes each derivative of a coefficient object once per call.
+expand_to_plain and op_equals are read off apply to an opaque function."""
 
 from __future__ import annotations
 
@@ -22,7 +16,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from .depctx import DependencyContext
 from .errors import ContextError, ContextMismatchError
-from .symexpr import Expr, Symbol, _Frozen
+from .symexpr import Expr, Symbol, SymbolKind, _Frozen, _partial_coefficients
 from .wholederiv import derive_raw, finalize
 
 PLAIN = "plain"
@@ -163,14 +157,17 @@ def apply(A: DifferentialOperator, e) -> Expr:
     """Apply the operator to an expression; generators act right-to-left,
     and the representation markers whole_partial_raw keeps (paper mode, sum
     denominators, fractional powers) are resolved at the end of each term."""
+    return Expr.sum(_applied_terms(A, Expr._coerce(e)))
+
+
+def _applied_terms(A: DifferentialOperator, e: Expr):
+    """apply of each term of A to e, in term order."""
     ctx = A.context
-    terms = []
     for coeff, gens in A.terms:
-        cur = Expr._coerce(e)
+        cur = e
         for g in reversed(gens):
             cur = derive_raw(cur, g.variable, g.mode, ctx)
-        terms.append(finalize(coeff * cur, ctx))
-    return Expr.sum(terms)
+        yield finalize(coeff * cur, ctx)
 
 
 def compose(A: DifferentialOperator, B: DifferentialOperator) -> DifferentialOperator:
@@ -223,46 +220,26 @@ def commutator(A: DifferentialOperator, B: DifferentialOperator) -> Differential
 
 
 def expand_to_plain(A: DifferentialOperator) -> DifferentialOperator:
-    """Normal form with only plain generators: every whole generator is
-    expanded into its plain derivative plus representation chain terms,
-    coefficients are pushed to the left, and each term's plain-generator
-    product is sorted (plain partials commute)."""
+    """Normal form with only plain generators, coefficients on the left and
+    plain words sorted: the coefficient of each partial of a fresh opaque F
+    of every generator variable and dependent in apply(A, F).  So it raises
+    wherever apply raises, and in paper mode holds the symmetrized apply.
+    Each term of A is applied apart and the coefficients are summed per
+    word: over different sum denominators, one sum would swell (no GCD)."""
     ctx = A.context
-    memo, elementary = {}, {}
-    terms = []
-    for c, gens in A.terms:
-        acc = DifferentialOperator.multiplication(ctx, c)
-        for g in gens:
-            if g not in elementary:
-                elementary[g] = _elementary_plain(g, ctx)
-            acc = _compose(acc, elementary[g], memo)
-        terms.extend(acc.terms)
-    # Merge per written generator order first, then per sorted order: the
-    # order of additions fixes the form of sum-denominator coefficients.
-    merged = DifferentialOperator(ctx, terms).terms
-    return DifferentialOperator(
-        ctx, [(c, tuple(sorted(g, key=lambda d: d.variable.name))) for c, g in merged]
-    )
-
-
-def _elementary_plain(g: DerivativeGenerator, ctx) -> DifferentialOperator:
-    if g.mode == PLAIN:
-        return DifferentialOperator.plain(ctx, g.variable)
-    terms = [(Expr.one(), (DerivativeGenerator(g.variable, PLAIN),))]
-    for u in ctx.dependents:
-        rep = ctx.representation(u, g.variable)
-        if rep is not None:
-            terms.append((rep, (DerivativeGenerator(u, PLAIN),)))
-    return DifferentialOperator(ctx, terms)
+    fn = Symbol("<F>", SymbolKind.OPAQUE)  # no lexer token, so no context name
+    args = dict.fromkeys([g.variable for _c, gens in A.terms for g in gens] + list(ctx.dependents))
+    F = Expr.opaque(fn, tuple(args))
+    return DifferentialOperator(ctx, [
+        (c, tuple(DerivativeGenerator(v, PLAIN) for v, n in orders for _ in range(n)))
+        for term in _applied_terms(A, F)
+        for orders, c in _partial_coefficients(term, fn)
+    ])
 
 
 def op_equals(A: DifferentialOperator, B: DifferentialOperator) -> bool:
-    """A equals B iff the plain-generator normal form of A - B is zero.
-
-    expand_to_plain only multiplies a term's coefficient from the left and
-    never differentiates it, so expanding A - B gives the same terms as
-    expanding A and B and subtracting.  Terms that A and B share cancel in
-    A - B before anything is expanded, so only a term that survives the
-    subtraction can raise (for example on a noncommuting factor at a
-    negative power)."""
+    """A equals B iff apply(A - B, F) is zero for a generic opaque F (in
+    paper mode the symmetrized apply), that is, iff expand_to_plain(A - B)
+    is zero.  Terms A and B share cancel before anything is applied, so
+    only a term that survives can raise, wherever apply raises."""
     return expand_to_plain(A - B).is_zero()

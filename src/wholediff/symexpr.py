@@ -867,6 +867,18 @@ def equals_canonical(a, b) -> bool:
     return (Expr._coerce(a) - Expr._coerce(b)).is_zero()
 
 
+def _partial_coefficients(e: Expr, fn: Symbol) -> list:
+    """(orders, coefficient) per partial atom of fn in e, in key order; e is
+    linear in them, one at power 1 in each numerator monomial.  The atoms
+    are central, so a word without its atom stays canonical."""
+    groups = {}
+    for c, f in e._num:
+        i = next(i for i, (a, _e) in enumerate(f) if a.__class__ is PartialAtom and a.fn == fn)
+        groups.setdefault(f[i][0].key, (f[i][0], []))[1].append((c, f[:i] + f[i + 1:]))
+    return [(a.orders, Expr._from_fraction(_poly_merge(monos), e._den))
+            for a, monos in (groups[k] for k in sorted(groups))]
+
+
 class CommutatorTable:
     """Antisymmetric lookup [a, b] for declared symbol pairs."""
 

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import json
 import os
@@ -10,7 +11,7 @@ import pytest
 
 import wholediff.cli
 from wholediff import parse_context
-from wholediff.cli import main
+from wholediff.cli import build_parser, main
 
 MASS_SHELL_SRC = """\
 independent p1 p2 p3
@@ -471,6 +472,133 @@ def test_scenario_mass_shell_dimension_defaults_to_3(tmp_path, capsys):
         assert run(capsys, "scenario", "mass-shell", *dim, "--out", str(out_dir))[0] == 0
         written.append((out_dir / "mass-shell.ctx").read_text())
     assert written[0] == written[1] and "independent p1 p2 p3\n" in written[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["scenario", "mass-shell", "--out", "{out}"],
+    ["scenario", "retarded", "--trajectory", "tp/2", "--out", "{out}"],
+    ["commutator", "{ctx}", "--a", "W[p1]", "--b", "D[E]"],
+    ["verify", "{ctx}", "--lhs", "E^2", "--rhs", "p1^2+p2^2+p3^2+m^2", "--samples", "3"],
+], ids=["mass-shell", "retarded", "commutator", "verify"])
+def test_latex_is_refused_where_nothing_is_rendered_in_latex(ctx_file, tmp_path, capsys, argv):
+    """Scenario tables, unapplied commutators and verify reports have no
+    LaTeX form: --format latex is a usage error there, and nothing is
+    written, where it used to print the text form."""
+    argv = [a.format(ctx=ctx_file, out=tmp_path / "out") for a in argv]
+    code, out, err = run(capsys, *argv, "--format", "latex")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error:") and "LaTeX" in err
+    assert not (tmp_path / "out").exists()
+
+
+_NC_SRC = MASS_SHELL_SRC + """\
+commutator [p1, p2] = kappa12
+commutator [p1, p3] = kappa13
+commutator [p2, p3] = kappa23
+"""
+_OFF = "E + 1/1000000"  # E, off by more than the default tolerances
+_DERIVE = ["derive", "ms.ctx", "--expr", "E*p1", "--wrt", "p1"]
+_COMMUTATOR = ["commutator", "nc.ctx", "--a", "W[p1]", "--b", "W[p2]", "--apply", "f"]
+_SCENARIO = ["scenario", "mass-shell", "--out", "out"]
+_VERIFY = ["verify", "ms.ctx", "--lhs", "E", "--rhs", _OFF, "--samples", "4"]
+
+# (subcommand, option) -> (baseline argv, argv with the option changed); the
+# two must differ in exit code, stdout or the files written.
+_OPTION_ROWS = {
+    ("derive", "--expr"): (_DERIVE, _DERIVE[:3] + ["E"] + _DERIVE[4:]),
+    ("derive", "--wrt"): (_DERIVE, _DERIVE[:5] + ["p2"]),
+    ("derive", "--plain"): (_DERIVE, _DERIVE + ["--plain"]),
+    ("derive", "--format"): (_DERIVE, _DERIVE + ["--format", "json"]),
+    ("commutator", "--a"): (_COMMUTATOR, _COMMUTATOR[:3] + ["W[p3]"] + _COMMUTATOR[4:]),
+    ("commutator", "--b"): (_COMMUTATOR, _COMMUTATOR[:5] + ["D[E]"] + _COMMUTATOR[6:]),
+    ("commutator", "--apply"): (_COMMUTATOR, _COMMUTATOR[:6]),
+    ("commutator", "--ordering"): (_COMMUTATOR, _COMMUTATOR + ["--ordering", "paper"]),
+    ("commutator", "--feynman"): (_COMMUTATOR, _COMMUTATOR + ["--feynman"]),
+    ("commutator", "--format"): (_COMMUTATOR, _COMMUTATOR + ["--format", "json"]),
+    ("scenario", "--dim"): (_SCENARIO, _SCENARIO + ["--dim", "2"]),
+    ("scenario", "--sign"): (_SCENARIO, _SCENARIO + ["--sign", "-1"]),
+    ("scenario", "--ordering"): (_SCENARIO, _SCENARIO + ["--ordering", "paper"]),
+    ("scenario", "--feynman"): (_SCENARIO, _SCENARIO + ["--feynman"]),
+    ("scenario", "--trajectory"): (
+        ["scenario", "retarded", "--trajectory", "tp/2"],
+        ["scenario", "retarded", "--trajectory", "tp^3/10"]),
+    ("scenario", "--out"): (_SCENARIO, _SCENARIO[:3] + ["elsewhere"]),
+    ("scenario", "--format"): (_SCENARIO, _SCENARIO + ["--format", "json"]),
+    ("verify", "--lhs"): (_VERIFY, _VERIFY[:3] + [_OFF] + _VERIFY[4:]),
+    ("verify", "--rhs"): (_VERIFY, _VERIFY[:5] + ["E"] + _VERIFY[6:]),
+    ("verify", "--samples"): (_VERIFY, _VERIFY[:7] + ["5"]),
+    ("verify", "--tol"): (_VERIFY, _VERIFY + ["--tol", "1"]),
+    ("verify", "--tol-abs"): (_VERIFY, _VERIFY + ["--tol-abs", "1"]),
+    ("verify", "--sampler"): (_VERIFY, _VERIFY + ["--sampler", "box"]),
+    ("verify", "--sign"): (
+        ["verify", "ms.ctx", "--lhs", "E", "--rhs", "sqrt(p1^2+p2^2+p3^2+m^2)"],
+        ["verify", "ms.ctx", "--lhs", "E", "--rhs", "sqrt(p1^2+p2^2+p3^2+m^2)", "--sign", "-1"]),
+    ("verify", "--closure"): (
+        ["verify", "ms.ctx", "--lhs", "f", "--rhs", "0", "--samples", "2"],
+        ["verify", "ms.ctx", "--lhs", "f", "--rhs", "0", "--samples", "2",
+         "--closure", "exponential"]),
+    ("verify", "--seed"): (_VERIFY, _VERIFY + ["--seed", "1"]),
+    ("verify", "--format"): (_VERIFY, _VERIFY + ["--format", "json"]),
+}
+_SILENT_OPTIONS = {
+    ("scenario", "--sign"): "scenario --sign writes the same file on both sheets; deleting "
+    "or refusing it changes the cli golden digests, so it lands with a benchmark change "
+    "(ROADMAP item 16)",
+}
+
+
+def _parser_options():
+    """(subcommand, first option string) of every option but --help."""
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        (name, action.option_strings[0])
+        for name, sp in sub.choices.items()
+        for action in sp._actions
+        if action.option_strings and not isinstance(action, argparse._HelpAction)
+    }
+
+
+def test_every_option_has_a_coverage_row():
+    """A new option needs a row below, so it cannot be accepted and ignored
+    unnoticed; a row for an option that is gone fails too."""
+    assert set(_OPTION_ROWS) == _parser_options()
+
+
+def _cli_outcome(argv, workdir, capsys):
+    """(exit code, stdout, {path: text} of the files written) of argv run in
+    a fresh directory that holds ms.ctx and nc.ctx."""
+    workdir.mkdir()
+    (workdir / "ms.ctx").write_text(MASS_SHELL_SRC)
+    (workdir / "nc.ctx").write_text(_NC_SRC)
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        code = main(list(argv))
+    finally:
+        os.chdir(cwd)
+    written = {
+        str(path.relative_to(workdir)): path.read_text()
+        for path in sorted(workdir.rglob("*"))
+        if path.is_file() and path.name not in ("ms.ctx", "nc.ctx")
+    }
+    return code, capsys.readouterr().out, written
+
+
+@pytest.mark.parametrize("row", [
+    pytest.param(row, marks=pytest.mark.xfail(strict=True, reason=_SILENT_OPTIONS[row]))
+    if row in _SILENT_OPTIONS else row
+    for row in _OPTION_ROWS
+], ids=" ".join)
+def test_each_option_changes_the_outcome(row, tmp_path, capsys):
+    """Changing one option changes the exit code, stdout or a written file
+    (metamorphic check, ROADMAP item 16)."""
+    baseline, changed = _OPTION_ROWS[row]
+    assert row[1] in baseline + changed
+    base = _cli_outcome(baseline, tmp_path / "baseline", capsys)
+    other = _cli_outcome(changed, tmp_path / "changed", capsys)
+    assert base[0] in (0, 1) and other[0] in (0, 1), (base, other)
+    assert other != base
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,5 +1,6 @@
 import itertools
 import re
+from types import SimpleNamespace
 
 import pytest
 
@@ -10,12 +11,12 @@ from test_symexpr import (
     _mul_without_unit_rule,
     _two_class_context,
 )
-from wholediff import diffop
+import wholediff
+from wholediff import diffop, symexpr
 from wholediff.depctx import DependencyContext
 from wholediff.diffop import (
     DerivativeGenerator,
     DifferentialOperator,
-    _elementary_plain,
     apply,
     commutator,
     compose,
@@ -28,7 +29,14 @@ from wholediff.errors import (
     UnsupportedExpressionError,
     WholediffError,
 )
-from wholediff.symexpr import Expr, RepAtom, Symbol, SymbolKind, equals_canonical
+from wholediff.symexpr import (
+    Expr,
+    RepAtom,
+    Symbol,
+    SymbolKind,
+    equals_canonical,
+    expand_rep_atoms,
+)
 from wholediff.textio import parse_context, parse_operator, print_operator
 from wholediff.wholederiv import derive_raw, finalize
 
@@ -183,7 +191,10 @@ def test_scale_and_neg(ms_commuting):
 
 
 # The operator algebra without the per-call derivative memo: the reference
-# that compose, commutator, expand_to_plain and op_equals must match.
+# that compose and commutator must match.  The two-expansion reference of
+# expand_to_plain multiplies each whole generator out as D[v] + sum over u of
+# rep_{u,v} D[u], in written order and with no normal ordering, so it holds
+# only where nothing is noncommuting.
 
 
 def _reference_push(gens, coeff, ctx):
@@ -214,6 +225,17 @@ def _reference_commutator(A, B):
     return _reference_compose(A, B) - _reference_compose(B, A)
 
 
+def _elementary_plain(g, ctx):
+    if g.mode == "plain":
+        return DifferentialOperator.plain(ctx, g.variable)
+    terms = [(Expr.one(), (DerivativeGenerator(g.variable, "plain"),))]
+    for u in ctx.dependents:
+        rep = ctx.representation(u, g.variable)
+        if rep is not None:
+            terms.append((rep, (DerivativeGenerator(u, "plain"),)))
+    return DifferentialOperator(ctx, terms)
+
+
 def _reference_expand_to_plain(A):
     ctx = A.context
     terms = []
@@ -233,6 +255,60 @@ def _reference_op_equals(A, B):
     return all(equals_canonical(c, Expr.zero()) for c, _ in diff.terms)
 
 
+def _commuting(ctx):
+    return not any(s.noncommuting for s in ctx.independents)
+
+
+_GENERIC = Symbol("generic", SymbolKind.OPAQUE)
+
+
+def _generic_field(ctx):
+    """An opaque of every independent, dependent and parameter: apply of an
+    operator to it holds each of the operator's plain partials apart."""
+    return Expr.opaque(_GENERIC, ctx.independents + ctx.dependents + ctx.parameters)
+
+
+def _outcome(thunk):
+    """The value, or (error type, message) of what it raised."""
+    try:
+        return thunk()
+    except (ArithmeticError, WholediffError) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def _apply_oracle(A, B):
+    """Item 3's oracle of op_equals: whether apply(A - B, F) is zero for a
+    generic opaque F, or what apply raised."""
+    return _outcome(lambda: apply(A - B, _generic_field(A.context)).is_zero())
+
+
+def _plain_form_of_apply(A):
+    """{plain word: coefficient} of apply(A, F) for a generic opaque F, read
+    off the partials of F: the form that apply(expand_to_plain(A), F) must
+    give, compared word by word, since adding coefficients over different
+    sum denominators swells with no GCD."""
+    return {
+        tuple(f"D[{v.name}]" for v, n in orders for _ in range(n)): c
+        for orders, c in symexpr._partial_coefficients(
+            apply(A, _generic_field(A.context)), _GENERIC)
+    }
+
+
+def _coefficients(op):
+    """{plain word: coefficient} of an operator."""
+    return {_word(g): c for c, g in op.terms}
+
+
+def _assert_same_coefficients(got, want, label):
+    assert sorted(got) == sorted(want), label
+    for word, c in got.items():
+        assert equals_canonical(c, want[word]), label
+
+
+def _word(gens):
+    return tuple(g.label() for g in gens)
+
+
 _GENERATOR = re.compile(r"([WD])\[(\w+)\]")
 
 
@@ -248,12 +324,13 @@ def _operator(ctx, names, *terms):
 
 
 def _operator_corpus(mode, compose, commutator, expand_to_plain, op_equals):
-    """(label, key, printed text) of compose, commutator and expand_to_plain
-    results and op_equals verdicts, or (label, error type, message), in one
-    ordering mode: the mass shell, the mass shell with representations from
-    its constraint only, and the two-class context.  Coefficients include a
-    sum denominator, a noncommuting letter at a negative power and a
-    representation marker whose expansion is not the context's."""
+    """(label, operands, outcome) of compose, commutator and expand_to_plain
+    results and op_equals verdicts in one ordering mode, the outcome being
+    the value or (error type, message): the mass shell, the mass shell with
+    representations from its constraint only, and the two-class context.
+    Coefficients include a sum denominator, a noncommuting letter at a
+    negative power and a representation marker whose expansion is not the
+    context's."""
     constraint_only = _kernel_context(mode)
     constraint_only.representations.clear()
     contexts = {
@@ -263,18 +340,10 @@ def _operator_corpus(mode, compose, commutator, expand_to_plain, op_equals):
     }
     out = []
 
-    def record(label, thunk):
-        try:
-            value = thunk()
-        except (ArithmeticError, WholediffError) as exc:
-            out.append((label, type(exc).__name__, str(exc)))
-            return None
-        if isinstance(value, bool):
-            out.append((label, value))
-        else:
-            key = tuple((c.key, tuple(g.label() for g in gens)) for c, gens in value.terms)
-            out.append((label, key, print_operator(value)))
-        return value
+    def record(label, thunk, *operands):
+        value = _outcome(thunk)
+        out.append((label, operands, value))
+        return None if isinstance(value, tuple) else value
 
     for name, (ctx, independents) in contexts.items():
         names = dict(zip("uvw", independents))
@@ -294,32 +363,74 @@ def _operator_corpus(mode, compose, commutator, expand_to_plain, op_equals):
         }
         labels = list(ops)
         for a in labels:
-            record(f"{name}: plain {a}", lambda: expand_to_plain(ops[a]))
+            record(f"{name}: plain {a}", lambda: expand_to_plain(ops[a]), ops[a])
             for b in labels:
                 record(f"{name}: {a} o {b}", lambda: compose(ops[a], ops[b]))
         for i, a in enumerate(labels):
             for b in labels[i:]:
-                record(f"{name}: {a} = {b}", lambda: op_equals(ops[a], ops[b]))
+                record(f"{name}: {a} = {b}", lambda: op_equals(ops[a], ops[b]), ops[a], ops[b])
                 C = record(f"{name}: [{a}, {b}]", lambda: commutator(ops[a], ops[b]))
                 if C is not None and a != b:
-                    record(f"{name}: plain [{a}, {b}]", lambda: expand_to_plain(C))
+                    record(f"{name}: plain [{a}, {b}]", lambda: expand_to_plain(C), C)
     return out
+
+
+def _form(value):
+    """Key and printed text of an operator; a verdict or an error as is."""
+    if isinstance(value, DifferentialOperator):
+        return tuple((c.key, _word(g)) for c, g in value.terms), print_operator(value)
+    return value
+
+
+_NEGATIVE_POWER = ("UnsupportedExpressionError", "negative power of a noncommuting factor")
 
 
 @pytest.mark.parametrize("mode", sorted(_KERNEL_MODES))
 def test_memoized_operator_algebra_matches_reference(mode, monkeypatch):
-    """The per-call derivative memo and the product-by-one rule give the
-    same keys, printed text and verdicts as the un-memoized recursion with
-    full products, in every ordering mode."""
+    """compose and commutator with the per-call derivative memo and the
+    product-by-one rule give the keys and printed text of the un-memoized
+    recursion with full products, in every ordering mode.  expand_to_plain
+    is read off apply: applied to a generic opaque F, its form gives what
+    the operator gives, and where nothing is noncommuting its coefficients
+    equal the two-expansion reference's.  An op_equals verdict is whether
+    apply(A - B, F) is zero, or the error apply raises; where nothing is
+    noncommuting it is also the reference verdict."""
     memoized = _operator_corpus(mode, compose, commutator, expand_to_plain, op_equals)
-    monkeypatch.setattr(Expr, "__mul__", _mul_without_unit_rule)
-    reference = _operator_corpus(
-        mode, _reference_compose, _reference_commutator,
-        _reference_expand_to_plain, _reference_op_equals,
-    )
+    with monkeypatch.context() as m:
+        m.setattr(Expr, "__mul__", _mul_without_unit_rule)
+        reference = _operator_corpus(
+            mode, _reference_compose, _reference_commutator,
+            lambda A: _reference_expand_to_plain(A) if _commuting(A.context) else None,
+            _reference_op_equals,
+        )
     assert len(memoized) == len(reference) > 150
-    for got, want in zip(memoized, reference):
-        assert got == want
+    newly_raising = []
+    for (label, operands, got), (_label, _operands, want) in zip(memoized, reference):
+        commuting = _commuting(operands[0].context) if operands else None
+        if label.split(": ", 1)[1].startswith("plain "):
+            applied = _outcome(lambda: _plain_form_of_apply(operands[0]))
+            if isinstance(got, tuple):
+                assert got == applied, label
+                continue
+            _assert_same_coefficients(_coefficients(got), applied, label)
+            if commuting:
+                _assert_same_coefficients(_coefficients(got), {
+                    word: expand_rep_atoms(c, operands[0].context.ordering_mode)
+                    for word, c in _coefficients(want).items()
+                }, label)
+        elif " = " in label:
+            assert got == _apply_oracle(*operands), label
+            if commuting:
+                assert got == want, label
+            elif got == _NEGATIVE_POWER and want is False:
+                newly_raising.append(label)
+        else:
+            assert _form(got) == _form(want), label
+    # The noncommuting modes refuse, as apply does, eight verdicts that the
+    # two-expansion reference answered False: each takes w/u W[v] with u
+    # noncommuting.
+    assert len(newly_raising) == (0 if mode == "commuting" else 8), newly_raising
+    assert all("w/u W[v]" in label for label in newly_raising)
 
 
 def test_compose_takes_each_derivative_once(ms_paper, monkeypatch):
@@ -345,23 +456,22 @@ def test_compose_takes_each_derivative_once(ms_paper, monkeypatch):
 
 def test_op_equals_composes_nothing_when_the_difference_cancels(ms_commuting, monkeypatch):
     """[A, B] and -[B, A] cancel term by term in their difference, so
-    op_equals expands nothing; an unequal pair expands its difference."""
+    op_equals takes no derivative and finalizes nothing; an unequal pair
+    applies its difference."""
     ctx = ms_commuting
     A = parse_operator("W[p1] + (p1)*D[E]", ctx)
     B = parse_operator("(E)*W[p2]*W[p1] + (m/E)*D[p3]", ctx)
     AB, BA = commutator(A, B), commutator(B, A)
     calls = []
-    compose_impl = diffop._compose
-
-    def counted(*args):
-        calls.append(args)
-        return compose_impl(*args)
-
-    monkeypatch.setattr(diffop, "_compose", counted)
+    for name in ("derive_raw", "finalize"):
+        impl = getattr(diffop, name)
+        monkeypatch.setattr(
+            diffop, name, lambda *args, _name=name, _impl=impl: calls.append(_name) or _impl(*args)
+        )
     assert op_equals(AB, -BA)
     assert calls == []
     assert not op_equals(AB, BA)
-    assert calls
+    assert "derive_raw" in calls and "finalize" in calls
 
 
 def test_op_equals_raises_only_for_terms_that_survive(bench_workloads):
@@ -382,6 +492,43 @@ def test_op_equals_raises_only_for_terms_that_survive(bench_workloads):
     assert not op_equals(X + D2, X + D3)
     with pytest.raises(UnsupportedExpressionError, match=message):
         op_equals(X, D2)
+
+
+def _closed_pp_operator(w, ctx, mode, i, j):
+    """bench/workloads.py's closed form of [W[p_i], W[p_j]] f as the
+    operator whose plain partials of f it lists."""
+    fn = ctx.opaques[0][0]
+    closed = w.closed_pp(SimpleNamespace(wd=wholediff), ctx, mode, i, j)
+    return DifferentialOperator(ctx, [
+        (c, tuple(DerivativeGenerator(v, "plain") for v, n in orders for _ in range(n)))
+        for orders, c in symexpr._partial_coefficients(closed, fn)
+    ])
+
+
+@pytest.mark.parametrize("mode", ["operator", "paper", "paper+feynman"])
+def test_op_equals_agrees_with_apply_on_noncommuting_momenta(bench_workloads, mode):
+    """op_equals means what apply means, in every noncommuting mode:
+    p2*p1 is p1*p2 - [p1, p2] in front of D[E], and [W[p_i], W[p_j]] is the
+    pinned closed form of its mode (kappa_ij/E^3 D[E], with
+    -kappa_ij/E^2 D[E]D[E] in operator mode), not the other mode's."""
+    w = bench_workloads
+    ctx = w.mass_shell(SimpleNamespace(wd=wholediff), mode)
+    kappa12 = "(i*B3)" if mode == "paper+feynman" else "kappa12"
+    assert op_equals(parse_operator("(p2*p1)*D[E]", ctx),
+                     parse_operator(f"(p1*p2 - {kappa12})*D[E]", ctx))
+    assert not op_equals(parse_operator("(p2*p1)*D[E]", ctx),
+                         parse_operator("(p1*p2)*D[E]", ctx))
+    W = {k: DifferentialOperator.whole(ctx, ctx.find_symbol(f"p{k}")) for k in (1, 2, 3)}
+    E = ctx.find_symbol("E")
+    DEE = _operator(ctx, {}, (Expr.one(), "D[E]D[E]"))
+    for i, j in itertools.permutations((1, 2, 3), 2):
+        K = _closed_pp_operator(w, ctx, mode, i, j)
+        assert op_equals(commutator(W[i], W[j]), K), (i, j)
+        # The D[E]D[E] term, -E times the D[E] coefficient, is there in
+        # operator mode only.
+        second = DEE.scale(-K.terms[0][0] * Expr.symbol(E))
+        other = K - second if mode == "operator" else K + second
+        assert not op_equals(commutator(W[i], W[j]), other), (i, j)
 
 
 # The at-end path that apply must match: every chain term carries its
