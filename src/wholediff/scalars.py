@@ -1,82 +1,92 @@
-"""Exact Gaussian-rational scalars: a + b*i with rational a, b."""
+"""Exact Gaussian-rational scalars: a + b*i with rational a, b.
+
+A QC holds three machine integers, (a + b*i)/d with d > 0 and
+gcd(a, b, d) = 1, a unique normal form: == compares the integers, and +, -,
+*, negation and inverse are integer arithmetic with at most one math.gcd,
+taken only when the result's denominator is not 1.  Nearly every
+coefficient is an integer, and the arithmetic builds no Fraction; re and im
+are Fractions made on demand, for the printers.
+"""
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    raise TypeError(f"cannot build an exact rational from {x!r}")
+from math import gcd, isqrt, lcm
 
 
 class QC:
     """Complex number with exact rational real and imaginary parts."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", _frac(re))
-        object.__setattr__(self, "im", _frac(im))
+        if type(re) is int and type(im) is int:
+            a, b, d = re, im, 1
+        else:
+            re, im = _rational(re), _rational(im)
+            # Both parts are in lowest terms, so gcd(a, b, d) is 1.
+            d = lcm(re.denominator, im.denominator)
+            a, b = re.numerator * (d // re.denominator), im.numerator * (d // im.denominator)
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_d(self, d)
 
     def __setattr__(self, name, value):
         raise AttributeError("QC is immutable")
 
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
+
     # -- predicates ------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.re and not self.im
+        return not self._a and not self._b
 
     def is_one(self) -> bool:
-        return not self.im and self.re == 1
+        return self._a == 1 and self._d == 1 and not self._b
 
     def is_real(self) -> bool:
-        return not self.im
+        return not self._b
 
     # -- arithmetic ------------------------------------------------------
-    # Almost every coefficient is real, so +, -, * and inverse take one
-    # Fraction operation when both operands are; the general formulas give
-    # the same values.
 
     def __add__(self, other: "QC") -> "QC":
-        if not self.im and not other.im:
-            return _real(self.re + other.re)
-        return QC(self.re + other.re, self.im + other.im)
+        d, od = self._d, other._d
+        if d == od:
+            return _reduced(self._a + other._a, self._b + other._b, d)
+        return _reduced(self._a * od + other._a * d, self._b * od + other._b * d, d * od)
 
     def __sub__(self, other: "QC") -> "QC":
-        if not self.im and not other.im:
-            return _real(self.re - other.re)
-        return QC(self.re - other.re, self.im - other.im)
+        d, od = self._d, other._d
+        if d == od:
+            return _reduced(self._a - other._a, self._b - other._b, d)
+        return _reduced(self._a * od - other._a * d, self._b * od - other._b * d, d * od)
 
     def __neg__(self) -> "QC":
-        if not self.im:
-            return _real(-self.re)
-        return QC(-self.re, -self.im)
+        return _qc(-self._a, -self._b, self._d)
 
     def __mul__(self, other: "QC") -> "QC":
         if self is ONE or other is ONE:
             return other if self is ONE else self
-        if not self.im and not other.im:
-            return _real(self.re * other.re)
-        return QC(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a, b, oa, ob = self._a, self._b, other._a, other._b
+        return _reduced(a * oa - b * ob, a * ob + b * oa, self._d * other._d)
 
     def inverse(self) -> "QC":
         if self is ONE:
             return ONE
-        if not self.im and self.re:
-            return _real(1 / self.re)
-        n = self.re * self.re + self.im * self.im
+        a, b, d = self._a, self._b, self._d
+        if not b and a:
+            # gcd(a, d) = 1, so d/a is in lowest terms once its sign is moved.
+            return _qc(d, 0, a) if a > 0 else _qc(-d, 0, -a)
+        n = a * a + b * b
         if n == 0:
             raise ZeroDivisionError("division by zero scalar")
-        return QC(self.re / n, -self.im / n)
+        return _reduced(a * d, -b * d, n)
 
     def __truediv__(self, other: "QC") -> "QC":
         return self * other.inverse()
@@ -86,7 +96,7 @@ class QC:
             raise TypeError("QC exponent must be an integer")
         if n < 0:
             return self.inverse() ** (-n)
-        out = QC(1)
+        out = ONE
         base = self
         while n:
             if n & 1:
@@ -97,30 +107,32 @@ class QC:
 
     def sqrt_exact(self):
         """Exact square root for nonnegative rational perfect squares, else None."""
-        if self.im != 0 or self.re < 0:
+        if self._b or self._a < 0:
             return None
-        num, den = self.re.numerator, self.re.denominator
-        rn, rd = _isqrt_exact(num), _isqrt_exact(den)
+        rn, rd = _isqrt_exact(self._a), _isqrt_exact(self._d)
         if rn is None or rd is None:
             return None
-        return QC(Fraction(rn, rd))
+        return _qc(rn, 0, rd)
 
     # -- conversions -----------------------------------------------------
 
     def to_complex(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        # Integer true division is correctly rounded, as float(Fraction) is.
+        return complex(self._a / self._d, self._b / self._d)
 
     @property
     def key(self):
-        return (
-            self.re.numerator,
-            self.re.denominator,
-            self.im.numerator,
-            self.im.denominator,
-        )
+        """(re numerator, re denominator, im numerator, im denominator), each
+        part in lowest terms."""
+        a, b, d = self._a, self._b, self._d
+        if d == 1:
+            return (a, 1, b, 1)
+        g, h = gcd(a, d), gcd(b, d)
+        return (a // g, d // g, b // h, d // h)
 
     def __eq__(self, other):
-        return isinstance(other, QC) and self.re == other.re and self.im == other.im
+        return (isinstance(other, QC) and self._a == other._a and self._b == other._b
+                and self._d == other._d)
 
     def __hash__(self):
         return hash(self.key)
@@ -129,22 +141,35 @@ class QC:
         return f"QC({self.re!r}, {self.im!r})"
 
 
-_F0 = Fraction(0)
-_set_re = QC.re.__set__
-_set_im = QC.im.__set__
+_new = object.__new__
+_set_a, _set_b, _set_d = QC._a.__set__, QC._b.__set__, QC._d.__set__
 
 
-def _real(re: Fraction) -> QC:
-    """QC(re) for a Fraction re, without the coercion in QC.__init__."""
-    q = object.__new__(QC)
-    _set_re(q, re)
-    _set_im(q, _F0)
+def _qc(a: int, b: int, d: int) -> QC:
+    """The QC (a + b*i)/d of integers already in normal form."""
+    q = _new(QC)
+    _set_a(q, a)
+    _set_b(q, b)
+    _set_d(q, d)
     return q
 
 
-def _isqrt_exact(n: int):
-    from math import isqrt
+def _reduced(a: int, b: int, d: int) -> QC:
+    """The QC (a + b*i)/d for d > 0, put in normal form."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            return _qc(a // g, b // g, d // g)
+    return _qc(a, b, d)
 
+
+def _rational(x) -> Fraction:
+    if isinstance(x, (int, Fraction, str)):
+        return Fraction(x)
+    raise TypeError(f"cannot build an exact rational from {x!r}")
+
+
+def _isqrt_exact(n: int):
     r = isqrt(n)
     return r if r * r == n else None
 

@@ -12,6 +12,10 @@ the order-zero case of its plain-partial atom; a non-integer rational
 power lives in a power atom, which is noncommuting when its base holds a
 noncommuting letter.
 
+Atoms are interned in one weak table, so equal atoms are one object and a
+word hashes and compares by the identity of its atoms: _poly_merge buckets
+monomials by their words, and builds a word's nested key tuple only to sort
+the distinct words; _canonical_word folds neighbours that are one atom.
 Expr.key, the nested-tuple form that ==, hash and power-atom keys compare,
 is built on first use and kept; most intermediate values never need it.
 
@@ -33,6 +37,7 @@ Expr.__pow__ and added after.  Sum denominators multiply and divide last.
 
 from __future__ import annotations
 
+import weakref
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
@@ -55,10 +60,20 @@ _RANK_POW = 4
 _RANK_REP = 5
 
 
+# The atom table (hash-consing, Filliâtre & Conchon, ML Workshop 2006): each
+# atom class builds its atoms in __new__ through it, and an atom no one refers
+# to drops out.  A table key is the atom's class and the symbols, polynomials
+# and numbers it is made of, compared by identity where they are atoms; so
+# atoms whose keys coincide, holding only symbol names, stay apart.  A symbol's
+# table key is its key.
+_ATOMS = weakref.WeakValueDictionary()
+_new = object.__new__
+
+
 class Atom:
     """Base class for monomial factors."""
 
-    __slots__ = ("key",)
+    __slots__ = ("key", "__weakref__")
 
     noncommuting = False
 
@@ -101,13 +116,14 @@ class Symbol(Atom, _Frozen):
     Class 0 commutes with everything; class 1 holds the noncommuting
     symbols, which may carry declared commutators.  Commutator-kind symbols
     are central and are forced into class 0.  A symbol is its own monomial
-    factor: its key and noncommuting flag are set once, here, and take no
-    part in ==.
+    factor.  Symbols are interned: Symbol(name, kind, klass) is the one
+    symbol of that name, kind and class while any is alive, so symbols
+    compare and hash by identity.
     """
 
     __slots__ = ("name", "kind", "klass", "noncommuting")
 
-    def __init__(self, name: str, kind: str = SymbolKind.PARAMETER, klass: int = 0):
+    def __new__(cls, name: str, kind: str = SymbolKind.PARAMETER, klass: int = 0):
         if kind not in SymbolKind.ALL:
             raise ValueError(f"unknown symbol kind {kind!r}")
         if klass not in (0, 1):
@@ -115,24 +131,19 @@ class Symbol(Atom, _Frozen):
                              f"not {klass!r}")
         if kind == SymbolKind.COMMUTATOR:
             klass = 0
-        self._init(name, kind, klass, klass == 1)
-        object.__setattr__(self, "key", (_RANK_SYMBOL, name, kind, klass))
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not Symbol:
-            return NotImplemented
-        return self.name == other.name and self.kind == other.kind and self.klass == other.klass
-
-    def __hash__(self):
-        return hash((self.name, self.kind, self.klass))
+        key = (_RANK_SYMBOL, name, kind, klass)
+        self = _ATOMS.get(key)
+        if self is None:
+            self = _ATOMS[key] = _new(cls)
+            self._init(name, kind, klass, klass == 1)
+            object.__setattr__(self, "key", key)
+        return self
 
     def mentions(self, sym):
-        return self == sym
+        return self is sym
 
     def diff(self, v):
-        return Expr.one() if self == v else Expr.zero()
+        return Expr.one() if self is v else Expr.zero()
 
     def __repr__(self):
         return f"Symbol({self.name!r}, {self.kind!r}, klass={self.klass})"
@@ -146,30 +157,36 @@ class PartialAtom(Atom):
 
     __slots__ = ("fn", "args", "orders")
 
-    def __init__(self, fn: Symbol, args: Tuple[Symbol, ...], orders):
+    def __new__(cls, fn: Symbol, args: Tuple[Symbol, ...], orders):
         merged = {}
         for s, n in orders:
             if n:
                 merged[s] = merged.get(s, 0) + n
         canon = tuple(sorted(merged.items(), key=lambda kv: kv[0].name))
-        self.fn = fn
-        self.args = tuple(args)
-        self.orders = canon
-        argnames = tuple(a.name for a in self.args)
-        if canon:
-            self.key = (_RANK_PARTIAL, fn.name, argnames, tuple((s.name, n) for s, n in canon))
-        else:
-            self.key = (_RANK_OPAQUE, fn.name, argnames)
+        args = tuple(args)
+        tkey = (cls, fn, args, canon)
+        self = _ATOMS.get(tkey)
+        if self is None:
+            self = _ATOMS[tkey] = _new(cls)
+            self.fn = fn
+            self.args = args
+            self.orders = canon
+            argnames = tuple(a.name for a in args)
+            if canon:
+                self.key = (_RANK_PARTIAL, fn.name, argnames, tuple((s.name, n) for s, n in canon))
+            else:
+                self.key = (_RANK_OPAQUE, fn.name, argnames)
+        return self
 
     @property
     def total_order(self):
         return sum(n for _, n in self.orders)
 
     def mentions(self, sym):
-        return self.fn == sym or any(a == sym for a in self.args)
+        return self.fn is sym or sym in self.args
 
     def diff(self, v):
-        if any(a == v for a in self.args):
+        if v in self.args:
             return Expr.atom(PartialAtom(self.fn, self.args, self.orders + ((v, 1),)))
         return Expr.zero()
 
@@ -186,14 +203,19 @@ class PowAtom(Atom):
 
     __slots__ = ("base", "exp", "noncommuting")
 
-    def __init__(self, base: "Expr", exp: Fraction):
+    def __new__(cls, base: "Expr", exp: Fraction):
         exp = Fraction(exp)
         if not 0 < exp < 1:
             raise ValueError(f"PowAtom requires an exponent in (0, 1), not {exp}")
-        self.base = base
-        self.exp = exp
-        self.noncommuting = base.noncommuting()
-        self.key = (_RANK_POW, base.key, (exp.numerator, exp.denominator))
+        tkey = (cls, base._num, base._den, exp.numerator, exp.denominator)
+        self = _ATOMS.get(tkey)
+        if self is None:
+            self = _ATOMS[tkey] = _new(cls)
+            self.base = base
+            self.exp = exp
+            self.noncommuting = base.noncommuting()
+            self.key = (_RANK_POW, base.key, (exp.numerator, exp.denominator))
+        return self
 
     def mentions(self, sym):
         return self.base.mentions(sym)
@@ -217,12 +239,17 @@ class RepAtom(Atom):
 
     __slots__ = ("dependent", "independent", "expansion", "noncommuting")
 
-    def __init__(self, dependent: Symbol, independent: Symbol, expansion: "Expr"):
-        self.dependent = dependent
-        self.independent = independent
-        self.expansion = expansion
-        self.noncommuting = expansion.noncommuting()
-        self.key = (_RANK_REP, dependent.name, independent.name, expansion.key)
+    def __new__(cls, dependent: Symbol, independent: Symbol, expansion: "Expr"):
+        tkey = (cls, dependent, independent, expansion._num, expansion._den)
+        self = _ATOMS.get(tkey)
+        if self is None:
+            self = _ATOMS[tkey] = _new(cls)
+            self.dependent = dependent
+            self.independent = independent
+            self.expansion = expansion
+            self.noncommuting = expansion.noncommuting()
+            self.key = (_RANK_REP, dependent.name, independent.name, expansion.key)
+        return self
 
     def mentions(self, sym):
         return self.expansion.mentions(sym)
@@ -274,26 +301,31 @@ def _canonical_word(letters):
             merged.append(letter)
         merged.extend(central[n:])
     out, again = [], False
-    for k, _i, a, e in merged:
-        if out and out[-1][0] == k:
-            _k, pa, pe = out.pop()
-            if pe + e:
-                out.append((k, pa, pe + e))
-            elif pa.noncommuting:
+    for _k, _i, a, e in merged:
+        if out and out[-1][0] is a:
+            pe = out.pop()[1] + e
+            if pe:
+                out.append((a, pe))
+            elif a.noncommuting:
                 again = True
         else:
-            out.append((k, a, e))
-    word = tuple([(a, e) for _k, a, e in out])
+            out.append((a, e))
+    word = tuple(out)
     return _canonical_word(word) if again else word
 
 
 def _poly_merge(monos) -> tuple:
+    """Sum the monomials of each word, drop the zeros and sort by word key.  A
+    word hashes and compares by its interned atoms; only the distinct words
+    that are left build their keys, to sort."""
     buckets = {}
-    for c, f in monos:
-        k = _mono_fkey(f)
-        b = buckets.get(k)
-        buckets[k] = (c, f) if b is None else (b[0] + c, b[1])
-    return tuple([buckets[k] for k in sorted(buckets) if not buckets[k][0].is_zero()])
+    for m in monos:
+        b = buckets.get(m[1])
+        buckets[m[1]] = m if b is None else (b[0] + m[0], b[1])
+    out = [m for m in buckets.values() if not m[0].is_zero()]
+    if len(out) > 1:
+        out.sort(key=lambda m: _mono_fkey(m[1]))
+    return tuple(out)
 
 
 def _poly_key(p):

@@ -712,7 +712,7 @@ _RENDERERS = {"text": _TEXT, "json": _JsonRenderer(), "latex": _LatexRenderer()}
 
 
 def _coeff_text(c: QC) -> str:
-    if c.im == 0:
+    if c.is_real():
         return str(c.re)
     if c.re == 0:
         if c.im == 1:
@@ -730,7 +730,7 @@ def _coeff_latex(c: QC) -> str:
         sign = "-" if f < 0 else ""
         return rf"{sign}\frac{{{abs(f.numerator)}}}{{{f.denominator}}}"
 
-    if c.im == 0:
+    if c.is_real():
         return frac(c.re)
     if c.re == 0:
         if c.im == 1:

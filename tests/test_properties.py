@@ -423,3 +423,51 @@ def test_op_equals_matches_two_expansion_reference(mode, a, b, kind):
             assert got == want
     if kind in ("rewritten", "antisymmetric"):
         assert got is True or isinstance(got, tuple)
+
+
+# -- the monomial merge against the key-based reference ----------------------
+
+from wholediff import symexpr  # noqa: E402
+
+
+def _reference_poly_merge(monos):
+    """The merge as it was before atoms were interned: each monomial is
+    bucketed by the nested tuple of its atoms' keys."""
+    buckets = {}
+    for c, f in monos:
+        k = symexpr._mono_fkey(f)
+        b = buckets.get(k)
+        buckets[k] = (c, f) if b is None else (b[0] + c, b[1])
+    return tuple([buckets[k] for k in sorted(buckets) if not buckets[k][0].is_zero()])
+
+
+@pytest.mark.parametrize("mode", ["commuting", "operator", "paper", "paper+feynman"])
+def test_poly_merge_matches_key_based_reference(mode, monkeypatch):
+    """Every merge made while building the property-pool corpus of a mode
+    (sums, products, quotients, plain and whole partials of random
+    expressions) gives the tuple the key-based merge gives, word objects
+    included."""
+    ctx = _verdict_context(mode)[0]
+    pool = _expr_pool(ctx)
+    ps, _m, _E = _symbols(ctx)
+    merge = symexpr._poly_merge
+    seen = {"merges": 0, "collisions": 0}
+
+    def checked(monos):
+        monos = list(monos)
+        got, want = merge(monos), _reference_poly_merge(monos)
+        assert got == want
+        assert all(g[1] is w[1] for g, w in zip(got, want))
+        seen["merges"] += 1
+        seen["collisions"] += len(monos) > len({f for _c, f in monos})
+        return got
+
+    monkeypatch.setattr(symexpr, "_poly_merge", checked)
+    rng = random.Random(2306)
+    for _ in range(60):
+        e = _rand_expr(rng, pool)
+        v, w = rng.choice(ps), rng.choice(ps)
+        for build in (lambda: e / rng.choice(pool), lambda: plain_partial(e, v),
+                      lambda: whole_partial(whole_partial(e, v, ctx), w, ctx)):
+            _outcome(build)
+    assert seen["merges"] > 600 and seen["collisions"] > 50, seen

@@ -1036,3 +1036,90 @@ def test_canonical_word_of_a_cancelling_concatenation_is_staged_canonical():
     sd = Symbol("d", SymbolKind.INDEPENDENT)
     u, v, w = ((sd, 1), (sz, 1)), ((sz, -1),), ((sb, 1),)
     assert _canonical_word(u + v + w) == _canonical_word(_canonical_word(u + v) + w) == ((sb, 1), (sd, 1))
+
+
+# -- interned atoms ------------------------------------------------------------
+
+
+_FRESH = itertools.count()
+
+
+def _fresh_name(prefix):
+    """A symbol name no other test uses."""
+    return f"{prefix}{next(_FRESH)}"
+
+
+def test_equal_atoms_are_one_object():
+    """Each atom class returns the one atom of its parts: built twice it is
+    the same object, and a part of another kind or class gives another."""
+    p1 = Symbol("p1", SymbolKind.INDEPENDENT, 1)
+    p1c = Symbol("p1", SymbolKind.INDEPENDENT, 0)
+    E = Symbol("E", SymbolKind.DEPENDENT)
+    f = Symbol("f", SymbolKind.OPAQUE)
+    assert Symbol("p1", SymbolKind.INDEPENDENT, 1) is p1
+    assert p1c is not p1 and Symbol("p1", SymbolKind.DEPENDENT, 1) is not p1
+    assert Symbol("k", SymbolKind.COMMUTATOR, 1) is Symbol("k", SymbolKind.COMMUTATOR)
+
+    fe = PartialAtom(f, (p1, E), ((p1, 1), (E, 2)))
+    assert PartialAtom(f, [p1, E], ((E, 1), (p1, 1), (E, 1), (p1, 0))) is fe
+    other = PartialAtom(f, (p1c, E), ((p1c, 1), (E, 2)))
+    assert other is not fe and other.key == fe.key
+    assert PartialAtom(f, (p1, E), ()) is not fe
+    assert fe.diff(E) == Expr.atom(PartialAtom(f, (p1, E), ((p1, 1), (E, 3))))
+
+    P1, P1c, EE = Expr.symbol(p1), Expr.symbol(p1c), Expr.symbol(E)
+    root = PowAtom(P1 * P1 + EE, Fraction(1, 2))
+    assert PowAtom(EE + P1 ** 2, Fraction(2, 4)) is root
+    assert PowAtom(P1 * P1 + EE, Fraction(1, 3)) is not root
+    assert PowAtom(P1c * P1c + EE, Fraction(1, 2)) is not root
+    assert (P1 * P1 + EE).sqrt() == Expr.atom(root)
+
+    rep = RepAtom(E, p1, P1 / EE)
+    assert RepAtom(E, p1, P1 * EE ** -1) is rep
+    assert RepAtom(E, p1c, P1 / EE) is not rep
+    assert RepAtom(Symbol("E", SymbolKind.PARAMETER), p1, P1 / EE) is not rep
+    assert RepAtom(E, p1, P1c / EE) is not rep
+
+
+def test_unreferenced_atoms_leave_the_table():
+    """The table holds its atoms weakly: once nothing refers to an atom,
+    its entry is gone after a collection."""
+    import gc
+    import weakref
+
+    names = [_fresh_name("q") for _ in range(3)]
+    q, r = (Symbol(n, SymbolKind.INDEPENDENT) for n in names[:2])
+    f = Symbol(names[2], SymbolKind.OPAQUE)
+    Q, R = Expr.symbol(q), Expr.symbol(r)
+    atoms = [q, r, f, PartialAtom(f, (q, r), ((q, 1),)), PowAtom(Q + R, Fraction(1, 2)),
+             RepAtom(r, q, Q / R)]
+    refs = [weakref.ref(a) for a in atoms]
+    gc.collect()
+    before = len(symexpr._ATOMS)
+    assert all(a in set(symexpr._ATOMS.values()) for a in atoms)
+    del q, r, f, Q, R, atoms
+    gc.collect()
+    assert all(ref() is None for ref in refs)
+    assert len(symexpr._ATOMS) == before - len(refs)
+
+
+def test_atom_table_stays_bounded_across_fresh_contexts():
+    """50 fresh mass-shell contexts, each with a parameter of its own name
+    and whole derivatives taken in it, leave the table as it was after
+    the first once they are dropped."""
+    import gc
+
+    def one_context():
+        text = serialize_context(build_mass_shell(MassShellScenario(ordering_mode="paper")))
+        ctx = parse_context(text + f"param {_fresh_name('mu')}\n")
+        op = parse_operator("W[p1]*W[p2]", ctx)
+        f = Expr.opaque(*ctx.opaques[0])
+        mu = Expr.symbol(ctx.parameters[-1])
+        assert not apply(op, mu * f).is_zero()
+
+    sizes = []
+    for _ in range(50):
+        one_context()
+        gc.collect()
+        sizes.append(len(symexpr._ATOMS))
+    assert max(sizes) == sizes[0], sizes

@@ -28,8 +28,7 @@ P1 = Symbol("p1", SymbolKind.INDEPENDENT, klass=1)
 def test_symbol_equality_and_hash():
     twin = Symbol("p1", kind=SymbolKind.INDEPENDENT, klass=1)
     assert P1 == P1 and hash(P1) == hash(P1)
-    assert twin is not P1 and twin == P1 and hash(twin) == hash(P1)
-    assert hash(P1) == hash(("p1", SymbolKind.INDEPENDENT, 1))
+    assert twin is P1 and twin == P1 and hash(twin) == hash(P1)
     assert P1 != Symbol("p1", SymbolKind.DEPENDENT, klass=1)
     assert P1 != Symbol("p1", SymbolKind.INDEPENDENT, klass=0)
     assert P1 != Symbol("p2", SymbolKind.INDEPENDENT, klass=1)

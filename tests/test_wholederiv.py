@@ -176,18 +176,18 @@ def test_second_whole_partial_scalar_function(ms_commuting):
 
 
 def test_derive_tower_matches_golden_digests(bench_workloads):
-    """W-words of order <= 3 in every ordering mode print exactly what the
-    benchmark's golden digests (bench/golden.json) recorded."""
+    """W-words of every order the benchmark draws (1 to 5) in every ordering
+    mode print exactly what its golden digests (bench/golden.json) recorded."""
     w = bench_workloads
     golden = w.load_golden()["derive-tower"]
     m = SimpleNamespace(wd=wholediff, diffop=wholediff.diffop)
     ctxs = {mode: w.mass_shell(m, mode) for mode in w.MODES}
     checked = 0
-    for mode, text in w.tower_domain(max_order=3):
+    for mode, text in w.tower_domain():
         key = f"{mode}|{text}"
         assert w.digest(w.tower_output(m, ctxs[mode], text)) == golden[key], key
         checked += 1
-    assert checked == 60
+    assert checked == 108 == len(golden)
 
 
 def test_commuting_ordering_does_no_normal_ordering(monkeypatch):
