@@ -66,8 +66,7 @@ def implicit_partial(g: Expr, u: Symbol, v: Symbol) -> Expr:
 
 class DependencyContext:
     __slots__ = ("independents", "parameters", "dependents", "representations",
-                 "constraints", "opaques", "commutators", "ordering_mode", "_plans",
-                 "_derived")
+                 "constraints", "opaques", "commutators", "ordering_mode", "_plans")
 
     # representations: (dependent name, independent name) -> declared derivative
     def __init__(self, independents: Tuple[Symbol, ...], parameters: Tuple[Symbol, ...] = (),
@@ -86,7 +85,6 @@ class DependencyContext:
         self.commutators = CommutatorTable() if commutators is None else commutators
         self.ordering_mode = ordering_mode
         self._plans = None  # (constraints, dependents, plans) as _solve_plans last built them
-        self._derived = (self.constraints, {})  # (constraints, {(u, v): derived representation})
 
     # -- lookups ---------------------------------------------------------
 
@@ -117,22 +115,17 @@ class DependencyContext:
 
     def representation(self, u: Symbol, v: Symbol) -> Optional[Expr]:
         """Declared representation if present, else one derived from the
-        constraint solving u, else None.  The derived one is made once per
-        (u, v), and made again if the constraints are replaced."""
+        constraint solving u, else None."""
         rep = self.representations.get((u.name, v.name))
         if rep is not None:
             return rep
-        made = self._derived
-        if made[0] is not self.constraints:
-            made = self._derived = (self.constraints, {})
-        if (u, v) not in made[1]:
-            g = self.constraint_for(u)
-            made[1][u, v] = None if g is None else implicit_partial(g, u, v)
-        return made[1][u, v]
+        g = self.constraint_for(u)
+        if g is not None:
+            return implicit_partial(g, u, v)
+        return None
 
     def declare_representation(self, u: Symbol, v: Symbol, expr):
         self.representations[(u.name, v.name)] = Expr._coerce(expr)
-        self._derived[1].pop((u, v), None)
 
     # -- validation ------------------------------------------------------
 

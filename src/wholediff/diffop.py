@@ -4,10 +4,12 @@ commutators, and term-level simplification.
 An operator is a finite sum of terms, each a coefficient expression times
 an ordered product of derivative generators; generators apply
 right-to-left (the rightmost acts first) and the coefficient multiplies
-from the left.  apply is the one definition of a generator (wholederiv's
-derivative steps, resolved by finalize); composition agrees with nested
-application, pushing derivatives through coefficients by the product rule,
-and takes each derivative of a coefficient object once per call.
+from the left.  Generators are interned, so a word is a tuple compared by
+identity: terms merge per word and only the distinct words are sorted.
+apply is the one definition of a generator (wholederiv's derivative steps,
+resolved by finalize); composition agrees with nested application, pushing
+derivatives through coefficients by the product rule, and takes each
+derivative of a coefficient object once per call.
 expand_to_plain and op_equals are read off apply to an opaque function."""
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from .depctx import DependencyContext
 from .errors import ContextError, ContextMismatchError
-from .symexpr import Expr, Symbol, SymbolKind, _Frozen, _partial_coefficients
+from .symexpr import _ATOMS, Expr, Symbol, SymbolKind, _Frozen, _partial_coefficients
 from .wholederiv import derive_raw, finalize
 
 PLAIN = "plain"
@@ -24,20 +26,23 @@ WHOLE = "whole"
 
 
 class DerivativeGenerator(_Frozen):
-    __slots__ = ("variable", "mode", "_key")  # _key: its place in a term's sort key
+    """W[v] (whole) or D[v] (plain).  Generators are interned in the atom
+    table: DerivativeGenerator(v, mode) is the one generator of that symbol
+    and mode while any is alive, so generators and words of them compare and
+    hash by identity, and the generators of two symbols that share a name
+    stay apart."""
 
-    def __init__(self, variable: Symbol, mode: str):  # mode: "plain" | "whole"
-        if mode not in (PLAIN, WHOLE):
-            raise ValueError(f"unknown generator mode {mode!r}")
-        self._init(variable, mode, (mode, variable.name))
+    __slots__ = ("variable", "mode", "__weakref__")
 
-    def __eq__(self, other):
-        if other.__class__ is not DerivativeGenerator:
-            return NotImplemented
-        return self is other or (self.variable == other.variable and self.mode == other.mode)
-
-    def __hash__(self):
-        return hash((self.variable, self.mode))
+    def __new__(cls, variable: Symbol, mode: str):  # mode: "plain" | "whole"
+        key = (cls, variable, mode)
+        self = _ATOMS.get(key)
+        if self is None:
+            if mode not in (PLAIN, WHOLE):
+                raise ValueError(f"unknown generator mode {mode!r}")
+            self = _ATOMS[key] = object.__new__(cls)
+            self._init(variable, mode)
+        return self
 
     def label(self) -> str:
         return ("W" if self.mode == WHOLE else "D") + f"[{self.variable.name}]"
@@ -50,18 +55,11 @@ class DifferentialOperator(_Frozen):
 
     def __init__(self, context: DependencyContext,
                  terms: Sequence[Tuple[Expr, Tuple[DerivativeGenerator, ...]]]):
-        # Each whole generator object is checked once; the terms keep every
-        # generator alive, so the ids stay distinct.
-        checked = set()
-        for _coeff, gens in terms:
-            for g in gens:
-                if g.mode == WHOLE and id(g) not in checked:
-                    if not context.is_independent(g.variable):
-                        raise ContextError(
-                            f"whole-derivative generator variable {g.variable.name} "
-                            "is not independent in this context"
-                        )
-                    checked.add(id(g))
+        # Each whole generator is checked once, the first in term order first.
+        for g in dict.fromkeys([g for _c, gens in terms for g in gens]):
+            if g.mode == WHOLE and not context.is_independent(g.variable):
+                raise ContextError(f"whole-derivative generator variable {g.variable.name} "
+                                   "is not independent in this context")
         self._init(context, _merge_terms(terms))
 
     # -- constructors ----------------------------------------------------
@@ -136,18 +134,19 @@ class DifferentialOperator(_Frozen):
 
 
 def _merge_terms(terms) -> Tuple[Tuple[Expr, Tuple[DerivativeGenerator, ...]], ...]:
-    buckets: Dict[tuple, Tuple[List[Expr], tuple]] = {}
+    """Sum the coefficients of each word (a tuple of interned generators, so
+    it buckets by identity) and sort the distinct words by length, then by
+    (mode, variable name) letter by letter; zero sums drop out."""
+    buckets: Dict[tuple, List[Expr]] = {}
     for coeff, gens in terms:
-        gens = tuple(gens)
-        key = tuple([g._key for g in gens])
-        entry = buckets.get(key)
-        coeffs = entry[0] if entry is not None else []
-        coeffs.append(coeff)
-        buckets[key] = (coeffs, gens)
+        coeffs = buckets.get(gens)
+        if coeffs is None:
+            buckets[gens] = [coeff]
+        else:
+            coeffs.append(coeff)
     out = []
-    for key in sorted(buckets, key=lambda k: (len(k), k)):
-        coeffs, gens = buckets[key]
-        coeff = Expr.sum(coeffs)
+    for gens in sorted(buckets, key=lambda w: (len(w), [(g.mode, g.variable.name) for g in w])):
+        coeff = Expr.sum(buckets[gens])
         if not coeff.is_zero():
             out.append((coeff, gens))
     return tuple(out)

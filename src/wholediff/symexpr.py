@@ -12,10 +12,12 @@ the order-zero case of its plain-partial atom; a non-integer rational
 power lives in a power atom, which is noncommuting when its base holds a
 noncommuting letter.
 
-Atoms are interned in one weak table, so equal atoms are one object and a
-word hashes and compares by the identity of its atoms: _poly_merge buckets
-monomials by their words, and builds a word's nested key tuple only to sort
-the distinct words; _canonical_word folds neighbours that are one atom.
+Atoms, and diffop's derivative generators, are interned in one weak table,
+so equal atoms are one object and a word hashes and compares by the
+identity of its atoms: _poly_merge buckets monomials by their words, and
+builds a word's nested key tuple only to sort the distinct words;
+_canonical_word folds neighbours that are one atom.  Operator terms merge
+by their generator words in the same way.
 Expr.key, the nested-tuple form that ==, hash and power-atom keys compare,
 is built on first use and kept; most intermediate values never need it.
 
@@ -61,11 +63,11 @@ _RANK_REP = 5
 
 
 # The atom table (hash-consing, Filliâtre & Conchon, ML Workshop 2006): each
-# atom class builds its atoms in __new__ through it, and an atom no one refers
-# to drops out.  A table key is the atom's class and the symbols, polynomials
-# and numbers it is made of, compared by identity where they are atoms; so
-# atoms whose keys coincide, holding only symbol names, stay apart.  A symbol's
-# table key is its key.
+# atom class, and diffop.DerivativeGenerator, builds its values in __new__
+# through it, and a value no one refers to drops out.  A table key is the
+# class and the symbols, polynomials and numbers the value is made of,
+# compared by identity where they are atoms; so atoms whose keys coincide,
+# holding only symbol names, stay apart.  A symbol's table key is its key.
 _ATOMS = weakref.WeakValueDictionary()
 _new = object.__new__
 
@@ -912,11 +914,12 @@ def _partial_coefficients(e: Expr, fn: Symbol) -> list:
 
 
 class CommutatorTable:
-    """Antisymmetric lookup [a, b] for declared symbol pairs."""
+    """Antisymmetric lookup [a, b] for declared symbol pairs, keyed by the
+    pair of (interned) symbols: a symbol that only shares a name with a
+    declared one has no commutator here."""
 
     def __init__(self):
         self._map = {}
-        self._syms = {}
 
     def declare(self, a: Symbol, b: Symbol, value):
         """Declare [a, b] = value.  normal_order stops at first order in the
@@ -930,21 +933,18 @@ class CommutatorTable:
                 term = print_expr(_poly_expr((term,)))
                 raise ContextError(f"commutator [{a.name}, {b.name}]: term {term} has no "
                                    "commutator symbol at a positive power")
-        self._map[(a.name, b.name)] = value
-        self._map[(b.name, a.name)] = -value
-        self._syms[a.name] = a
-        self._syms[b.name] = b
+        self._map[a, b] = value
+        self._map[b, a] = -value
 
     def lookup(self, a: Symbol, b: Symbol) -> Optional[Expr]:
-        return self._map.get((a.name, b.name))
+        return self._map.get((a, b))
 
     def pairs(self):
         seen = set()
-        for (an, bn), v in self._map.items():
-            if (bn, an) in seen:
-                continue
-            seen.add((an, bn))
-            yield self._syms[an], self._syms[bn], v
+        for (a, b), v in self._map.items():
+            if (b, a) not in seen:
+                seen.add((a, b))
+                yield a, b, v
 
     def __bool__(self):
         return bool(self._map)

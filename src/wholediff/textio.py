@@ -508,9 +508,13 @@ def parse_context(text: str) -> DependencyContext:
 
     constraints = []
     for lhs, dep in cons:
-        if dep.text not in table:
+        u = table.get(dep.text)
+        if u is None:
             raise ParseError(f"unknown dependent '{dep.text}'", dep.span)
-        constraints.append((parse_sub(lhs), table[dep.text]))
+        # A constraint is imposed only through the dependent it solves.
+        if u.kind != SymbolKind.DEPENDENT:
+            raise ParseError(f"constraint must solve a dependent, '{u.name}' is not one", dep.span)
+        constraints.append((parse_sub(lhs), u))
 
     ctx = DependencyContext(
         independents=syms["independent"],

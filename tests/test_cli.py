@@ -722,6 +722,21 @@ def test_malformed_context_exit2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("solved", ["p1", "m"])
+@pytest.mark.parametrize("command", [
+    ("derive", "--expr", "f", "--wrt", "p1"),
+    ("verify", "--lhs", "p1", "--rhs", "p1", "--samples", "5"),
+], ids=["derive", "verify"])
+def test_constraint_solving_no_dependent_exit2(tmp_path, capsys, solved, command):
+    """A constraint is imposed only through the dependent it solves, so one
+    that solves an independent or a parameter is refused, not ignored."""
+    bad = tmp_path / "bad.ctx"
+    bad.write_text(MASS_SHELL_SRC + f"constraint p1 - m = 0 solves {solved}\n")
+    code, out, err = run(capsys, command[0], str(bad), *command[1:])
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: ") and f"'{solved}' is not one" in err
+
+
 def test_missing_subcommand_exit2(capsys):
     assert run(capsys)[0] == 2
 

@@ -7,6 +7,7 @@ import pytest
 from conftest import field_of
 from test_symexpr import (
     _KERNEL_MODES,
+    _fresh_name,
     _kernel_context,
     _mul_without_unit_rule,
     _two_class_context,
@@ -37,7 +38,7 @@ from wholediff.symexpr import (
     equals_canonical,
     expand_rep_atoms,
 )
-from wholediff.textio import parse_context, parse_operator, print_operator
+from wholediff.textio import parse_context, parse_operator, print_expr, print_operator
 from wholediff.wholederiv import derive_raw, finalize
 
 
@@ -52,6 +53,51 @@ def test_generator_modes_validated(ms_commuting):
         DifferentialOperator.whole(ctx, E)  # whole generator needs independent
     with pytest.raises(ValueError):
         DerivativeGenerator(E, "sideways")
+
+
+def test_generators_are_interned():
+    """A generator built twice is one object; another mode, or a variable
+    that differs in name, kind or class, gives another."""
+    p1 = Symbol("p1", SymbolKind.INDEPENDENT)
+    g = DerivativeGenerator(p1, "whole")
+    assert DerivativeGenerator(p1, "whole") is g
+    assert DerivativeGenerator(Symbol("p1", SymbolKind.INDEPENDENT), mode="whole") is g
+    others = [DerivativeGenerator(p1, "plain"),
+              DerivativeGenerator(Symbol("p2", SymbolKind.INDEPENDENT), "whole"),
+              DerivativeGenerator(Symbol("p1", SymbolKind.INDEPENDENT, 1), "whole"),
+              DerivativeGenerator(Symbol("p1", SymbolKind.PARAMETER), "whole")]
+    assert len({id(x) for x in [g] + others}) == 5
+
+
+def test_unreferenced_generators_leave_the_table():
+    """The atom table holds generators weakly: once nothing refers to a
+    generator or its variable, both entries are gone after a collection."""
+    import gc
+    import weakref
+
+    q = Symbol(_fresh_name("q"), SymbolKind.INDEPENDENT)
+    gens = [DerivativeGenerator(q, "plain"), DerivativeGenerator(q, "whole")]
+    refs = [weakref.ref(x) for x in gens + [q]]
+    gc.collect()
+    before = len(symexpr._ATOMS)
+    assert all(x in set(symexpr._ATOMS.values()) for x in gens)
+    del q, gens
+    gc.collect()
+    assert all(ref() is None for ref in refs)
+    assert len(symexpr._ATOMS) == before - len(refs)
+
+
+def test_generators_that_share_a_name_stay_apart(ms_commuting):
+    """D[p1] - D[p1'], with p1' a parameter also named p1, is not zero: f
+    takes p1 and not p1', so applied to f it is D[f,p1]."""
+    ctx = ms_commuting
+    p1 = ctx.find_symbol("p1")
+    p1_param = Symbol("p1", SymbolKind.PARAMETER)
+    op = DifferentialOperator(ctx, [(Expr.one(), (DerivativeGenerator(p1, "plain"),)),
+                                    (-Expr.one(), (DerivativeGenerator(p1_param, "plain"),))])
+    assert not op.is_zero()
+    assert not op_equals(op, DifferentialOperator.zero(ctx))
+    assert print_expr(apply(op, field_of(ctx))) == "D[f,p1]"
 
 
 def test_each_whole_generator_validated_once(ms_commuting, monkeypatch):

@@ -160,6 +160,23 @@ def test_normal_order_of_a_word_with_an_inverse_commutator_symbol():
     assert equals_canonical(normal_order(B * A / K, tab), A * B / K - 1)
 
 
+def test_commutator_table_keys_by_symbol_identity():
+    """A commutator is declared for two symbols, not two names: a symbol of
+    another kind or class with the same name has none, and pairs() yields
+    each pair once, in the order it was first declared."""
+    p1, p2, p3 = (Symbol(n, SymbolKind.INDEPENDENT, 1) for n in ("p1", "p2", "p3"))
+    tab = CommutatorTable()
+    tab.declare(p2, p1, K)
+    tab.declare(p1, p3, 2 * K)
+    tab.declare(p1, p2, 3 * K)  # a pair declared again keeps its place
+    assert equals_canonical(tab.lookup(p1, p2), 3 * K)
+    assert equals_canonical(tab.lookup(p2, p1), -3 * K)
+    assert tab.lookup(Symbol("p1", SymbolKind.PARAMETER), p2) is None
+    assert tab.lookup(p1, Symbol("p2", SymbolKind.INDEPENDENT, 0)) is None
+    assert [(x, y) for x, y, _v in tab.pairs()] == [(p2, p1), (p1, p3)]
+    assert [str(v) for _x, _y, v in tab.pairs()] == [str(-3 * K), str(2 * K)]
+
+
 def test_normal_order_undeclared_pair_raises():
     tab = CommutatorTable()
     with pytest.raises(NormalOrderError):

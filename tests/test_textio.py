@@ -410,6 +410,9 @@ def test_serialize_context_round_trip():
         (MASS_SHELL_SRC + "representation df/dp1 = p1\n", "f"),
         # a second one would silently replace the first
         (MASS_SHELL_SRC + "representation dE/dp1 = 2*p1/E\n", "p1"),
+        # a constraint is imposed through the dependent it solves, else never
+        (MASS_SHELL_SRC + "constraint p1 - m = 0 solves p1\n", "p1"),
+        (MASS_SHELL_SRC + "constraint p1 - m = 0 solves m\n", "m"),
         # a name the lexer cannot read is refused where it is declared
         (MASS_SHELL_SRC.replace("param m", "param m mé"), "é"),
     ],
@@ -420,7 +423,8 @@ def test_serialize_context_round_trip():
          "commutator pair twice", "representation of a parameter",
          "representation over a parameter", "representation over a dependent",
          "representation of an independent", "representation of an opaque",
-         "representation twice", "non-ascii name"],
+         "representation twice", "constraint solving an independent",
+         "constraint solving a parameter", "non-ascii name"],
 )
 def test_parse_context_sub_expression_error_spans(tmp_path, src, offending):
     with pytest.raises(ParseError) as exc:
@@ -470,6 +474,10 @@ def test_parse_context_sub_expression_error_spans(tmp_path, src, offending):
         ("representation dE/dE = 1", ParseError),
         ("representation dp1/dp2 = p1", ParseError),
         ("representation dE/dp1 = p1/E", ParseError),
+        # a constraint solves a dependent, or it is never imposed
+        ("constraint p1 - m = 0 solves p1", ParseError),
+        ("constraint p1 - m = 0 solves m", ParseError),
+        ("constraint p1 - m = 0 solves f", ParseError),
         # one commutator per pair, in either order
         ("commutator [p1,p2] = kappa\ncommutator [p2,p1] = kappa", ParseError),
         ("commutator [p1,p2] = kappa\ncommutator [p1,p2] = kappa", ParseError),
