@@ -197,8 +197,9 @@ def cmd_scenario(args) -> int:
         ctx = build_retarded(RetardedScenario(trajectory=traj, parameters=params))
         ctx_path = _write_out(args.out, "retarded.ctx", serialize_context(ctx))
         reps = {
-            f"d{dep}/d{indep}": print_expr(rep, "text")
-            for (dep, indep), rep in sorted(ctx.representations.items())
+            f"d{u.name}/d{v.name}": print_expr(rep, "text")
+            for (u, v), rep in sorted(ctx.representations.items(),
+                                      key=lambda kv: (kv[0][0].name, kv[0][1].name))
         }
         result = {"ctx_file": ctx_path, "representations": reps}
         lines = [f"wrote {ctx_path}"] + [f"  {k} = {v}" for k, v in reps.items()]

@@ -68,7 +68,7 @@ class DependencyContext:
     __slots__ = ("independents", "parameters", "dependents", "representations",
                  "constraints", "opaques", "commutators", "ordering_mode", "_plans")
 
-    # representations: (dependent name, independent name) -> declared derivative
+    # representations: (dependent, independent) symbol pair -> declared derivative
     def __init__(self, independents: Tuple[Symbol, ...], parameters: Tuple[Symbol, ...] = (),
                  dependents: Tuple[Symbol, ...] = (),
                  constraints: Tuple[Tuple[Expr, Symbol], ...] = (),
@@ -116,7 +116,7 @@ class DependencyContext:
     def representation(self, u: Symbol, v: Symbol) -> Optional[Expr]:
         """Declared representation if present, else one derived from the
         constraint solving u, else None."""
-        rep = self.representations.get((u.name, v.name))
+        rep = self.representations.get((u, v))
         if rep is not None:
             return rep
         g = self.constraint_for(u)
@@ -125,7 +125,7 @@ class DependencyContext:
         return None
 
     def declare_representation(self, u: Symbol, v: Symbol, expr):
-        self.representations[(u.name, v.name)] = Expr._coerce(expr)
+        self.representations[(u, v)] = Expr._coerce(expr)
 
     # -- validation ------------------------------------------------------
 
@@ -162,7 +162,7 @@ class DependencyContext:
                 diags.append(Diagnostic("error", msg))
             g = self.constraint_for(u)
             for v in self.independents:
-                declared = self.representations.get((u.name, v.name))
+                declared = self.representations.get((u, v))
                 if declared is None and g is None:
                     diags.append(
                         Diagnostic(
@@ -191,7 +191,7 @@ class DependencyContext:
             if g is None:
                 continue
             for v in self.independents:
-                declared = self.representations.get((u.name, v.name))
+                declared = self.representations.get((u, v))
                 if declared is None:
                     continue
                 try:
@@ -251,12 +251,19 @@ class DependencyContext:
 # words and mixes them, the pool seeds PCG64, and each draw is one 128-bit
 # LCG step and the XSL-RR output (O'Neill, HMC-CS-2014-0905).  The hash
 # constants do not depend on the data, so they are made once.
-_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+#
+# The samples of one call share the seed and differ only in the index, so
+# _seed_lanes runs the same 32-bit steps once for all of them, as lanes of
+# one Python integer (SIMD within a register; Fisher & Dietz, LCPC 1998).
+# Each index still gets exactly the stream of default_rng([seed, index]).
+_M16, _M32, _M64, _M128 = (1 << 16) - 1, (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 # (initial value, multiplier) of the hash constants for mixing the pool and
 # for reading the state words out of it.
 _HASH_MIX = (0x43B0D7E5, 0x931E8875)
 _HASH_STATE = (0x8B51F9DD, 0x58F38DED)
+# Lanes seeded together by _streams; bounds its memory at any sample count.
+_CHUNK = 1024
 
 
 def _hash_consts(init: int, mult: int, n: int) -> List[Tuple[int, int]]:
@@ -279,21 +286,71 @@ def _pool_steps(n: int) -> List[Tuple[int, int, int, int]]:
 
 
 _POOL_HASH = _hash_consts(*_HASH_MIX, 4)
-_POOL_MIX = _pool_steps(4)
-_POOL_STATE = [(i & 3,) + c for i, c in enumerate(_hash_consts(*_HASH_STATE, 8))]
+# The hashed pool word of a missing entropy word (fewer than four).
+_POOL_ZERO = [(x * m & _M32) ^ (x * m & _M32) >> 16 for x, m in _POOL_HASH]
+# The mixing steps for each number of entropy words up to eight: prefixes
+# of the steps for eight.
+_MIX_STEPS = _pool_steps(8)
+_POOL_MIX = [_MIX_STEPS[:4 * max(n, 4) - 4] for n in range(9)]
+# (pool index, shift, then xor and multiplier of state words i and i + 4):
+# both read pool word i and sit at the same shift in the two 128-bit results.
+_READ_HASH = _hash_consts(*_HASH_STATE, 8)
+_POOL_STATE = [(i, shift) + _READ_HASH[i] + _READ_HASH[i + 4]
+               for i, shift in enumerate((64, 96, 0, 32))]
 
 
 def _seed_words(n) -> List[int]:
     """The little-endian 32-bit words of a non-negative integer, as numpy
     reads a seed: 0 is one word."""
     n = operator.index(n)
+    if 0 <= n <= _M32:
+        return [n]
     if n < 0:
         raise ValueError(f"seed must be non-negative, not {n}")
-    words = [n & _M32]
-    while n > _M32:
-        n >>= 32
+    words = []
+    while n:
         words.append(n & _M32)
+        n >>= 32
     return words
+
+
+def _seed_lanes(entropy: List[int], ones: int) -> Tuple[int, int]:
+    """The PCG64 initial state and increment that SeedSequence makes from
+    the entropy words, one stream per lane: ones is 1 in every lane (1 for
+    one stream), an entropy word holds a 32-bit word in every lane, and each
+    result a 128-bit value.  No step leaves a lane of at least 128 bits: each
+    >> 16 is masked to its lane's 16 bits, numpy's (L*x - R*y) mod 2^32 is
+    (L*x + (2^32 - R)*y) mod 2^32, which borrows from no lane, and a hash
+    that feeds a mix keeps high bits below bit 97, which the mix's mask drops."""
+    n = len(entropy)
+    steps = _POOL_MIX[n] if n <= 8 else _pool_steps(n)
+    hashes, zero, reads = _POOL_HASH, _POOL_ZERO[n:], _POOL_STATE
+    if ones != 1:  # put each constant in every lane
+        hashes = [(x * ones, m) for x, m in hashes]
+        zero = [z * ones for z in zero]
+        steps = [(s, d, x * ones, m) for s, d, x, m in steps]
+        reads = [(i, shift, x * ones, m, y * ones, k) for i, shift, x, m, y, k in reads]
+    m16, m32 = _M16 * ones, _M32 * ones
+    pool = []
+    for w, (x, m) in zip(entropy, hashes):
+        v = (w ^ x) * m & m32
+        pool.append(v ^ v >> 16 & m16)
+    pool += zero
+    pool += entropy[4:]
+    for s, d, x, m in steps:
+        h = (pool[s] ^ x) * m
+        r = (0xCA01F9DD * pool[d] + 0xB68C08EB * (h ^ h >> 16 & m16)) & m32
+        pool[d] = r ^ r >> 16 & m16
+    init = inc = 0
+    for i, shift, x, m, y, k in reads:
+        init |= ((pool[i] ^ x) * m & m32) << shift
+        inc |= ((pool[i] ^ y) * k & m32) << shift
+    # The read-outs' own >> 16 steps, four words of a result at once.
+    m16 *= 0x1000000010000000100000001  # the low 16 bits of each 32-bit word
+    init ^= init >> 16 & m16
+    inc ^= inc >> 16 & m16
+    # A lane's bit carried out by << 1 lands on bit 0 of the next, which | ones sets.
+    return init, inc << 1 & _M128 * ones | ones
 
 
 class _Stream:
@@ -302,23 +359,8 @@ class _Stream:
     __slots__ = ("state", "inc")
 
     def __init__(self, seed: int, index: int):
-        entropy = _seed_words(seed) + _seed_words(index)
-        pool = []
-        for w, (x, m) in zip(entropy + [0, 0], _POOL_HASH):
-            v = (w ^ x) * m & _M32
-            pool.append(v ^ v >> 16)
-        pool += entropy[4:]
-        for s, d, x, m in _POOL_MIX if len(pool) == 4 else _pool_steps(len(pool)):
-            h = (pool[s] ^ x) * m & _M32
-            r = (0xCA01F9DD * pool[d] - 0x4973F715 * (h ^ h >> 16)) & _M32
-            pool[d] = r ^ r >> 16
-        w = []
-        for i, x, m in _POOL_STATE:
-            v = (pool[i] ^ x) * m & _M32
-            w.append(v ^ v >> 16)
-        initstate = w[1] << 96 | w[0] << 64 | w[3] << 32 | w[2]
-        self.inc = (w[5] << 96 | w[4] << 64 | w[7] << 32 | w[6]) << 1 & _M128 | 1
-        self.state = (self.inc + initstate) * _PCG_MULT + self.inc & _M128
+        init, inc = _seed_lanes(_seed_words(seed) + _seed_words(index), 1)
+        self.inc, self.state = inc, (inc + init) * _PCG_MULT + inc & _M128
 
     def uniform(self, lo: float, hi: float) -> float:
         s = self.state = (self.state * _PCG_MULT + self.inc) & _M128
@@ -326,6 +368,30 @@ class _Stream:
         r = s >> 122
         x = (x >> r | x << (64 - r)) & _M64
         return lo + (hi - lo) * ((x >> 11) * 2.0**-53)
+
+
+def _streams(seed: int, start: int, stop: int):
+    """The _Stream of each index in range(start, stop), seeded _CHUNK
+    lanes at a time.  A run of lanes stops where the index gains a 32-bit
+    word (at 2^32, 2^64, ...): SeedSequence's steps depend on the word count."""
+    seed_words = _seed_words(seed)
+    while start < stop:
+        words = len(_seed_words(start))
+        n = min(stop, start + _CHUNK, 1 << 32 * words) - start
+        bits = 32 * max(4, words)  # a lane holds its index and the 128-bit results
+        size, lane = bits // 8, (1 << bits) - 1
+        ones = ((1 << bits * n) - 1) // lane
+        index = start * ones + ((n - 1 << bits * n) - ones + 1) // lane  # lane j: start + j
+        entropy = [w * ones for w in seed_words]
+        entropy += [index >> 32 * i & _M32 * ones for i in range(words)]
+        inits, incs = (x.to_bytes(size * n, "little") for x in _seed_lanes(entropy, ones))
+        for j in range(0, size * n, size):
+            rng = _Stream.__new__(_Stream)
+            rng.inc = inc = int.from_bytes(incs[j:j + size], "little")
+            init = int.from_bytes(inits[j:j + size], "little")
+            rng.state = (inc + init) * _PCG_MULT + inc & _M128
+            yield rng
+        start += n
 
 
 def sample_on_shell(
@@ -337,13 +403,12 @@ def sample_on_shell(
     """Deterministic numeric bindings on the constraint surface.
 
     Independents are drawn uniformly from [-2, 2], parameters from
-    [1/2, 2].  Sample k draws from its own stream, that of numpy's
-    default_rng([seed, k]) reproduced bit for bit by _Stream.  A sample
-    that has no solution or a dependent with |value| < 1e-6 is drawn again
-    from the same stream, up to 64 draws in all."""
+    [1/2, 2].  Sample k draws from its own stream, numpy's
+    default_rng([seed, k]) bit for bit; all the streams are seeded together.
+    A sample that has no solution or a dependent with |value| < 1e-6 is
+    drawn again from the same stream, up to 64 draws in all."""
     out = []
-    for k in range(count):
-        rng = _Stream(seed, k)
+    for rng in _streams(seed, 0, count):
         for _attempt in range(64):
             vals = _draw_free(ctx, rng)
             try:
@@ -369,6 +434,14 @@ def _draw_free(ctx: DependencyContext, rng) -> Dict[str, complex]:
         vals[s.name] = rng.uniform(-2.0, 2.0)
     for s in ctx.parameters:
         vals[s.name] = rng.uniform(0.5, 2.0)
+    return vals
+
+
+def _draw_box(ctx: DependencyContext, rng, sign: int) -> Dict[str, complex]:
+    """_draw_free, then each dependent off-shell: sign times uniform in [1/2, 2]."""
+    vals = _draw_free(ctx, rng)
+    for s in ctx.dependents:
+        vals[s.name] = float(sign) * rng.uniform(0.5, 2.0)
     return vals
 
 

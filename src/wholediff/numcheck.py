@@ -400,13 +400,9 @@ class SamplerSpec:
         self.kind, self.sign = kind, sign
 
     def draw(self, ctx: DependencyContext, index: int, seed: int) -> Dict[str, complex]:
-        from .depctx import _Stream, _draw_free
+        from .depctx import _Stream, _draw_box
 
-        rng = _Stream(seed, index)
-        vals = _draw_free(ctx, rng)
-        for s in ctx.dependents:
-            vals[s.name] = float(self.sign) * rng.uniform(0.5, 2.0)
-        return vals
+        return _draw_box(ctx, _Stream(seed, index), self.sign)
 
 
 def verify_identity(
@@ -423,7 +419,7 @@ def verify_identity(
     """Evaluate both sides at seeded samples; a sample fails when both the
     absolute and the relative error exceed their tolerances.  Evaluation
     errors count as failures with diagnostics."""
-    from .depctx import sample_on_shell
+    from .depctx import _draw_box, _streams, sample_on_shell
 
     if samples < 1:
         raise ValueError(f"samples must be at least 1, not {samples}")
@@ -432,7 +428,7 @@ def verify_identity(
     if sampler.kind == "on-shell":
         points = sample_on_shell(ctx, samples, seed, sign=sampler.sign)
     else:
-        points = [sampler.draw(ctx, k, seed) for k in range(samples)]
+        points = [_draw_box(ctx, rng, sampler.sign) for rng in _streams(seed, 0, samples)]
 
     failures = 0
     max_abs = 0.0

@@ -533,7 +533,7 @@ def parse_context(text: str) -> DependencyContext:
             if sym.kind != kind:
                 raise ParseError("representation needs d<dependent>/d<independent>, "
                                  f"'{t.text}' is not {role}", t.span)
-        if (u.name, v.name) in ctx.representations:
+        if (u, v) in ctx.representations:
             raise ParseError(f"representation d{u.name}/d{v.name} is declared twice", indep.span)
         ctx.declare_representation(u, v, parse_sub(value))
 
@@ -789,8 +789,9 @@ def serialize_context(ctx: DependencyContext) -> str:
         lines.append(f"dependent {s.name}")
     for g, dep in ctx.constraints:
         lines.append(f"constraint {_render(g, _TEXT)} = 0 solves {dep.name}")
-    for (depn, indepn), rep in sorted(ctx.representations.items()):
-        lines.append(f"representation d{depn}/d{indepn} = {_render(rep, _TEXT)}")
+    reps = sorted(ctx.representations.items(), key=lambda kv: (kv[0][0].name, kv[0][1].name))
+    for (u, v), rep in reps:
+        lines.append(f"representation d{u.name}/d{v.name} = {_render(rep, _TEXT)}")
     for f, args in ctx.opaques:
         lines.append(f"opaque {f.name}({','.join(a.name for a in args)})")
     for a, b, v in sorted(ctx.commutators.pairs(), key=lambda t: (t[0].name, t[1].name)):

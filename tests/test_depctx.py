@@ -7,12 +7,14 @@ import pytest
 from wholediff.depctx import (
     DependencyContext,
     _Stream,
+    _streams,
     implicit_partial,
     sample_on_shell,
     solve_dependents,
 )
 from wholediff.errors import DegenerateConstraintError, RootSolveError
 from wholediff.numcheck import NumericBinding, evaluate
+from wholediff.textio import serialize_context
 from wholediff.symexpr import Expr, Symbol, SymbolKind, equals_canonical
 
 p1 = Symbol("p1", SymbolKind.INDEPENDENT)
@@ -64,12 +66,29 @@ def test_derived_representation_is_made_once_per_pair():
 
     ctx.declare_representation(E, p1, 2 * P1 / EE)
     assert equals_canonical(ctx.representation(E, p1), 2 * P1 / EE)
-    del ctx.representations[("E", "p1")]
+    del ctx.representations[(E, p1)]
     assert equals_canonical(ctx.representation(E, p1), P1 / EE)
 
     ctx.constraints = ((P1 ** 2 - EE ** 2, E),)
     assert equals_canonical(ctx.representation(E, p2), Expr.zero())
     assert equals_canonical(ctx.representation(E, p1), P1 / EE)
+
+
+def test_representations_are_keyed_by_symbol():
+    """A declared representation belongs to its dependent and independent,
+    not to every symbol that shares their names; the context file still
+    lists the representations sorted by name."""
+    ctx = make_ctx()
+    ctx.declare_representation(E, p2, 3 * P2 / EE)
+    ctx.declare_representation(E, p1, 2 * P1 / EE)
+    E_param = Symbol("E", SymbolKind.PARAMETER)
+    p1_param = Symbol("p1", SymbolKind.PARAMETER)
+    assert ctx.representation(E_param, p1) is None
+    assert equals_canonical(ctx.representation(E, p1_param), Expr.zero())
+    assert equals_canonical(ctx.representation(E, p1), 2 * P1 / EE)
+    assert set(ctx.representations) == {(E, p1), (E, p2)}
+    lines = [ln for ln in serialize_context(ctx).splitlines() if ln.startswith("representation")]
+    assert lines == ["representation dE/dp1 = 2*p1/E", "representation dE/dp2 = 3*p2/E"]
 
 
 def test_validate_clean_and_warning():
@@ -211,6 +230,106 @@ RANGES = ((-2.0, 2.0), (0.5, 2.0))
 
 def _draws(rng, n):
     return [rng.uniform(*RANGES[j % 2]) for j in range(n)]
+
+
+# numpy's SeedSequence and PCG64 seeding, one 32-bit word at a time, as
+# numpy/random/bit_generator.pyx and pcg64.h write them: the reference for
+# the lane kernel, with no numpy needed.
+_M32, _M128 = (1 << 32) - 1, (1 << 128) - 1
+INIT_A, MULT_A, INIT_B, MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+MIX_MULT_L, MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _reference_seed(seed, index):
+    """(state, inc) of PCG64 seeded by default_rng([seed, index])."""
+    def words(n):
+        out = [n & _M32]
+        while n > _M32:
+            n >>= 32
+            out.append(n & _M32)
+        return out
+
+    const = INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value ^= const
+        const = const * MULT_A & _M32
+        value = value * const & _M32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        r = (MIX_MULT_L * x - MIX_MULT_R * y) & _M32
+        return r ^ r >> 16
+
+    entropy = words(seed) + words(index)
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(4, len(entropy)):
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(entropy[src]))
+    const, state = INIT_B, []
+    for i in range(8):  # generate_state(4, uint64): eight words, little-endian pairs
+        value = pool[i % 4] ^ const
+        const = const * MULT_B & _M32
+        value = value * const & _M32
+        state.append(value ^ value >> 16)
+    s64 = [state[2 * i] | state[2 * i + 1] << 32 for i in range(4)]
+    inc = (s64[2] << 64 | s64[3]) << 1 & _M128 | 1
+    return (inc + (s64[0] << 64 | s64[1])) * PCG_MULT + inc & _M128, inc
+
+
+def _seeded(rngs):
+    return [(rng.state, rng.inc) for rng in rngs]
+
+
+@pytest.mark.parametrize("index", STREAM_INDICES)
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+def test_stream_matches_scalar_reference(seed, index):
+    assert (_Stream(seed, index).state, _Stream(seed, index).inc) == _reference_seed(seed, index)
+
+
+@pytest.mark.parametrize("count", (1, 2, 61, 1025))
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+def test_streams_seeded_together_match_scalar_reference(seed, count):
+    """Every lane of a batch, 1025 crossing a chunk, is the stream of its
+    own index."""
+    want = [_reference_seed(seed, k) for k in range(count)]
+    assert _seeded(_streams(seed, 0, count)) == want
+
+
+@pytest.mark.parametrize("start, stop", [
+    (2**32 - 3, 2**32 + 4),  # one word, then two
+    (2**64 - 1, 2**64 + 2),  # two words, then three
+    (2**128 - 2, 2**128 + 1),  # four words, then five: lanes wider than 128 bits
+    (5, 5),
+])
+def test_streams_split_where_the_index_gains_a_word(start, stop):
+    for seed in (7, 2**64 + 3):
+        want = [_reference_seed(seed, k) for k in range(start, stop)]
+        assert _seeded(_streams(seed, start, stop)) == want
+
+
+def test_sample_on_shell_draws_each_sample_from_its_index_stream(monkeypatch):
+    """The batch-seeded sampler gives the points that per-index streams
+    give, redraws included (seed 4: some samples of the narrow shell are
+    drawn again)."""
+    import wholediff.depctx as depctx
+
+    narrow = DependencyContext(
+        independents=(p1, p2), parameters=(m,), dependents=(E,),
+        constraints=((EE ** 2 - P1 ** 2 - P2 ** 2 + M ** 2, E),), ordering_mode="commuting",
+    )
+    for ctx in (make_ctx(), narrow):
+        got = sample_on_shell(ctx, 70, seed=4, sign=-1)
+        monkeypatch.setattr(depctx, "_streams",
+                            lambda seed, start, stop: (_Stream(seed, k) for k in range(start, stop)))
+        assert sample_on_shell(ctx, 70, seed=4, sign=-1) == got
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("index", STREAM_INDICES)

@@ -216,6 +216,22 @@ def test_box_sampler_draws_numpy_default_rng_stream(ms_commuting):
     assert got == want
 
 
+@pytest.mark.parametrize("samples", [3, 1025])
+def test_box_verify_identity_draws_each_sample_from_its_index_stream(ms_commuting, samples):
+    """The box path seeds all its samples together, 1025 crossing a chunk;
+    every sample is the one SamplerSpec.draw makes from its own index."""
+    ctx = ms_commuting
+    seen = []
+    f = OpaqueFn(lambda *a: seen.append(a) or 0.0)
+    m = Expr.symbol(ctx.find_symbol("m"))
+    report = verify_identity(field_of(ctx) + m, m, ctx, SamplerSpec(kind="box", sign=-1),
+                             seed=17, samples=samples, opaques={"f": f})
+    assert report.passed
+    spec = SamplerSpec(kind="box", sign=-1)
+    want = [spec.draw(ctx, k, seed=17) for k in range(samples)]
+    assert seen == [tuple(v[a.name] for a in ctx.opaques[0][1]) for v in want]
+
+
 @pytest.mark.parametrize("samples", [0, -3])
 def test_verify_identity_rejects_fewer_than_one_sample(ms_commuting, samples):
     """No sample checked is no verdict, not a pass."""
