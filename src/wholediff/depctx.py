@@ -406,21 +406,25 @@ def sample_on_shell(
     [1/2, 2].  Sample k draws from its own stream, numpy's
     default_rng([seed, k]) bit for bit; all the streams are seeded together.
     A sample that has no solution or a dependent with |value| < 1e-6 is
-    drawn again from the same stream, up to 64 draws in all."""
+    drawn again from the same stream, up to 64 draws in all; then the
+    RootSolveError names what went wrong with the last draw."""
     out = []
     for rng in _streams(seed, 0, count):
         for _attempt in range(64):
             vals = _draw_free(ctx, rng)
             try:
                 dep_vals = solve_dependents(ctx, vals, sign=sign)
-            except RootSolveError:
+            except RootSolveError as exc:
+                why = str(exc)
                 continue
             if all(abs(v) >= _MIN_DEPENDENT for v in dep_vals.values()):
                 vals.update(dep_vals)
                 break
+            why = f"a dependent below {_MIN_DEPENDENT} in magnitude"
         else:
             raise RootSolveError(
-                "could not draw an admissible on-shell sample", sample=vals
+                f"could not draw an admissible on-shell sample; the last draw: {why}",
+                sample=vals,
             )
         out.append(vals)
     return out
@@ -483,7 +487,7 @@ def _constraint_derivatives(g: Expr, u: Symbol) -> tuple:
     """The solve plan of a (constraint, dependent) pair, derived and
     compiled once rather than at every sample and finite-difference probe:
     g, g_u and g_uu compiled as functions of (values, u), the last two None
-    unless g_uuu is zero, so that the closed form applies (else brentq)."""
+    unless g_uuu is zero, so that the closed form applies (else _brent)."""
     from .numcheck import _compile  # loaded by the first context that samples
 
     gu = g.diff_plain(u)
@@ -517,19 +521,88 @@ def _solve_one(plan: tuple, u: Symbol, vals, sign, near) -> float:
         want = max(r1, r2) if sign >= 0 else min(r1, r2)
         return want
 
-    from scipy.optimize import brentq
-
     lo, hi = _BRACKET
     if sign < 0:
         lo, hi = -hi, -lo
     if near is not None:
         width = max(1.0, abs(near))
         lo, hi = near - width, near + width
-    f = lambda x: g(vals, x).real
-    flo, fhi = f(lo), f(hi)
-    if flo * fhi > 0:
+    return _brent(g, vals, lo, hi, u.name)
+
+
+# The tolerances and step limit of the bracketed solve.
+_XTOL, _RTOL, _MAX_STEPS = 1e-14, 8.9e-16, 100
+_INF = math.inf
+
+
+def _brent(g, vals, lo: float, hi: float, name: str) -> float:
+    """The root in [lo, hi] of f(x) = g(vals, x).real by Brent's method
+    (Brent 1973, ch. 4), step for step as scipy's brentq.c takes it: the
+    root is bit-identical to brentq(f, lo, hi, xtol=1e-14, rtol=8.9e-16).
+
+    RootSolveError where brentq raises, and at an infinite value, which
+    brentq carries on with: at a probe that overflows, is NaN or infinite;
+    at ends of one sign, read from their signs (their product can underflow
+    to 0); after 100 steps without convergence.  A division by zero in an
+    interpolation, inf or nan in C, makes that step a bisection, as there."""
+    fpre, fcur = _value(g, vals, lo, name), _value(g, vals, hi, name)
+    if fpre == 0:
+        return lo
+    if fcur == 0:
+        return hi
+    if (fpre < 0) == (fcur < 0):
         raise RootSolveError(
-            f"could not bracket a root for '{u.name}' in [{lo}, {hi}]",
-            sample=dict(vals),
+            f"could not bracket a root for '{name}' in [{lo}, {hi}]", sample=dict(vals)
         )
-    return float(brentq(f, lo, hi, xtol=1e-14, rtol=8.9e-16))
+    xpre, xcur = lo, hi
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_MAX_STEPS):
+        if fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (_XTOL + _RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # secant
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # inverse quadratic
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                stry = _INF
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = _value(g, vals, xcur, name)
+    raise RootSolveError(
+        f"root solve for '{name}' did not converge in {_MAX_STEPS} steps", sample=dict(vals)
+    )
+
+
+def _value(g, vals, x: float, name: str) -> float:
+    """f(x) = g(vals, x).real, or RootSolveError if it overflows or is not finite."""
+    try:
+        fx = g(vals, x).real
+        if -_INF < fx < _INF:
+            return fx
+    except OverflowError:
+        pass
+    raise RootSolveError(
+        f"constraint for '{name}' overflows or is not finite at {name} = {x!r}",
+        sample=dict(vals),
+    )

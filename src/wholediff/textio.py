@@ -514,6 +514,12 @@ def parse_context(text: str) -> DependencyContext:
         # A constraint is imposed only through the dependent it solves.
         if u.kind != SymbolKind.DEPENDENT:
             raise ParseError(f"constraint must solve a dependent, '{u.name}' is not one", dep.span)
+        # Its representation -g_v/g_u is du/dv only if g holds no other dependent.
+        for t in lhs:
+            other = table.get(t.text) if t.kind == "id" else None
+            if other is not None and other.kind == SymbolKind.DEPENDENT and other is not u:
+                raise ParseError(f"constraint solving '{u.name}' mentions another dependent, "
+                                 f"'{t.text}'", t.span)
         constraints.append((parse_sub(lhs), u))
 
     ctx = DependencyContext(

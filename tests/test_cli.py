@@ -345,6 +345,24 @@ def test_verify_numeric_error_exit4(ctx_file, capsys):
     assert code == 4
 
 
+def test_verify_overflowing_root_solve_exit4(tmp_path, capsys):
+    """u^120 overflows complex exponentiation at the bracket end 1e3: each
+    draw is a failed root solve, and verify exits 4, not 1 (failed)."""
+    path = tmp_path / "u120.ctx"
+    path.write_text(
+        "independent x\ndependent u\nconstraint u^120 - x^2 - 1 = 0 solves u\n"
+        "representation du/dx = 2*x/(120*u^119)\nopaque f(x,u)\n"
+    )
+    code, out, err = run(
+        capsys, "verify", str(path), "--lhs", "u^120", "--rhs", "x^2+1", "--samples", "5"
+    )
+    assert (code, out) == (4, "")
+    assert err == (
+        "numeric error: could not draw an admissible on-shell sample; the last draw: "
+        "constraint for 'u' overflows or is not finite at u = 1000.0\n"
+    )
+
+
 def test_verify_positive_power_of_zero_base(ctx_file, capsys):
     """sqrt(m^2) - m is exactly 0 at every sample; its square root is 0,
     not a math domain error."""
@@ -637,17 +655,17 @@ def test_closed_stdout_exits_141_quietly(ctx_file):
     assert proc.stderr == ""
 
 
-def test_verify_does_not_import_numpy(ctx_file):
-    """The sampling stream is pure Python; numpy is reached only through
-    scipy's root solver, which the closed-form mass shell never calls."""
+def _verify_in_a_fresh_process(ctx_file, lhs, rhs):
+    """Run verify in a new interpreter; assert it passes and loads neither
+    numpy nor scipy."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     code = (
         "import sys\n"
         "from wholediff.cli import main\n"
-        f"rc = main(['verify', {ctx_file!r}, '--lhs', 'E^2',"
-        " '--rhs', 'p1^2+p2^2+p3^2+m^2', '--samples', '50'])\n"
+        f"rc = main(['verify', {ctx_file!r}, '--lhs', {lhs!r},"
+        f" '--rhs', {rhs!r}, '--samples', '50'])\n"
         "assert rc == 0, rc\n"
-        "assert 'numpy' not in sys.modules\n"
+        "assert not {'numpy', 'scipy'} & set(sys.modules)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True,
@@ -655,6 +673,18 @@ def test_verify_does_not_import_numpy(ctx_file):
     )
     assert proc.returncode == 0, proc.stderr
     assert "verdict: pass" in proc.stdout
+
+
+def test_verify_does_not_import_numpy(ctx_file):
+    """The sampling stream is pure Python, and the mass shell is solved in
+    closed form."""
+    _verify_in_a_fresh_process(ctx_file, "E^2", "p1^2+p2^2+p3^2+m^2")
+
+
+def test_verify_on_the_retarded_cubic_does_not_import_numpy_or_scipy(tmp_path):
+    """The retarded cubic takes the bracketed root solve, also pure Python."""
+    assert main(["scenario", "retarded", "--trajectory", "tp^3/10", "--out", str(tmp_path)]) == 0
+    _verify_in_a_fresh_process(str(tmp_path / "retarded.ctx"), "tp^3", "10*(tp + x - t)")
 
 
 @pytest.mark.parametrize("argv, loaded, absent", [
@@ -735,6 +765,34 @@ def test_constraint_solving_no_dependent_exit2(tmp_path, capsys, solved, command
     code, out, err = run(capsys, command[0], str(bad), *command[1:])
     assert (code, out) == (2, "")
     assert err.startswith("parse error: ") and f"'{solved}' is not one" in err
+
+
+CHAIN_SRC = (
+    "independent x\ndependent w\ndependent u\n"
+    "constraint w - x^2 = 0 solves w\nconstraint u - w = 0 solves u\n"
+)
+CHAIN_REVERSED_SRC = (
+    "independent x\ndependent u\ndependent w\n"
+    "constraint u - w = 0 solves u\nconstraint w - x^2 = 0 solves w\n"
+)
+
+
+@pytest.mark.parametrize("src, command", [
+    (CHAIN_SRC, ("derive", "--expr", "u", "--wrt", "x")),
+    (CHAIN_SRC + "opaque f(x,u,w)\n", ("derive", "--expr", "f(x,u,w)", "--wrt", "x")),
+    (CHAIN_REVERSED_SRC, ("verify", "--lhs", "u", "--rhs", "x^2", "--samples", "5")),
+], ids=["derive-u", "derive-f", "verify-reversed"])
+def test_constraint_mentioning_another_dependent_exit2(tmp_path, capsys, src, command):
+    """The representation -g_x/g_u of a constraint g that also holds w is
+    not du/dx: derive printed 0 for u and dropped 2*x*D[f,u], and verify
+    could not bind w.  Refused, with the span on that w."""
+    path = tmp_path / "chain.ctx"
+    path.write_text(src)
+    code, out, err = run(capsys, command[0], str(path), *command[1:])
+    assert (code, out) == (2, "")
+    start = src.index("constraint u - w") + len("constraint u - ")
+    assert err == ("parse error: constraint solving 'u' mentions another dependent, 'w' "
+                   f"(at {start}..{start + 1})\n")
 
 
 def test_missing_subcommand_exit2(capsys):

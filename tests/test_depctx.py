@@ -7,6 +7,7 @@ import pytest
 from wholediff.depctx import (
     DependencyContext,
     _Stream,
+    _brent,
     _streams,
     implicit_partial,
     sample_on_shell,
@@ -207,8 +208,8 @@ def test_sample_on_shell_gives_up_after_64_draws(monkeypatch):
 
 
 def test_solve_dependents_brackets_the_negative_sheet():
-    """A cubic constraint goes to brentq; sign=-1 mirrors the bracket to
-    [-1e3, -1e-6], where E^3 = p1^3 + m^3 = -7 has its root."""
+    """A cubic constraint goes to the bracketed Brent solve; sign=-1 mirrors
+    the bracket to [-1e3, -1e-6], where E^3 = p1^3 + m^3 = -7 has its root."""
     ctx = DependencyContext(
         independents=(p1,), parameters=(m,), dependents=(E,),
         constraints=((EE ** 3 - P1 ** 3 - M ** 3, E),), ordering_mode="commuting",
@@ -216,6 +217,44 @@ def test_solve_dependents_brackets_the_negative_sheet():
     sol = solve_dependents(ctx, {"p1": -2.0, "m": 1.0}, sign=-1)
     assert sol["E"] == pytest.approx(-(7 ** (1 / 3)), rel=1e-12)
     assert sol["E"] == pytest.approx(-1.9129, abs=1e-4)
+
+
+def _overflow(x):
+    raise OverflowError("complex exponentiation")
+
+
+@pytest.mark.parametrize("f", [
+    lambda x: _overflow(x) if x > 9 else x - 3,
+    lambda x: _overflow(x) if 2 < x < 4 else x - 3,
+    lambda x: math.nan if x < 1 else x - 3,
+    lambda x: math.nan if 2 < x < 4 else x - 3,
+    lambda x: -math.inf if 2 < x < 4 else x - 3,
+], ids=["overflow-at-an-end", "overflow-inside", "nan-at-an-end", "nan-inside", "inf-inside"])
+def test_brent_refuses_a_probe_that_overflows_or_is_not_finite(f):
+    """On [0, 10] the first step is the secant to x = 3, so the inner cases
+    fail there: RootSolveError, whichever probe it is."""
+    with pytest.raises(RootSolveError, match="overflows or is not finite") as exc:
+        _brent(lambda vals, x: f(x), {"x": 0.5}, 0.0, 10.0, "u")
+    assert exc.value.sample == {"x": 0.5}
+
+
+def test_brent_reads_the_bracket_from_the_signs_not_their_product():
+    """Values of 1e-200 multiply to 0, which a product test reads as a sign
+    change: ends of one sign are refused, ends of two are a bracket."""
+    assert 1e-200 * 2e-200 == 0.0
+    with pytest.raises(RootSolveError, match=r"could not bracket a root for 'u' in \[1.0, 2.0\]"):
+        _brent(lambda vals, x: 1e-200 * (1 + x * x), {}, 1.0, 2.0, "u")
+    assert _brent(lambda vals, x: 1e-200 * (x - 1.5), {}, 1.0, 2.0, "u") == 1.5
+
+
+def test_brent_gives_up_after_100_steps():
+    """A step function on [-1e300, 1e300] needs about a thousand halvings:
+    the two ends and 100 steps are probed, then RootSolveError."""
+    probes = []
+    step = lambda vals, x: probes.append(x) or (-1.0 if x < 0.1 else 1.0)
+    with pytest.raises(RootSolveError, match="did not converge in 100 steps"):
+        _brent(step, {}, -1e300, 1e300, "u")
+    assert len(probes) == 102
 
 
 # ---------------------------------------------------------------------------

@@ -317,8 +317,8 @@ def _reference_eval_atom(a, b):
 
 def _reference_solve(ctx, vals, sign=+1, near=None):
     """solve_dependents and _solve_one as they were before the solve plans,
-    on the reference evaluator."""
-    from scipy.optimize import brentq
+    on the reference evaluator, with scipy's brentq for the bracketed solve."""
+    brentq = pytest.importorskip("scipy.optimize").brentq
 
     out = {}
     for u in ctx.dependents:
