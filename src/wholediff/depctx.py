@@ -203,9 +203,9 @@ class DependencyContext:
                     continue
                 try:
                     ok = self._numeric_agreement(declared, derived)
-                except (RootSolveError, ContextError):
+                except ContextError:
                     continue
-                except EvaluationError as exc:
+                except (EvaluationError, RootSolveError) as exc:
                     diags.append(
                         Diagnostic(
                             "warning",
@@ -225,19 +225,27 @@ class DependencyContext:
         return diags
 
     def _numeric_agreement(self, a: Expr, b: Expr) -> bool:
+        """a and b agree at the on-shell samples of both sheets; a sheet that
+        cannot be sampled is skipped, and RootSolveError, naming the last
+        failure, says that neither could be."""
         from .numcheck import _program
 
         a_at, b_at = _program(a), _program(b)
+        failures = []
         for sign in (+1, -1):
             try:
                 points = sample_on_shell(self, _AGREEMENT_SAMPLES, _AGREEMENT_SEED, sign=sign)
-            except (RootSolveError, DegenerateConstraintError):
+            except (RootSolveError, DegenerateConstraintError) as exc:
+                failures.append(exc)
                 continue
             for vals in points:
                 va, vb = a_at(vals, {}), b_at(vals, {})
                 denom = max(abs(va), abs(vb), 1e-30)
                 if abs(va - vb) / denom > _AGREEMENT_TOL:
                     return False
+        if len(failures) == 2:
+            raise RootSolveError("no on-shell sample could be drawn; the last failure: "
+                                 f"{failures[-1]}")
         return True
 
 

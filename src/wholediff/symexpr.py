@@ -35,6 +35,15 @@ A product is made in one step: each output word, the concatenation of one
 word per factor, is canonicalized once, and all are merged once; a word in
 which a power atom ends at an exponent other than 1 is recomputed by
 Expr.__pow__ and added after.  Sum denominators multiply and divide last.
+
+Paper mode's finalize, normal_order(expand_rep_atoms(e, 'paper')), is one
+pass (paper_normal_order): normal ordering is linear, so the average over
+the orders of each monomial's representation markers is taken on
+coefficients, by the expected number of times each letter pair is out of
+order, and one word is built per bucket, with no marker ordering built.
+Where the order of additions could matter (a sum denominator in e, in a
+marker expansion or in a commutator value) or the pass raises, the two
+passes run instead.
 """
 
 from __future__ import annotations
@@ -1010,8 +1019,9 @@ def expand_rep_atoms(e, mode: str = "operator") -> Expr:
     """Replace internal representation markers by their expansions.
 
     mode 'paper' symmetrizes products of representation coefficients over
-    the slots they occupy before expanding; 'operator' and 'commuting'
-    expand in written order.
+    the slots they occupy before expanding, building every distinct order;
+    'operator' and 'commuting' expand in written order.  With commutators,
+    paper mode runs this only where paper_normal_order falls back.
     """
     e = Expr._coerce(e)
     if not any(isinstance(a, RepAtom) for a in e.atoms()):
@@ -1019,9 +1029,9 @@ def expand_rep_atoms(e, mode: str = "operator") -> Expr:
     return _map_num(e, _expand_mono, mode)
 
 
-def _expand_mono(ops, coeff: QC, factors, mode: str):
-    """coeff * factors with each marker replaced by its expansion: one product
-    of the runs of other letters and the expansions between them."""
+def _split_markers(factors):
+    """The runs of other letters around the marker copies of a word (one more
+    run than copies) and the copies, a marker at power k counting k times."""
     runs, reps = [[]], []
     for a, e in factors:
         if not isinstance(a, RepAtom):
@@ -1032,6 +1042,13 @@ def _expand_mono(ops, coeff: QC, factors, mode: str):
         for _ in range(e):
             reps.append(a)
             runs.append([])
+    return runs, reps
+
+
+def _expand_mono(ops, coeff: QC, factors, mode: str):
+    """coeff * factors with each marker replaced by its expansion: one product
+    of the runs of other letters and the expansions between them."""
+    runs, reps = _split_markers(factors)
     if not reps:
         return ops.product((((coeff, factors),),))
 
@@ -1046,6 +1063,94 @@ def _expand_mono(ops, coeff: QC, factors, mode: str):
         c = coeff / QC(len(perms))
         return ops.total(assemble(c, p) for p in perms)
     return assemble(coeff, reps)
+
+
+def paper_normal_order(e, commutators: CommutatorTable) -> Expr:
+    """normal_order(expand_rep_atoms(e, 'paper'), commutators) in one pass
+    over e's numerator (_paper_monos), whose exact coefficients merge once.
+    Where the order of additions can matter (no GCD), and wherever the pass
+    raises, the two passes run instead and give their value or error: when e
+    has a sum denominator, or the pass meets a marker expansion that is not
+    one monomial over 1, a commutator value with a sum denominator or a
+    noncommuting letter, a noncommuting letter that is not a Symbol or has
+    a negative power, a power atom at an exponent other than 1, or a letter
+    pair with no declared commutator."""
+    e = Expr._coerce(e)
+    if e.den_is_one():
+        try:
+            return _poly_expr(_poly_merge(_paper_monos(e._num, commutators)))
+        except (_NotPlain, UnsupportedExpressionError):
+            pass
+    return normal_order(expand_rep_atoms(e, "paper"), commutators)
+
+
+def _paper_monos(num, comms) -> list:
+    """The monomials of the paper pass.  Over the n! orders of a monomial's n
+    marker copies in their slots, every word has the same central factors and
+    sorted letters, and the commutator term of a letter pair (x, y) with
+    key(x) > key(y) counts once per word in which x stands before y; the
+    standard-ordering product is linear, so the average takes the expected
+    count W.  In units of 1/d, d = 2n (2 with no marker), W is d for two
+    letters of one run or of one expansion (item) in written order, n for
+    letters of two items, 2r for an item letter before a letter of run r
+    (between slots r and r+1), and 2(n - r) for that letter before it.  Each monomial adds its
+    coefficient to the bucket of its sorted word and coeff * W to the bucket
+    of each pair; one word is built per bucket.  A word holding a commutator
+    symbol gets no pair terms, as in _normal_order_mono; a commutator value
+    with no letter keeps the branch word sorted."""
+    words, pairs = {}, {}
+    for coeff, factors in num:
+        runs, reps = _split_markers(factors)
+        n = len(reps)
+        d = 2 * n or 2
+        sources = [(run, r, -1) for r, run in enumerate(runs)]
+        for k, rep in enumerate(reps):
+            x = rep.expansion
+            if x._den != _POLY_ONE or len(x._num) != 1:
+                raise _NotPlain
+            c, f = x._num[0]
+            coeff = coeff * c
+            sources.append((f, -1, k))
+        central, letters = [], []
+        for f, r, k in sources:
+            for a, e in f:
+                if not a.noncommuting:
+                    central.append((a, e))
+                elif e > 0 and a.__class__ is Symbol:
+                    letters += [(a, r, k)] * e
+                else:
+                    raise _NotPlain
+        cw = _canonical_word(central)
+        ls = tuple(sorted([a for a, _r, _k in letters], key=lambda a: a.key))
+        words[cw, ls] = words.get((cw, ls), ZERO) + coeff
+        if _commutator_powers(cw):
+            continue
+        weights = {}
+        for j, (b, _rb, kb) in enumerate(letters):
+            for a, ra, ka in letters[:j]:
+                if a.key == b.key:
+                    continue
+                if ka < 0:
+                    w = d if kb < 0 else 2 * (n - ra)
+                else:
+                    w = d if ka == kb else n
+                pair, w = ((a, b), w) if a.key > b.key else ((b, a), d - w)
+                if w:
+                    weights[pair] = weights.get(pair, 0) + w
+        for (x, y), w in weights.items():
+            key = (x, y, d, cw, ls)
+            pairs[key] = pairs.get(key, ZERO) + coeff * QC(w)
+    out = [m for (cw, ls), c in words.items()
+           for m in _Plain.product((((c, cw + tuple((a, 1) for a in ls)),),))]
+    for (x, y, d, cw, ls), c in pairs.items():
+        comm = comms.lookup(x, y)
+        if comm is None or _poly_has_word(comm._num):
+            raise _NotPlain
+        rest = list(ls)
+        rest.remove(x)
+        rest.remove(y)
+        out += _Plain.product((((c / QC(d), cw + tuple((a, 1) for a in rest)),), comm))
+    return out
 
 
 def _distinct_permutations(items):

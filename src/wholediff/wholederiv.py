@@ -24,6 +24,7 @@ from .symexpr import (
     Symbol,
     expand_rep_atoms,
     normal_order,
+    paper_normal_order,
 )
 
 if TYPE_CHECKING:
@@ -59,8 +60,13 @@ def whole_partial_raw(e, v: Symbol, ctx: "DependencyContext") -> Expr:
 
 def finalize(e, ctx: "DependencyContext") -> Expr:
     """Expand representation markers per the context's ordering mode and
-    normal-order the result when commutators are declared."""
-    e = expand_rep_atoms(Expr._coerce(e), ctx.ordering_mode)
+    normal-order the result when commutators are declared.  In paper mode
+    with commutators the two are one pass, paper_normal_order, which runs
+    them apart where the order of additions can matter."""
+    e = Expr._coerce(e)
+    if ctx.ordering_mode == "paper" and ctx.commutators:
+        return paper_normal_order(e, ctx.commutators)
+    e = expand_rep_atoms(e, ctx.ordering_mode)
     if ctx.commutators:
         e = normal_order(e, ctx.commutators)
     return e

@@ -15,7 +15,7 @@ from wholediff.depctx import (
 )
 from wholediff.errors import DegenerateConstraintError, RootSolveError
 from wholediff.numcheck import NumericBinding, evaluate
-from wholediff.textio import serialize_context
+from wholediff.textio import parse_context, serialize_context
 from wholediff.symexpr import Expr, Symbol, SymbolKind, equals_canonical
 
 p1 = Symbol("p1", SymbolKind.INDEPENDENT)
@@ -98,6 +98,22 @@ def test_validate_clean_and_warning():
     ctx.declare_representation(E, p1, 2 * P1 / EE)  # disagrees on-shell
     diags = ctx.validate()
     assert any(d.level == "warning" and "disagrees" in d.message for d in diags)
+
+
+@pytest.mark.parametrize("power, verdict", [
+    (120, "was not checked against the constraint-derived form: no on-shell sample could "
+          "be drawn; the last failure: could not draw an admissible on-shell sample; the last "
+          "draw: constraint for 'u' overflows or is not finite at u = -1000.0"),
+    (3, "disagrees with the constraint-derived form on the constraint surface"),
+])
+def test_validate_warns_about_a_wrong_representation_it_cannot_sample(power, verdict):
+    """du/dx = 3*x is wrong for u^k = x^2 + 1.  With k = 3 sampling shows it;
+    with k = 120 every draw on both sheets overflows, and validate says that
+    it could not check the representation instead of approving it."""
+    ctx = parse_context(f"independent x\ndependent u\nconstraint u^{power} - x^2 - 1 = 0 "
+                        "solves u\nrepresentation du/dx = 3*x\nopaque f(x,u)\n")
+    assert [(d.level, d.message) for d in ctx.validate()] == [
+        ("warning", f"declared representation du/dx {verdict}")]
 
 
 def test_validate_missing_representation():
