@@ -382,6 +382,9 @@ def _streams(seed: int, start: int, stop: int):
     """The _Stream of each index in range(start, stop), seeded _CHUNK
     lanes at a time.  A run of lanes stops where the index gains a 32-bit
     word (at 2^32, 2^64, ...): SeedSequence's steps depend on the word count."""
+    if stop - start == 1:  # one lane needs no packing
+        yield _Stream(seed, start)
+        return
     seed_words = _seed_words(seed)
     while start < stop:
         words = len(_seed_words(start))
@@ -408,34 +411,10 @@ def sample_on_shell(
     seed: int,
     sign: int = +1,
 ) -> List[Dict[str, complex]]:
-    """Deterministic numeric bindings on the constraint surface.
-
-    Independents are drawn uniformly from [-2, 2], parameters from
-    [1/2, 2].  Sample k draws from its own stream, numpy's
-    default_rng([seed, k]) bit for bit; all the streams are seeded together.
-    A sample that has no solution or a dependent with |value| < 1e-6 is
-    drawn again from the same stream, up to 64 draws in all; then the
-    RootSolveError names what went wrong with the last draw."""
-    out = []
-    for rng in _streams(seed, 0, count):
-        for _attempt in range(64):
-            vals = _draw_free(ctx, rng)
-            try:
-                dep_vals = solve_dependents(ctx, vals, sign=sign)
-            except RootSolveError as exc:
-                why = str(exc)
-                continue
-            if all(abs(v) >= _MIN_DEPENDENT for v in dep_vals.values()):
-                vals.update(dep_vals)
-                break
-            why = f"a dependent below {_MIN_DEPENDENT} in magnitude"
-        else:
-            raise RootSolveError(
-                f"could not draw an admissible on-shell sample; the last draw: {why}",
-                sample=vals,
-            )
-        out.append(vals)
-    return out
+    """Deterministic numeric bindings on the constraint surface: sample k
+    is _draw_on_shell from its own stream, numpy's default_rng([seed, k])
+    bit for bit, and all the streams are seeded together."""
+    return [_draw_on_shell(ctx, rng, sign) for rng in _streams(seed, 0, count)]
 
 
 def _draw_free(ctx: DependencyContext, rng) -> Dict[str, complex]:
@@ -447,6 +426,28 @@ def _draw_free(ctx: DependencyContext, rng) -> Dict[str, complex]:
     for s in ctx.parameters:
         vals[s.name] = rng.uniform(0.5, 2.0)
     return vals
+
+
+def _draw_on_shell(ctx: DependencyContext, rng, sign: int) -> Dict[str, complex]:
+    """_draw_free, then each dependent solved on the sheet of the sign.  A
+    draw with no solution or a dependent with |value| < 1e-6 is made again
+    from the same stream, up to 64 draws in all; then the RootSolveError
+    names what went wrong with the last draw."""
+    for _attempt in range(64):
+        vals = _draw_free(ctx, rng)
+        try:
+            dep_vals = solve_dependents(ctx, vals, sign=sign)
+        except RootSolveError as exc:
+            why = str(exc)
+            continue
+        if all(abs(v) >= _MIN_DEPENDENT for v in dep_vals.values()):
+            vals.update(dep_vals)
+            return vals
+        why = f"a dependent below {_MIN_DEPENDENT} in magnitude"
+    raise RootSolveError(
+        f"could not draw an admissible on-shell sample; the last draw: {why}",
+        sample=vals,
+    )
 
 
 def _draw_box(ctx: DependencyContext, rng, sign: int) -> Dict[str, complex]:
@@ -464,8 +465,11 @@ def solve_dependents(
     near: Optional[Dict[str, float]] = None,
 ) -> Dict[str, float]:
     """Solve each dependent from its constraint at the given independent and
-    parameter values.  Linear and pure-quadratic constraints are solved in
-    closed form; anything else falls back to a bracketed 1-D root solve."""
+    parameter values, on the sheet of the sign (+1 or -1, else ValueError).
+    Linear and pure-quadratic constraints are solved in closed form;
+    anything else falls back to a bracketed 1-D root solve."""
+    if sign not in (+1, -1):
+        raise ValueError(f"sampler sign must be +1 or -1, not {sign!r}")
     out: Dict[str, float] = {}
     for u, plan in _solve_plans(ctx):
         if plan is None:

@@ -388,7 +388,8 @@ def _fmt_complex(z) -> Optional[str]:
 class SamplerSpec:
     """Sampling strategy: 'on-shell' with a sheet sign, or 'box' drawing
     every non-opaque symbol from fixed ranges (dependents included,
-    off-shell, sign times uniform in [1/2, 2])."""
+    off-shell, sign times uniform in [1/2, 2]).  Each kind has one draw
+    from a sample's own stream, which draw and verify_identity both use."""
 
     __slots__ = ("kind", "sign")
 
@@ -400,9 +401,16 @@ class SamplerSpec:
         self.kind, self.sign = kind, sign
 
     def draw(self, ctx: DependencyContext, index: int, seed: int) -> Dict[str, complex]:
-        from .depctx import _Stream, _draw_box
+        """Sample `index` of `seed`, the one verify_identity checks there."""
+        return next(self._samples(ctx, seed, index, index + 1))
 
-        return _draw_box(ctx, _Stream(seed, index), self.sign)
+    def _samples(self, ctx: DependencyContext, seed: int, start: int, stop: int):
+        """The samples of indices start..stop-1, each drawn from its own
+        stream when it is asked for."""
+        from .depctx import _draw_box, _draw_on_shell, _streams
+
+        draw = _draw_on_shell if self.kind == "on-shell" else _draw_box
+        return (draw(ctx, rng, self.sign) for rng in _streams(seed, start, stop))
 
 
 def verify_identity(
@@ -416,33 +424,28 @@ def verify_identity(
     samples: int = 100,
     opaques: Optional[Dict[str, OpaqueFn]] = None,
 ) -> VerificationReport:
-    """Evaluate both sides at seeded samples; a sample fails when both the
-    absolute and the relative error exceed their tolerances.  Evaluation
-    errors count as failures with diagnostics."""
-    from .depctx import _draw_box, _streams, sample_on_shell
-
+    """Evaluate both sides at seeded samples, each drawn, checked and dropped
+    before the next; a sample fails when both the absolute and the relative
+    error exceed their tolerances.  Evaluation errors count as failures; the
+    report keeps the diagnostics of the first 10."""
     if samples < 1:
         raise ValueError(f"samples must be at least 1, not {samples}")
     if not (0 <= tol_rel < cmath.inf and 0 <= tol_abs < cmath.inf):
         raise ValueError(f"tolerances must be finite and non-negative, not {tol_rel}, {tol_abs}")
-    if sampler.kind == "on-shell":
-        points = sample_on_shell(ctx, samples, seed, sign=sampler.sign)
-    else:
-        points = [_draw_box(ctx, rng, sampler.sign) for rng in _streams(seed, 0, samples)]
-
     failures = 0
     max_abs = 0.0
     max_rel = 0.0
     diags: List[FailureDiagnostic] = []
     lhs_at, rhs_at = _program(Expr._coerce(lhs)), _program(Expr._coerce(rhs))
     closures = opaques or {}
-    for k, vals in enumerate(points):
+    for k, vals in enumerate(sampler._samples(ctx, seed, 0, samples)):
         try:
             lv = lhs_at(vals, closures)
             rv = rhs_at(vals, closures)
         except EvaluationError as exc:
             failures += 1
-            diags.append(FailureDiagnostic(k, dict(vals), None, None, error=str(exc)))
+            if len(diags) < 10:
+                diags.append(FailureDiagnostic(k, vals, None, None, error=str(exc)))
             continue
         abs_err = abs(lv - rv)
         rel_err = abs_err / max(abs(lv), abs(rv), 1e-30)
@@ -450,15 +453,16 @@ def verify_identity(
         max_rel = max(max_rel, rel_err)
         if abs_err > tol_abs and rel_err > tol_rel:
             failures += 1
-            diags.append(FailureDiagnostic(k, dict(vals), lv, rv))
+            if len(diags) < 10:
+                diags.append(FailureDiagnostic(k, vals, lv, rv))
     return VerificationReport(
-        samples=len(points),
+        samples=samples,
         failures=failures,
         max_abs_err=max_abs,
         max_rel_err=max_rel,
         tol_abs=tol_abs,
         tol_rel=tol_rel,
-        diagnostics=diags[:10],
+        diagnostics=diags,
     )
 
 

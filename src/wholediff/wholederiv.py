@@ -99,8 +99,9 @@ def derive_raw(e, v: Symbol, mode: str, ctx: "DependencyContext") -> Expr:
 def mixed_difference(e, v1: Symbol, v2: Symbol, ctx: "DependencyContext") -> Expr:
     """Whole-mixed-derivative asymmetry: the commutator of the two whole
     derivatives acting on e, W[v1](W[v2] e) - W[v2](W[v1] e)."""
+    from .diffop import DifferentialOperator, apply, commutator  # diffop imports this module
+
     if v1 == v2:
         raise ContextError("mixed_difference requires two distinct variables")
-    a = whole_partial_raw(whole_partial_raw(e, v2, ctx), v1, ctx)
-    b = whole_partial_raw(whole_partial_raw(e, v1, ctx), v2, ctx)
-    return finalize(a, ctx) - finalize(b, ctx)
+    W = DifferentialOperator.whole
+    return apply(commutator(W(ctx, v1), W(ctx, v2)), e)

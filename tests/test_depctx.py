@@ -14,7 +14,7 @@ from wholediff.depctx import (
     solve_dependents,
 )
 from wholediff.errors import DegenerateConstraintError, RootSolveError
-from wholediff.numcheck import NumericBinding, evaluate
+from wholediff.numcheck import NumericBinding, evaluate, fd_whole
 from wholediff.textio import parse_context, serialize_context
 from wholediff.symexpr import Expr, Symbol, SymbolKind, equals_canonical
 
@@ -148,6 +148,21 @@ def test_sample_on_shell_negative_sheet():
     for vals in sample_on_shell(ctx, 5, seed=1, sign=-1):
         assert vals["E"].real < 0
         assert abs(evaluate(G, NumericBinding(values=vals))) <= 1e-12
+
+
+@pytest.mark.parametrize("sign", [0, 2, -7])
+def test_a_sheet_sign_other_than_plus_or_minus_one_is_refused(sign):
+    """The sign picks a sheet; any other value is an error, not the sheet
+    of its own sign."""
+    ctx = make_ctx()
+    msg = rf"^sampler sign must be \+1 or -1, not {sign}$"
+    with pytest.raises(ValueError, match=msg):
+        solve_dependents(ctx, {"p1": 3.0, "p2": 0.0, "m": 4.0}, sign=sign)
+    with pytest.raises(ValueError, match=msg):
+        sample_on_shell(ctx, 1, 5, sign=sign)
+    b = NumericBinding(values=sample_on_shell(ctx, 1, 5)[0])
+    with pytest.raises(ValueError, match=msg):
+        fd_whole(EE, p1, ctx, b, sign=sign)
 
 
 def test_sample_overrides_345():

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import field_of
 from wholediff import MassShellScenario, RetardedScenario, build_mass_shell, build_retarded
-from wholediff.depctx import sample_on_shell, solve_dependents
+from wholediff.depctx import DependencyContext, sample_on_shell, solve_dependents
 from wholediff.errors import (
     EvaluationError,
     NormalOrderError,
@@ -230,6 +230,84 @@ def test_box_verify_identity_draws_each_sample_from_its_index_stream(ms_commutin
     spec = SamplerSpec(kind="box", sign=-1)
     want = [spec.draw(ctx, k, seed=17) for k in range(samples)]
     assert seen == [tuple(v[a.name] for a in ctx.opaques[0][1]) for v in want]
+
+
+def _narrow_shell():
+    """E^2 = p1^2 + p2^2 - m^2, which has no real E at some draws: the
+    on-shell sampler draws those samples again."""
+    p2 = Symbol("p2", SymbolKind.INDEPENDENT)
+    return DependencyContext(
+        independents=(p1, p2), parameters=(m,), dependents=(E,),
+        constraints=((EE ** 2 - P1 ** 2 - Expr.symbol(p2) ** 2 + M ** 2, E),),
+        ordering_mode="commuting",
+    )
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_on_shell_draw_is_the_sample_on_shell_sample(ms_commuting, sign, monkeypatch):
+    """On-shell SamplerSpec.draw(ctx, k, seed) lies on the constraint
+    surface and is sample k of sample_on_shell, redrawn samples included
+    (the narrow shell at seed 4)."""
+    import wholediff.depctx as depctx
+
+    spec = SamplerSpec("on-shell", sign)
+    for ctx, seed in ((ms_commuting, 5), (_narrow_shell(), 4)):
+        g = ctx.constraints[0][0]
+        want = sample_on_shell(ctx, 12, seed, sign=sign)
+        draws = []
+        draw_free = depctx._draw_free
+        monkeypatch.setattr(depctx, "_draw_free", lambda c, r: draws.append(1) or draw_free(c, r))
+        for k in range(12):
+            got = spec.draw(ctx, k, seed)
+            assert got == want[k]
+            assert abs(evaluate(g, NumericBinding(values=got))) <= 1e-12
+            assert got["E"] * sign > 0
+        monkeypatch.undo()
+        if seed == 4:
+            assert len(draws) > 12  # some sample was drawn again
+
+
+@pytest.mark.parametrize("kind", ["on-shell", "box"])
+def test_verify_identity_checks_each_sample_before_drawing_the_next(ms_commuting, kind,
+                                                                    monkeypatch):
+    """Memory does not grow with the sample count: sample k is evaluated
+    before sample k + 1 is drawn."""
+    import wholediff.depctx as depctx
+
+    order = []
+    draw_free = depctx._draw_free
+    monkeypatch.setattr(depctx, "_draw_free",
+                        lambda c, r: order.append("draw") or draw_free(c, r))
+    f = OpaqueFn(lambda *a: order.append("evaluate") or 0.0)
+    ctx = ms_commuting
+    report = verify_identity(field_of(ctx) + M, M, ctx, SamplerSpec(kind), seed=3, samples=4,
+                             opaques={"f": f})
+    assert report.passed
+    assert order == ["draw", "evaluate"] * 4
+
+
+@pytest.mark.parametrize("error", [False, True])
+def test_verify_identity_keeps_the_first_10_diagnostics(ms_commuting, error, monkeypatch):
+    """A box identity that fails 25 samples reports 25 failures and keeps
+    the diagnostics of samples 0-9 only, made as they fail; an evaluation
+    error is a failure too."""
+    import wholediff.numcheck as numcheck
+
+    made = []
+
+    class Counted(numcheck.FailureDiagnostic):
+        def __init__(self, *args, **kwargs):
+            made.append(args[0])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(numcheck, "FailureDiagnostic", Counted)
+    ctx = ms_commuting
+    rhs = Expr.symbol(Symbol("q", SymbolKind.PARAMETER)) if error else 2 * P1
+    report = verify_identity(P1, rhs, ctx, SamplerSpec("box"), seed=8, samples=25)
+    assert report.failures == 25
+    assert [d.sample_index for d in report.diagnostics] == list(range(10))
+    assert all(bool(d.error) == error for d in report.diagnostics)
+    assert made == list(range(10))
 
 
 @pytest.mark.parametrize("samples", [0, -3])
