@@ -82,9 +82,14 @@ _new = object.__new__
 
 
 class Atom:
-    """Base class for monomial factors."""
+    """Base class for monomial factors.  An atom other than a Symbol keeps
+    its derivative along each variable it mentions in _diffs, computed by
+    _diff on first use (atoms are interned and immutable); any other variable
+    gives zero and no entry, so the table keeps alive no symbol the atom does
+    not hold.  A power atom's derivative holds the atom: the cycle collector
+    frees the two."""
 
-    __slots__ = ("key", "__weakref__")
+    __slots__ = ("key", "_diffs", "__weakref__")
 
     noncommuting = False
 
@@ -92,7 +97,12 @@ class Atom:
         raise NotImplementedError
 
     def diff(self, v: Symbol) -> "Expr":
-        raise NotImplementedError
+        d = self._diffs.get(v)
+        if d is None:
+            if not self.mentions(v):
+                return _E_ZERO
+            d = self._diffs[v] = self._diff(v)
+        return d
 
 
 class SymbolKind:
@@ -182,6 +192,7 @@ class PartialAtom(Atom):
             self.fn = fn
             self.args = args
             self.orders = canon
+            self._diffs = {}
             argnames = tuple(a.name for a in args)
             if canon:
                 self.key = (_RANK_PARTIAL, fn.name, argnames, tuple((s.name, n) for s, n in canon))
@@ -196,7 +207,7 @@ class PartialAtom(Atom):
     def mentions(self, sym):
         return self.fn is sym or sym in self.args
 
-    def diff(self, v):
+    def _diff(self, v):
         if v in self.args:
             return Expr.atom(PartialAtom(self.fn, self.args, self.orders + ((v, 1),)))
         return Expr.zero()
@@ -224,6 +235,7 @@ class PowAtom(Atom):
             self = _ATOMS[tkey] = _new(cls)
             self.base = base
             self.exp = exp
+            self._diffs = {}
             self.noncommuting = base.noncommuting()
             self.key = (_RANK_POW, base.key, (exp.numerator, exp.denominator))
         return self
@@ -231,7 +243,7 @@ class PowAtom(Atom):
     def mentions(self, sym):
         return self.base.mentions(sym)
 
-    def diff(self, v):
+    def _diff(self, v):
         db = self.base.diff_plain(v)
         if db.is_zero():
             return Expr.zero()
@@ -246,7 +258,8 @@ class RepAtom(Atom):
     coefficient, kept unexpanded between nested whole derivatives until
     finalize: in paper mode, whose symmetrization needs it, and for a
     representation with a sum denominator or a fractional power.  Its key
-    holds the expansion, so markers that expand differently differ."""
+    holds the expansion, so markers that expand differently differ.  Its
+    derivatives, the expansion's, are kept in its table (see Atom)."""
 
     __slots__ = ("dependent", "independent", "expansion", "noncommuting")
 
@@ -258,6 +271,7 @@ class RepAtom(Atom):
             self.dependent = dependent
             self.independent = independent
             self.expansion = expansion
+            self._diffs = {}
             self.noncommuting = expansion.noncommuting()
             self.key = (_RANK_REP, dependent.name, independent.name, expansion.key)
         return self
@@ -265,7 +279,7 @@ class RepAtom(Atom):
     def mentions(self, sym):
         return self.expansion.mentions(sym)
 
-    def diff(self, v):
+    def _diff(self, v):
         # The derivative of a representation coefficient is an ordinary
         # expression, not a coefficient; expand immediately.
         return self.expansion.diff_plain(v)

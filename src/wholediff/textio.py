@@ -554,26 +554,32 @@ def parse_context(text: str) -> DependencyContext:
 # ---------------------------------------------------------------------------
 
 
-def _render(e: Expr, r):
-    num = r.poly([_render_mono(c, word, r) for c, word in e._num])
+def _render(e: Expr, r, memo):
+    """Render e with r.  memo maps each atom rendered so far in this print
+    to its piece, also inside a power base or a marker expansion, so each
+    atom is rendered once per print; each print starts with an empty memo."""
+    num = r.poly([_render_mono(c, word, r, memo) for c, word in e._num])
     if e.den_is_one():
         return num
-    return r.quotient(num, r.poly([_render_mono(c, word, r) for c, word in e._den]))
+    return r.quotient(num, r.poly([_render_mono(c, word, r, memo) for c, word in e._den]))
 
 
-def _render_mono(c: QC, word, r):
-    return r.mono(c, [(_render_atom(a, r), n) for a, n in word])
+def _render_mono(c: QC, word, r, memo):
+    for a, _n in word:
+        if a not in memo:
+            memo[a] = _render_atom(a, r, memo)
+    return r.mono(c, [(memo[a], n) for a, n in word])
 
 
-def _render_atom(a, r):
+def _render_atom(a, r, memo):
     if isinstance(a, Symbol):
         return r.name(a.name)
     if isinstance(a, PartialAtom):
         return r.partial(a) if a.orders else r.opaque(a.fn.name, [s.name for s in a.args])
     if isinstance(a, PowAtom):
-        return r.pow(_render(a.base, r), a.exp)
+        return r.pow(_render(a.base, r, memo), a.exp)
     if isinstance(a, RepAtom):
-        return r.group(_render(a.expansion, r))
+        return r.group(_render(a.expansion, r, memo))
     raise TypeError(f"unprintable atom {a!r}")
 
 
@@ -628,7 +634,7 @@ class _TextRenderer(_InfixRenderer):
 
 class _LatexRenderer(_InfixRenderer):
     def name(self, name: str) -> str:
-        m = re.match(r"^([A-Za-z]+)(\d+)$", name)
+        m = _INDEXED_NAME.match(name)
         if m:
             return f"{m.group(1)}_{{{m.group(2)}}}"
         return name
@@ -702,15 +708,15 @@ class _JsonRenderer:
         return {"const": {"re": str(c.re), "im": str(c.im)}}
 
     def mono(self, c: QC, factors):
-        nodes = [] if c == QC(1) else [self.const(c)]
+        nodes = [] if c.is_one() else [self.const(c)]
         nodes += [t if n == 1 else self.pow(t, n) for t, n in factors]
         if not nodes:
-            return self.const(QC(1))
+            return _JSON_ONE
         return nodes[0] if len(nodes) == 1 else {"mul": nodes}
 
     def poly(self, terms):
         if not terms:
-            return self.const(QC(0))
+            return _JSON_ZERO
         return terms[0] if len(terms) == 1 else {"add": terms}
 
     def quotient(self, num, den):
@@ -719,6 +725,8 @@ class _JsonRenderer:
 
 _TEXT = _TextRenderer()
 _RENDERERS = {"text": _TEXT, "json": _JsonRenderer(), "latex": _LatexRenderer()}
+_JSON_ONE, _JSON_ZERO = _JsonRenderer.const(QC(1)), _JsonRenderer.const(QC(0))
+_INDEXED_NAME = re.compile(r"^([A-Za-z]+)(\d+)$")
 
 
 def _coeff_text(c: QC) -> str:
@@ -756,7 +764,7 @@ def print_expr(e: Expr, format: str = "text") -> str:
     r = _RENDERERS.get(format)
     if r is None:
         raise ValueError(f"unknown format {format!r}")
-    out = _render(e, r)
+    out = _render(e, r, {})
     if format == "json":
         import json
 
@@ -768,15 +776,16 @@ def print_operator(op) -> str:
     if op.is_zero():
         return "0"
     parts = []
+    memo = {}
     for coeff, gens in op.terms:
         gen_text = "*".join(g.label() for g in gens)
         c = coeff.as_constant()
-        if c is not None and c == QC(1) and gen_text:
+        if c is not None and c.is_one() and gen_text:
             parts.append(gen_text)
         elif gen_text:
-            parts.append(f"({_render(coeff, _TEXT)})*{gen_text}")
+            parts.append(f"({_render(coeff, _TEXT, memo)})*{gen_text}")
         else:
-            parts.append(f"({_render(coeff, _TEXT)})")
+            parts.append(f"({_render(coeff, _TEXT, memo)})")
     return " + ".join(parts)
 
 
@@ -787,6 +796,7 @@ def print_operator(op) -> str:
 
 def serialize_context(ctx: DependencyContext) -> str:
     lines = []
+    memo = {}
     if ctx.independents:
         lines.append("independent " + " ".join(s.name for s in ctx.independents))
     if ctx.parameters:
@@ -794,13 +804,13 @@ def serialize_context(ctx: DependencyContext) -> str:
     for s in ctx.dependents:
         lines.append(f"dependent {s.name}")
     for g, dep in ctx.constraints:
-        lines.append(f"constraint {_render(g, _TEXT)} = 0 solves {dep.name}")
+        lines.append(f"constraint {_render(g, _TEXT, memo)} = 0 solves {dep.name}")
     reps = sorted(ctx.representations.items(), key=lambda kv: (kv[0][0].name, kv[0][1].name))
     for (u, v), rep in reps:
-        lines.append(f"representation d{u.name}/d{v.name} = {_render(rep, _TEXT)}")
+        lines.append(f"representation d{u.name}/d{v.name} = {_render(rep, _TEXT, memo)}")
     for f, args in ctx.opaques:
         lines.append(f"opaque {f.name}({','.join(a.name for a in args)})")
     for a, b, v in sorted(ctx.commutators.pairs(), key=lambda t: (t[0].name, t[1].name)):
-        lines.append(f"commutator [{a.name},{b.name}] = {_render(v, _TEXT)}")
+        lines.append(f"commutator [{a.name},{b.name}] = {_render(v, _TEXT, memo)}")
     lines.append(f"ordering {ctx.ordering_mode}")
     return "\n".join(lines) + "\n"

@@ -1110,14 +1110,41 @@ def test_unreferenced_atoms_leave_the_table():
     Q, R = Expr.symbol(q), Expr.symbol(r)
     atoms = [q, r, f, PartialAtom(f, (q, r), ((q, 1),)), PowAtom(Q + R, Fraction(1, 2)),
              RepAtom(r, q, Q / R)]
+    # Each atom's derivative table holds what it computed, new partials
+    # included, and the power atom's derivative holds the atom itself.
+    derivs = [a.diff(v) for a in atoms for v in (q, r)]
+    atoms += {b for d in derivs for b in d.atoms()} - set(atoms)
     refs = [weakref.ref(a) for a in atoms]
     gc.collect()
     before = len(symexpr._ATOMS)
     assert all(a in set(symexpr._ATOMS.values()) for a in atoms)
-    del q, r, f, Q, R, atoms
+    del q, r, f, Q, R, atoms, derivs
     gc.collect()
     assert all(ref() is None for ref in refs)
     assert len(symexpr._ATOMS) == before - len(refs)
+
+
+def test_atom_derivatives_are_kept_per_variable_it_mentions():
+    """A partial, power or marker atom differentiates along a variable once
+    and returns the kept derivative after; a variable the atom does not
+    mention gives zero and adds no entry."""
+    q, r, s = (Symbol(_fresh_name(n), SymbolKind.INDEPENDENT) for n in "qrs")
+    f = Symbol(_fresh_name("f"), SymbolKind.OPAQUE)
+    Q, R = Expr.symbol(q), Expr.symbol(r)
+    cases = [
+        (PartialAtom(f, (q, r), ((q, 1),)),
+         {q: Expr.partial_atom(f, (q, r), ((q, 2),)),
+          r: Expr.partial_atom(f, (q, r), ((q, 1), (r, 1)))}),
+        (PowAtom(Q + R, Fraction(1, 2)),
+         {q: (Q + R) ** Fraction(-1, 2) / 2, r: (Q + R) ** Fraction(-1, 2) / 2}),
+        (RepAtom(r, q, Q / R), {q: 1 / R, r: -Q / R ** 2}),
+    ]
+    for a, want in cases:
+        for v, d in want.items():
+            assert a.diff(v) is a.diff(v)
+            assert a.diff(v) == d == a._diff(v)
+        assert a.diff(s).is_zero()
+        assert set(a._diffs) == set(want)
 
 
 def test_atom_table_stays_bounded_across_fresh_contexts():

@@ -113,6 +113,14 @@ def _raw_whole_p1():
     return whole_partial_raw(field_of(ctx), ctx.find_symbol("p1"), ctx)
 
 
+def _shared_p1():
+    # p1 at top level, in a sqrt base and in the marker expansion p1/E: the
+    # printers render the atom once per print and reuse it at each place
+    ctx = build_mass_shell(MassShellScenario(ordering_mode="paper"))
+    P1, M = (Expr.symbol(ctx.find_symbol(n)) for n in ("p1", "m"))
+    return P1 * (M ** 2 + P1 ** 2).sqrt() + _raw_whole_p1()
+
+
 def _commutator_p1_p2(mode, feynman=False):
     ctx = build_mass_shell(MassShellScenario(ordering_mode=mode, feynman=feynman))
     return momentum_momentum_commutator(ctx, 1, 2)
@@ -261,6 +269,13 @@ PRINT_CORPUS = [
         "D[f,E]*(p1/E) + D[f,p1]",
         r"\frac{\partial f}{\partial E}\,\left(\frac{p_{1}}{E}\right) + \frac{\partial f}{\partial p_{1}}",
         '{"add": [{"mul": [{"partial": {"fn": "f", "args": ["p1", "p2", "p3", "E"], "orders": [["E", 1]]}}, {"mul": [{"pow": {"base": {"sym": "E"}, "exp": "-1"}}, {"sym": "p1"}]}]}, {"partial": {"fn": "f", "args": ["p1", "p2", "p3", "E"], "orders": [["p1", 1]]}}]}',
+    ),
+    (
+        "shared_symbol",
+        _shared_p1,
+        "p1*sqrt(m^2 + p1^2) + D[f,E]*(p1/E) + D[f,p1]",
+        r"p_{1}\,\sqrt{m^{2} + p_{1}^{2}} + \frac{\partial f}{\partial E}\,\left(\frac{p_{1}}{E}\right) + \frac{\partial f}{\partial p_{1}}",
+        '{"add": [{"mul": [{"sym": "p1"}, {"pow": {"base": {"add": [{"pow": {"base": {"sym": "m"}, "exp": "2"}}, {"pow": {"base": {"sym": "p1"}, "exp": "2"}}]}, "exp": "1/2"}}]}, {"mul": [{"partial": {"fn": "f", "args": ["p1", "p2", "p3", "E"], "orders": [["E", 1]]}}, {"mul": [{"pow": {"base": {"sym": "E"}, "exp": "-1"}}, {"sym": "p1"}]}]}, {"partial": {"fn": "f", "args": ["p1", "p2", "p3", "E"], "orders": [["p1", 1]]}}]}',
     ),
     (
         "commutator_operator",
