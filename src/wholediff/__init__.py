@@ -9,13 +9,7 @@ just the modules it runs.
 import importlib
 
 _EXPORTS = {
-    "depctx": (
-        "DependencyContext",
-        "Diagnostic",
-        "implicit_partial",
-        "sample_on_shell",
-        "solve_dependents",
-    ),
+    "depctx": ("DependencyContext", "Diagnostic", "implicit_partial"),
     "diffop": (
         "DerivativeGenerator",
         "DifferentialOperator",
@@ -49,7 +43,9 @@ _EXPORTS = {
         "evaluate",
         "fd_commutator_pE",
         "fd_whole",
+        "sample_on_shell",
         "shipped_closures",
+        "solve_dependents",
         "verify_identity",
     ),
     "physcases": (

@@ -38,7 +38,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .depctx import ORDERING_MODES, DependencyContext
-from .errors import ContextError, ParseError
+from .errors import ContextError, ParseError, UnsupportedExpressionError
 from .scalars import QC
 from .symexpr import (
     CommutatorTable,
@@ -487,8 +487,12 @@ def parse_context(text: str) -> DependencyContext:
     resolve = _ExprParser([], table, opq_map).resolve
 
     def parse_sub(toks: List[Token], declare: Optional[SymbolKind] = None) -> Expr:
+        """A statement's value; one the engine cannot hold is refused at its span."""
         p = _ExprParser(toks, table, opq_map, declare)
-        return p.parse(p.sum_)
+        try:
+            return p.parse(p.sum_)
+        except UnsupportedExpressionError as exc:
+            raise ParseError(str(exc), SourceSpan(toks[0].span.start, toks[-2].span.end)) from None
 
     ctable = CommutatorTable()
     for a, b, value in comms:

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wholediff import RetardedScenario, build_retarded
-from wholediff.depctx import _BRACKET, _brent, _solve_plans, sample_on_shell, solve_dependents
+from wholediff.numcheck import _BRACKET, _brent, _solve_plans, sample_on_shell, solve_dependents
 from wholediff.errors import RootSolveError
 from wholediff.physcases import RETARDED_TP
 from wholediff.symexpr import Expr

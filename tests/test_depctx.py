@@ -6,15 +6,12 @@ import pytest
 
 from wholediff.depctx import (
     DependencyContext,
-    _Stream,
-    _brent,
-    _streams,
     implicit_partial,
     sample_on_shell,
     solve_dependents,
 )
 from wholediff.errors import DegenerateConstraintError, RootSolveError
-from wholediff.numcheck import NumericBinding, evaluate, fd_whole
+from wholediff.numcheck import NumericBinding, _Stream, _brent, _streams, evaluate, fd_whole
 from wholediff.textio import parse_context, serialize_context
 from wholediff.symexpr import Expr, Symbol, SymbolKind, equals_canonical
 
@@ -223,11 +220,11 @@ def test_solve_dependents_no_real_root():
 def test_sample_on_shell_gives_up_after_64_draws(monkeypatch):
     """E^2 + p1^2 + m^2 = 0 has no real point: each sample is drawn 64
     times, then the sampler raises with the last draw."""
-    import wholediff.depctx as depctx
+    import wholediff.numcheck as numcheck
 
     draws = []
-    draw_free = depctx._draw_free
-    monkeypatch.setattr(depctx, "_draw_free", lambda c, r: draws.append(1) or draw_free(c, r))
+    draw_free = numcheck._draw_free
+    monkeypatch.setattr(numcheck, "_draw_free", lambda c, r: draws.append(1) or draw_free(c, r))
     ctx = DependencyContext(
         independents=(p1,), parameters=(m,), dependents=(E,),
         constraints=((EE ** 2 + P1 ** 2 + M ** 2, E),), ordering_mode="commuting",
@@ -388,7 +385,7 @@ def test_sample_on_shell_draws_each_sample_from_its_index_stream(monkeypatch):
     """The batch-seeded sampler gives the points that per-index streams
     give, redraws included (seed 4: some samples of the narrow shell are
     drawn again)."""
-    import wholediff.depctx as depctx
+    import wholediff.numcheck as numcheck
 
     narrow = DependencyContext(
         independents=(p1, p2), parameters=(m,), dependents=(E,),
@@ -396,7 +393,7 @@ def test_sample_on_shell_draws_each_sample_from_its_index_stream(monkeypatch):
     )
     for ctx in (make_ctx(), narrow):
         got = sample_on_shell(ctx, 70, seed=4, sign=-1)
-        monkeypatch.setattr(depctx, "_streams",
+        monkeypatch.setattr(numcheck, "_streams",
                             lambda seed, start, stop: (_Stream(seed, k) for k in range(start, stop)))
         assert sample_on_shell(ctx, 70, seed=4, sign=-1) == got
         monkeypatch.undo()

@@ -248,15 +248,15 @@ def test_on_shell_draw_is_the_sample_on_shell_sample(ms_commuting, sign, monkeyp
     """On-shell SamplerSpec.draw(ctx, k, seed) lies on the constraint
     surface and is sample k of sample_on_shell, redrawn samples included
     (the narrow shell at seed 4)."""
-    import wholediff.depctx as depctx
+    import wholediff.numcheck as numcheck
 
     spec = SamplerSpec("on-shell", sign)
     for ctx, seed in ((ms_commuting, 5), (_narrow_shell(), 4)):
         g = ctx.constraints[0][0]
         want = sample_on_shell(ctx, 12, seed, sign=sign)
         draws = []
-        draw_free = depctx._draw_free
-        monkeypatch.setattr(depctx, "_draw_free", lambda c, r: draws.append(1) or draw_free(c, r))
+        draw_free = numcheck._draw_free
+        monkeypatch.setattr(numcheck, "_draw_free", lambda c, r: draws.append(1) or draw_free(c, r))
         for k in range(12):
             got = spec.draw(ctx, k, seed)
             assert got == want[k]
@@ -272,11 +272,11 @@ def test_verify_identity_checks_each_sample_before_drawing_the_next(ms_commuting
                                                                     monkeypatch):
     """Memory does not grow with the sample count: sample k is evaluated
     before sample k + 1 is drawn."""
-    import wholediff.depctx as depctx
+    import wholediff.numcheck as numcheck
 
     order = []
-    draw_free = depctx._draw_free
-    monkeypatch.setattr(depctx, "_draw_free",
+    draw_free = numcheck._draw_free
+    monkeypatch.setattr(numcheck, "_draw_free",
                         lambda c, r: order.append("draw") or draw_free(c, r))
     f = OpaqueFn(lambda *a: order.append("evaluate") or 0.0)
     ctx = ms_commuting

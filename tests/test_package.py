@@ -87,16 +87,22 @@ def test_import_loads_no_submodule_until_a_name_is_read():
 
 
 @pytest.mark.parametrize("argv, absent", [
-    (["derive", "{ctx}", "--expr", "f", "--wrt", "p1"], {"dataclasses", "inspect", "json"}),
+    (["derive", "{ctx}", "--expr", "f", "--wrt", "p1"],
+     {"dataclasses", "inspect", "json", "wholediff.numcheck"}),
+    (["commutator", "{ctx}", "--a", "W[p1]", "--b", "D[E]", "--apply", "f"],
+     {"dataclasses", "inspect", "json", "wholediff.numcheck"}),
+    (["scenario", "mass-shell", "--dim", "1", "--out", "{out}"],
+     {"dataclasses", "inspect", "json", "wholediff.numcheck"}),
     (["verify", "{ctx}", "--lhs", "E^2", "--rhs", "p1^2+p2^2+p3^2+m^2", "--samples", "50"],
      {"dataclasses", "inspect"}),
-], ids=["derive", "verify"])
+], ids=["derive", "commutator", "scenario", "verify"])
 def test_cli_start_up_loads_no_code_generation_or_json(tmp_path, argv, absent):
     """A fresh process pays for every module it imports: a command loads
-    neither dataclasses nor inspect, and text output does not load json."""
+    neither dataclasses nor inspect, text output does not load json, and
+    only verify loads the numeric checker with its sampling code."""
     ctx = tmp_path / "mass-shell.ctx"
     ctx.write_text(MASS_SHELL_SRC)
-    argv = [a.format(ctx=ctx) for a in argv]
+    argv = [a.format(ctx=ctx, out=tmp_path / "out") for a in argv]
     out = run_fresh(
         "import sys\n"
         "from wholediff.cli import main\n"
@@ -113,3 +119,28 @@ def test_star_import_in_a_fresh_process():
         "print(all(globals()[n] is getattr(wholediff, n) for n in wholediff.__all__))\n"
     )
     assert out.strip() == "True"
+
+
+def test_validate_samples_a_disagreeing_representation_in_a_fresh_process():
+    """parse_context loads the sampler only for validate's numeric check: a
+    representation that disagrees with its constraint on the shell is still
+    warned about."""
+    src = MASS_SHELL_SRC.replace("= p1/E", "= 2*p1/E")
+    out = run_fresh(
+        "import sys\n"
+        "from wholediff.textio import parse_context\n"
+        f"diags = parse_context({src!r}).validate()\n"
+        "print([d.level for d in diags], 'disagrees' in diags[0].message)\n"
+        "print('wholediff.numcheck' in sys.modules)\n"
+    )
+    assert out.splitlines() == ["['warning'] True", "True"]
+
+
+def test_depctx_reads_only_the_two_sampling_names_from_numcheck():
+    from wholediff import depctx, numcheck
+
+    assert depctx.sample_on_shell is numcheck.sample_on_shell
+    assert depctx.solve_dependents is numcheck.solve_dependents
+    for name in ("_streams", "_brent"):
+        with pytest.raises(AttributeError, match=name):
+            getattr(depctx, name)

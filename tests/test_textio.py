@@ -430,6 +430,13 @@ def test_serialize_context_round_trip():
         (MASS_SHELL_SRC + "constraint p1 - m = 0 solves m\n", "m"),
         # a name the lexer cannot read is refused where it is declared
         (MASS_SHELL_SRC.replace("param m", "param m mé"), "é"),
+        # a value the engine cannot hold is refused at the value
+        ("independent x\nindependent y\ndependent u\nrepresentation du/dx = x\n"
+         "representation du/dy = (x)/(x + x*x)\ncommutator [x,y] = kappa\nopaque f(x,y,u)\n",
+         "(x)/(x + x*x)"),
+        (MASS_SHELL_SRC + "commutator [p1,p2] = 1/(p1 + p2)\n", "1/(p1 + p2)"),
+        (MASS_SHELL_SRC + "commutator [p1,p2] = kappa\ndependent w\n"
+         "constraint w - 1/(p1 + p2) = 0 solves w\n", "w - 1/(p1 + p2)"),
     ],
     ids=["representation", "constraint", "commutator", "representation name",
          "commutator name", "constraint name", "opaque argument",
@@ -439,7 +446,9 @@ def test_serialize_context_round_trip():
          "representation over a parameter", "representation over a dependent",
          "representation of an independent", "representation of an opaque",
          "representation twice", "constraint solving an independent",
-         "constraint solving a parameter", "non-ascii name"],
+         "constraint solving a parameter", "non-ascii name",
+         "representation sum denominator", "commutator sum denominator",
+         "constraint sum denominator"],
 )
 def test_parse_context_sub_expression_error_spans(tmp_path, src, offending):
     with pytest.raises(ParseError) as exc:
