@@ -6,10 +6,20 @@ an ordered product of derivative generators; generators apply
 right-to-left (the rightmost acts first) and the coefficient multiplies
 from the left.  Generators are interned, so a word is a tuple compared by
 identity: terms merge per word and only the distinct words are sorted.
+A + B and A - B merge the two sorted term tuples in one linear pass.
 apply is the one definition of a generator (wholederiv's derivative steps,
 resolved by finalize); composition agrees with nested application, pushing
 derivatives through coefficients by the product rule, and takes each
 derivative of a coefficient object once per call.
+
+A commutator is one pass with no intermediate operator: each word keeps
+its A∘B and its B∘A coefficients apart, and its coefficient is the sum of
+the first side minus the sum of the second, each summed on its own, as
+compose(A, B) - compose(B, A) sums them (over sum denominators, with no
+GCD, the canonical form depends on how a sum is grouped).  The leading
+products a·b and b·a of a term pair (a·X, b·Y) with X+Y == Y+X, a and b
+polynomials in central symbols, are one polynomial and are not built,
+except in a word that also holds a term over a sum denominator.
 expand_to_plain and op_equals are read off apply to an opaque function."""
 
 from __future__ import annotations
@@ -97,20 +107,16 @@ class DifferentialOperator(_Frozen):
 
     def __add__(self, other: "DifferentialOperator") -> "DifferentialOperator":
         self._check(other)
-        return DifferentialOperator(self.context, list(self.terms) + list(other.terms))
+        return _merged(self.context, _merge_sorted(self.terms, other.terms, False))
 
     def __sub__(self, other: "DifferentialOperator") -> "DifferentialOperator":
         self._check(other)
-        return DifferentialOperator(
-            self.context, list(self.terms) + [(-c, g) for c, g in other.terms]
-        )
+        return _merged(self.context, _merge_sorted(self.terms, other.terms, True))
 
     def __neg__(self) -> "DifferentialOperator":
         # Negation keeps every word and makes no coefficient zero, so the
         # terms stay merged and sorted: no check and no merge.
-        op = object.__new__(DifferentialOperator)
-        op._init(self.context, tuple((-c, g) for c, g in self.terms))
-        return op
+        return _merged(self.context, tuple((-c, g) for c, g in self.terms))
 
     def scale(self, coeff) -> "DifferentialOperator":
         coeff = Expr._coerce(coeff)
@@ -133,10 +139,16 @@ class DifferentialOperator(_Frozen):
             return "DifferentialOperator(...)"
 
 
+def _word_order(word):
+    """Sort key of a word: its length, then (mode, variable name) letter by
+    letter.  Generators that share a name tie."""
+    return len(word), [(g.mode, g.variable.name) for g in word]
+
+
 def _merge_terms(terms) -> Tuple[Tuple[Expr, Tuple[DerivativeGenerator, ...]], ...]:
     """Sum the coefficients of each word (a tuple of interned generators, so
-    it buckets by identity) and sort the distinct words by length, then by
-    (mode, variable name) letter by letter; zero sums drop out."""
+    it buckets by identity) and sort the distinct words by _word_order, ties
+    in first-occurrence order; zero sums drop out."""
     buckets: Dict[tuple, List[Expr]] = {}
     for coeff, gens in terms:
         coeffs = buckets.get(gens)
@@ -145,11 +157,49 @@ def _merge_terms(terms) -> Tuple[Tuple[Expr, Tuple[DerivativeGenerator, ...]], .
         else:
             coeffs.append(coeff)
     out = []
-    for gens in sorted(buckets, key=lambda w: (len(w), [(g.mode, g.variable.name) for g in w])):
+    for gens in sorted(buckets, key=_word_order):
         coeff = Expr.sum(buckets[gens])
         if not coeff.is_zero():
             out.append((coeff, gens))
     return tuple(out)
+
+
+def _merged(ctx, terms) -> DifferentialOperator:
+    """The operator of terms that are merged and sorted already, over
+    generators that were checked in ctx: no check and no merge."""
+    op = object.__new__(DifferentialOperator)
+    op._init(ctx, terms)
+    return op
+
+
+def _merge_sorted(a_terms, b_terms, negate: bool) -> tuple:
+    """A + B, or A - B, of two merged term tuples in one linear merge: a word
+    of both sums its two coefficients (zero drops out).  Sort keys are built
+    only where the two words differ; where different words tie (generators
+    that share a name), one _merge_terms of the rest gives the stable-sort
+    order of A's terms followed by B's."""
+    if negate:
+        b_terms = [(-c, g) for c, g in b_terms]
+    out = []
+    i = j = 0
+    while i < len(a_terms) and j < len(b_terms):
+        (ca, ga), (cb, gb) = a_terms[i], b_terms[j]
+        if ga == gb:
+            c = Expr.sum([ca, cb])
+            if not c.is_zero():
+                out.append((c, ga))
+            i, j = i + 1, j + 1
+            continue
+        ka, kb = _word_order(ga), _word_order(gb)
+        if ka == kb:
+            return tuple(out) + _merge_terms([*a_terms[i:], *b_terms[j:]])
+        if ka < kb:
+            out.append((ca, ga))
+            i += 1
+        else:
+            out.append((cb, gb))
+            j += 1
+    return tuple([*out, *a_terms[i:], *b_terms[j:]])
 
 
 def apply(A: DifferentialOperator, e) -> Expr:
@@ -172,18 +222,23 @@ def _applied_terms(A: DifferentialOperator, e: Expr):
 def compose(A: DifferentialOperator, B: DifferentialOperator) -> DifferentialOperator:
     """Operator such that apply(compose(A, B), e) = apply(A, apply(B, e)):
     A's generators are pushed through B's coefficients by the product rule."""
-    return _compose(A, B, {})
-
-
-def _compose(A, B, memo) -> DifferentialOperator:
     A._check(B)
+    return _merged(A.context, _merge_terms(_products(A, B, {}, ())))
+
+
+def _products(A, B, memo, skip):
+    """(coefficient, word) of A∘B, A-major: for each term pair (a·X, b·Y),
+    a times each term of X pushed through b, then Y; the leading product
+    a·b, with no derivative taken, comes last, and is left out where skip
+    holds the pair's (A index, B index)."""
     ctx = A.context
-    terms = []
-    for ca, ga in A.terms:
-        for cb, gb in B.terms:
-            for c2, g2 in _push(ga, cb, ctx, memo):
-                terms.append((ca * c2, tuple(g2) + tuple(gb)))
-    return DifferentialOperator(ctx, terms)
+    for i, (ca, ga) in enumerate(A.terms):
+        for j, (cb, gb) in enumerate(B.terms):
+            pushed = _push(ga, cb, ctx, memo)
+            if (i, j) in skip:
+                pushed.pop()
+            for c2, g2 in pushed:
+                yield ca * c2, g2 + gb
 
 
 def _push(gens, coeff: Expr, ctx, memo) -> List[Tuple[Expr, Tuple[DerivativeGenerator, ...]]]:
@@ -214,8 +269,55 @@ def _derivative(coeff: Expr, g: DerivativeGenerator, ctx, memo) -> Expr:
 
 
 def commutator(A: DifferentialOperator, B: DifferentialOperator) -> DifferentialOperator:
-    memo = {}
-    return _compose(A, B, memo) - _compose(B, A, memo)
+    """[A, B] = A∘B - B∘A in one pass, with the canonical form of
+    compose(A, B) - compose(B, A).  Each product goes into its word's
+    bucket, on the A∘B side in compose(A, B)'s order or on the B∘A side in
+    compose(B, A)'s.  A word's coefficient is the sum of its A∘B side minus
+    the sum of its B∘A side, each side summed on its own: one sum over both
+    sides would group sum-denominator terms differently.
+
+    Neither leading product of a term pair (a·X, b·Y) with X+Y == Y+X is
+    built when a and b are polynomials in central symbols: a·b and b·a are
+    then one polynomial and cancel exactly.  A word that also holds a term
+    over a sum denominator gets both back, since there the canonical form
+    of the sum depends on every term.  The distinct words are sorted once;
+    where two sort keys tie (generators that share a name), the order of
+    the two compositions depends on which sides are zero, so that pair
+    takes compose(A, B) - compose(B, A)."""
+    A._check(B)
+    central = [[(k, c, g) for k, (c, g) in enumerate(X.terms) if _central_polynomial(c)]
+               for X in (A, B)]
+    skipped = {(i, j): (ca, cb, ga + gb)
+               for i, ca, ga in central[0] for j, cb, gb in central[1] if ga + gb == gb + ga}
+    memo, buckets = {}, {}
+    for side, (X, Y, skip) in enumerate(((A, B, skipped), (B, A, {(j, i) for i, j in skipped}))):
+        for c, w in _products(X, Y, memo, skip):
+            sides = buckets.get(w)
+            if sides is None:
+                sides = buckets[w] = ([], [])
+            sides[side].append(c)
+    for ca, cb, w in skipped.values():
+        sides = buckets.get(w)
+        if sides is not None and not all(c.den_is_one() for side in sides for c in side):
+            lead = ca * cb
+            sides[0].append(lead)
+            sides[1].append(lead)
+    keys = {w: _word_order(w) for w in buckets}
+    words = sorted(buckets, key=keys.__getitem__)
+    if any(keys[w] == keys[w2] for w, w2 in zip(words, words[1:])):
+        return compose(A, B) - compose(B, A)
+    terms = []
+    for w in words:
+        ab, ba = map(Expr.sum, buckets[w])
+        c = -ba if ab.is_zero() else ab if ba.is_zero() else Expr.sum([ab, -ba])
+        if not c.is_zero():
+            terms.append((c, w))
+    return _merged(A.context, tuple(terms))
+
+
+def _central_polynomial(c: Expr) -> bool:
+    """c has denominator 1 and its every letter is a central symbol."""
+    return c.den_is_one() and all(isinstance(a, Symbol) and not a.noncommuting for a in c.atoms())
 
 
 def expand_to_plain(A: DifferentialOperator) -> DifferentialOperator:

@@ -37,8 +37,8 @@ import re
 from fractions import Fraction
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from .depctx import ORDERING_MODES, DependencyContext
-from .errors import ContextError, ParseError, UnsupportedExpressionError
+from .depctx import ORDERING_MODES, DependencyContext, implicit_partial
+from .errors import ContextError, DegenerateConstraintError, ParseError, UnsupportedExpressionError
 from .scalars import QC
 from .symexpr import (
     CommutatorTable,
@@ -546,6 +546,23 @@ def parse_context(text: str) -> DependencyContext:
         if (u, v) in ctx.representations:
             raise ParseError(f"representation d{u.name}/d{v.name} is declared twice", indep.span)
         ctx.declare_representation(u, v, parse_sub(value))
+
+    # A representation that only a constraint gives, -g_v/g_u, is derived
+    # where it is used.  Over noncommuting independents g_u can be a sum the
+    # engine cannot divide by, so each one is derived here once and such a
+    # constraint is refused at its span.
+    if any(s.noncommuting for s in ctx.independents):
+        for (lhs, _dep), (g, u) in zip(cons, constraints):
+            for v in ctx.independents:
+                if (u, v) in ctx.representations:
+                    continue
+                try:
+                    implicit_partial(g, u, v)
+                except DegenerateConstraintError:
+                    break  # raised where the representation is used, as in commuting mode
+                except UnsupportedExpressionError as exc:
+                    span = SourceSpan(lhs[0].span.start, lhs[-2].span.end)
+                    raise ParseError(str(exc), span) from None
 
     errors = [d for d in ctx.validate() if d.level == "error"]
     if errors:

@@ -656,8 +656,8 @@ def test_closed_stdout_exits_141_quietly(ctx_file):
 
 
 def _verify_in_a_fresh_process(ctx_file, lhs, rhs):
-    """Run verify in a new interpreter; assert it passes and loads neither
-    numpy nor scipy."""
+    """Run verify in a new interpreter; assert it passes and loads the
+    numeric checker but neither numpy nor scipy."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     code = (
         "import sys\n"
@@ -666,6 +666,7 @@ def _verify_in_a_fresh_process(ctx_file, lhs, rhs):
         f" '--rhs', {rhs!r}, '--samples', '50'])\n"
         "assert rc == 0, rc\n"
         "assert not {'numpy', 'scipy'} & set(sys.modules)\n"
+        "assert 'wholediff.numcheck' in sys.modules\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True,

@@ -1,4 +1,5 @@
 import itertools
+import random
 import re
 from types import SimpleNamespace
 
@@ -477,6 +478,128 @@ def test_memoized_operator_algebra_matches_reference(mode, monkeypatch):
     # noncommuting.
     assert len(newly_raising) == (0 if mode == "commuting" else 8), newly_raising
     assert all("w/u W[v]" in label for label in newly_raising)
+
+
+def _commutator_pool(ctx):
+    """Coefficients over sum denominators, a product of momenta and
+    constants; one the mode cannot hold (a sum denominator over
+    noncommuting momenta) is left out."""
+    P1, P2, E_, M_ = (Expr.symbol(ctx.find_symbol(n)) for n in ("p1", "p2", "E", "m"))
+    pool = []
+    for build in (lambda: 1 / (E_ ** 2 + M_ ** 2), lambda: M_ / (E_ + M_),
+                  lambda: (P1 + 1) / (P2 ** 2 + M_), Expr.one, lambda: M_ * E_,
+                  lambda: P2 * P1):
+        try:
+            pool.append(build())
+        except UnsupportedExpressionError:
+            pass
+    return pool
+
+
+@pytest.mark.parametrize("mode", ["commuting", "operator", "paper"])
+def test_one_pass_commutator_matches_the_two_compositions(mode, monkeypatch):
+    """commutator gives the keys and printed text, or the error, of
+    compose(A, B) - compose(B, A) on seeded random operators, with
+    coefficients over sum denominators; some term pairs leave their
+    cancelling leading products out."""
+    ctx = _kernel_context(mode)
+    pool = _commutator_pool(ctx)
+    assert len(pool) == (6 if mode == "commuting" else 5)
+    letters = [DerivativeGenerator(ctx.find_symbol(v), m)
+               for v in ("p1", "p2") for m in ("plain", "whole")]
+    letters.append(DerivativeGenerator(ctx.find_symbol("E"), "plain"))
+    rng = random.Random(f"one-pass commutator {mode}")
+
+    def operator():
+        return DifferentialOperator(ctx, [
+            (rng.choice(pool), tuple(rng.choice(letters) for _ in range(rng.randint(0, 2))))
+            for _ in range(rng.randint(1, 2))
+        ])
+
+    skipped = []
+    products = diffop._products
+    monkeypatch.setattr(diffop, "_products", lambda A, B, memo, skip: (
+        skipped.extend(skip), products(A, B, memo, skip))[1])
+    for _ in range(40):
+        A, B = operator(), operator()
+        want = _form(_outcome(lambda: _reference_commutator(A, B)))
+        assert _form(_outcome(lambda: commutator(A, B))) == want, (A, B)
+    assert skipped
+
+
+def test_a_sum_denominator_word_keeps_its_leading_products():
+    """The leading products a·b and b·a of a pair whose word also holds a
+    term over a sum denominator are added to it: without them that word's
+    coefficient is y/(al*z + al^2*w), not the (y/al)/(al*w + z) that the
+    two compositions give (no GCD, so the canonical form depends on every
+    term of the sum)."""
+    v = Symbol(_fresh_name("v"), SymbolKind.INDEPENDENT)
+    al, y, z, w = (Symbol(n) for n in ("al", "y", "z", "w"))
+    ctx = DependencyContext(independents=(v,), parameters=(al, y, z, w),
+                            ordering_mode="commuting")
+    V, AL, Y, Z, W = (Expr.symbol(s) for s in (v, al, y, z, w))
+    Dv = (DerivativeGenerator(v, "plain"),)
+    A = DifferentialOperator(ctx, [(-Y * AL ** -1 * Z ** -1 * V ** -1, ()),
+                                   (Y / (AL * Z + AL ** 2 * W), Dv)])
+    B = DifferentialOperator(ctx, [(V, Dv)])
+    got = commutator(A, B)
+    assert _form(got) == _form(_reference_commutator(A, B))
+    assert print_expr(got.terms[1][0]) == "(y/al)/(al*w + z)"
+
+
+def test_noncommuting_leading_products_are_built(ms_operator):
+    """[p2·, p1·] with noncommuting momenta is p2*p1 - p1*p2: the leading
+    products of noncommuting coefficients never cancel unbuilt."""
+    ctx = ms_operator
+    p1, p2 = (Expr.symbol(ctx.find_symbol(n)) for n in ("p1", "p2"))
+    C = commutator(*(DifferentialOperator.multiplication(ctx, p) for p in (p2, p1)))
+    assert [(c.key, g) for c, g in C.terms] == [((p2 * p1 - p1 * p2).key, ())]
+    assert print_operator(C) == "(-p1*p2 + p2*p1)"
+
+
+def _namesake_context():
+    """A context whose independent p1 and parameter p1 share a name, so the
+    generators of the two tie in the word order."""
+    p1 = Symbol("p1", SymbolKind.INDEPENDENT)
+    q1 = Symbol("p1", SymbolKind.PARAMETER)
+    ctx = DependencyContext(independents=(p1,), parameters=(q1, Symbol("m")),
+                            ordering_mode="commuting")
+    return ctx, [DerivativeGenerator(s, "plain") for s in (p1, q1)]
+
+
+def test_linear_merge_keeps_the_stable_sort_order_of_namesakes():
+    """A + B and A - B of merged operators give the terms of one merge of
+    A's terms followed by B's (B's negated): on a tied word, A's words come
+    first in A's order, then B's other words in B's order."""
+    ctx, (D1, Dq) = _namesake_context()
+    P, Q, M = (Expr.symbol(s) for s in ctx.independents + ctx.parameters)
+    pool = [Expr.one(), P, Q, M, P * Q, Expr.const(2)]
+    rng = random.Random("namesake merge")
+    ties = 0
+    for _ in range(300):
+        A, B = (DifferentialOperator(ctx, [
+            (rng.choice(pool), tuple(rng.choice((D1, Dq)) for _ in range(rng.randint(0, 2))))
+            for _ in range(rng.randint(1, 3))]) for _ in range(2))
+        for negate in (False, True):
+            got = A - B if negate else A + B
+            want = DifferentialOperator(
+                ctx, list(A.terms) + [(-c if negate else c, g) for c, g in B.terms])
+            assert [(c.key, g) for c, g in got.terms] == [(c.key, g) for c, g in want.terms]
+        ties += any(ga != gb and diffop._word_order(ga) == diffop._word_order(gb)
+                    for _c, ga in A.terms for _c2, gb in B.terms)
+    assert ties > 50
+
+
+def test_commutator_of_namesake_generators_keeps_the_two_compositions_order():
+    """Words whose sort keys tie keep the order compose(A, B) - compose(B, A)
+    gives them, which follows which side of each word is zero."""
+    ctx, (D1, Dq) = _namesake_context()
+    P, Q, M = (Expr.symbol(s) for s in ctx.independents + ctx.parameters)
+    A = DifferentialOperator(ctx, [(P - Q, (Dq,)), (1 + M, (D1,))])
+    B = DifferentialOperator(ctx, [(-Expr.one(), (Dq,)), (P - Q, (D1, Dq))])
+    want = _reference_commutator(A, B)
+    assert [(c.key, g) for c, g in commutator(A, B).terms] == [
+        (c.key, g) for c, g in want.terms]
 
 
 def test_compose_takes_each_derivative_once(ms_paper, monkeypatch):

@@ -150,6 +150,21 @@ def test_normal_order_first_order_truncation():
 
 
 @pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 20: _normal_order_mono keeps the first order in the commutators per "
+    "written word, not per element, so (p2*p1 - p1*p2)^2 orders to 0 while the square "
+    "of its ordered factor, -kappa12, is kappa12^2"))
+def test_normal_order_of_a_product_is_that_of_its_ordered_factors(ms_operator):
+    """normal_order(normal_order(a) * normal_order(b)) == normal_order(a * b)
+    on the dim-3 operator shell, for a = b = p2*p1 - p1*p2 and for
+    a = p2*p2, b = p1*p1."""
+    tab = ms_operator.commutators
+    p1, p2 = (Expr.symbol(ms_operator.find_symbol(n)) for n in ("p1", "p2"))
+    for a, b in ((p2 * p1 - p1 * p2,) * 2, (p2 * p2, p1 * p1)):
+        ordered = normal_order(normal_order(a, tab) * normal_order(b, tab), tab)
+        assert ordered == normal_order(a * b, tab), (a, b)
+
+
+@pytest.mark.xfail(strict=True, reason=(
     "_normal_order_mono skips every pair of a word that holds a commutator "
     "symbol, at any power (ROADMAP item 10)"))
 def test_normal_order_of_a_word_with_an_inverse_commutator_symbol():

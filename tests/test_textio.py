@@ -4,6 +4,7 @@ import pytest
 
 from conftest import field_of
 from wholediff import MassShellScenario, build_mass_shell, momentum_momentum_commutator
+from wholediff import textio
 from wholediff.cli import main as cli_main
 from wholediff.diffop import apply, commutator, op_equals
 from wholediff.errors import ContextError, ParseError
@@ -397,6 +398,14 @@ def test_serialize_context_round_trip():
     assert equals_canonical(rep, parse_expr_in_context("p2/E", ctx2))
 
 
+# u is solved by u*(x + y) = 1 alone: its representation -g_x/g_u = -u/(x + y)
+# comes from the constraint only.
+_SUM_DENOMINATOR_CONSTRAINT = (
+    "independent x y\ndependent u\nconstraint u*(x+y) - 1 = 0 solves u\n"
+    "commutator [x,y] = kappa\n"
+)
+
+
 @pytest.mark.parametrize(
     "src, offending",
     [
@@ -437,6 +446,8 @@ def test_serialize_context_round_trip():
         (MASS_SHELL_SRC + "commutator [p1,p2] = 1/(p1 + p2)\n", "1/(p1 + p2)"),
         (MASS_SHELL_SRC + "commutator [p1,p2] = kappa\ndependent w\n"
          "constraint w - 1/(p1 + p2) = 0 solves w\n", "w - 1/(p1 + p2)"),
+        # -g_x/g_u = -u/(x + y), which only the constraint gives, at the constraint
+        (_SUM_DENOMINATOR_CONSTRAINT, "u*(x+y) - 1"),
     ],
     ids=["representation", "constraint", "commutator", "representation name",
          "commutator name", "constraint name", "opaque argument",
@@ -448,7 +459,7 @@ def test_serialize_context_round_trip():
          "representation twice", "constraint solving an independent",
          "constraint solving a parameter", "non-ascii name",
          "representation sum denominator", "commutator sum denominator",
-         "constraint sum denominator"],
+         "constraint sum denominator", "constraint-derived sum denominator"],
 )
 def test_parse_context_sub_expression_error_spans(tmp_path, src, offending):
     with pytest.raises(ParseError) as exc:
@@ -457,6 +468,34 @@ def test_parse_context_sub_expression_error_spans(tmp_path, src, offending):
     ctx_file = tmp_path / "bad.ctx"
     ctx_file.write_text(src)
     assert cli_main(["derive", str(ctx_file), "--expr", "E", "--wrt", "p1"]) == 2
+
+
+def test_constraint_derived_representations_are_derived_at_parse_when_noncommuting(
+        tmp_path, capsys):
+    """The constraint-derived -u/(x + y) is refused at parse only where x and
+    y do not commute: under ordering commuting it is the derivative; where
+    each representation is declared it is not derived; and a constraint that
+    does not determine u is still refused where it is used."""
+    commuting = parse_context(_SUM_DENOMINATOR_CONSTRAINT + "ordering commuting\n")
+    u, x = (commuting.find_symbol(n) for n in ("u", "x"))
+    assert print_expr(commuting.representation(u, x)) == "(-u)/(x + y)"
+    derived = []
+    real = textio.implicit_partial
+    for src in (_SUM_DENOMINATOR_CONSTRAINT + "ordering commuting\n",
+                "independent x y\ndependent u\nconstraint u - x = 0 solves u\n"
+                "representation du/dx = 1\nrepresentation du/dy = 0\n"
+                "commutator [x,y] = kappa\n"):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(textio, "implicit_partial", lambda *a: derived.append(a) or real(*a))
+            parse_context(src)
+    assert derived == []
+    with pytest.raises(ParseError):
+        parse_context(_SUM_DENOMINATOR_CONSTRAINT)
+    degenerate = tmp_path / "degenerate.ctx"
+    degenerate.write_text(_SUM_DENOMINATOR_CONSTRAINT.replace("u*(x+y) - 1", "x - y"))
+    assert cli_main(["derive", str(degenerate), "--expr", "x", "--wrt", "y"]) == 0
+    assert cli_main(["derive", str(degenerate), "--expr", "u", "--wrt", "x"]) == 3
+    assert "does not determine u" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
