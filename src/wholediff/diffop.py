@@ -140,15 +140,17 @@ class DifferentialOperator(_Frozen):
 
 
 def _word_order(word):
-    """Sort key of a word: its length, then (mode, variable name) letter by
-    letter.  Generators that share a name tie."""
-    return len(word), [(g.mode, g.variable.name) for g in word]
+    """Sort key of a word: its length, then (mode, variable name, kind,
+    class) letter by letter.  Symbols are interned by name, kind and class,
+    so two distinct words never tie, not even over generators that share a
+    name."""
+    return len(word), [(g.mode, g.variable.name, g.variable.kind, g.variable.klass) for g in word]
 
 
 def _merge_terms(terms) -> Tuple[Tuple[Expr, Tuple[DerivativeGenerator, ...]], ...]:
     """Sum the coefficients of each word (a tuple of interned generators, so
-    it buckets by identity) and sort the distinct words by _word_order, ties
-    in first-occurrence order; zero sums drop out."""
+    it buckets by identity) and sort the distinct words by _word_order;
+    zero sums drop out."""
     buckets: Dict[tuple, List[Expr]] = {}
     for coeff, gens in terms:
         coeffs = buckets.get(gens)
@@ -175,9 +177,7 @@ def _merged(ctx, terms) -> DifferentialOperator:
 def _merge_sorted(a_terms, b_terms, negate: bool) -> tuple:
     """A + B, or A - B, of two merged term tuples in one linear merge: a word
     of both sums its two coefficients (zero drops out).  Sort keys are built
-    only where the two words differ; where different words tie (generators
-    that share a name), one _merge_terms of the rest gives the stable-sort
-    order of A's terms followed by B's."""
+    only where the two words differ."""
     if negate:
         b_terms = [(-c, g) for c, g in b_terms]
     out = []
@@ -190,10 +190,7 @@ def _merge_sorted(a_terms, b_terms, negate: bool) -> tuple:
                 out.append((c, ga))
             i, j = i + 1, j + 1
             continue
-        ka, kb = _word_order(ga), _word_order(gb)
-        if ka == kb:
-            return tuple(out) + _merge_terms([*a_terms[i:], *b_terms[j:]])
-        if ka < kb:
+        if _word_order(ga) < _word_order(gb):
             out.append((ca, ga))
             i += 1
         else:
@@ -280,10 +277,7 @@ def commutator(A: DifferentialOperator, B: DifferentialOperator) -> Differential
     built when a and b are polynomials in central symbols: a·b and b·a are
     then one polynomial and cancel exactly.  A word that also holds a term
     over a sum denominator gets both back, since there the canonical form
-    of the sum depends on every term.  The distinct words are sorted once;
-    where two sort keys tie (generators that share a name), the order of
-    the two compositions depends on which sides are zero, so that pair
-    takes compose(A, B) - compose(B, A)."""
+    of the sum depends on every term.  The distinct words are sorted once."""
     A._check(B)
     central = [[(k, c, g) for k, (c, g) in enumerate(X.terms) if _central_polynomial(c)]
                for X in (A, B)]
@@ -302,12 +296,8 @@ def commutator(A: DifferentialOperator, B: DifferentialOperator) -> Differential
             lead = ca * cb
             sides[0].append(lead)
             sides[1].append(lead)
-    keys = {w: _word_order(w) for w in buckets}
-    words = sorted(buckets, key=keys.__getitem__)
-    if any(keys[w] == keys[w2] for w, w2 in zip(words, words[1:])):
-        return compose(A, B) - compose(B, A)
     terms = []
-    for w in words:
+    for w in sorted(buckets, key=_word_order):
         ab, ba = map(Expr.sum, buckets[w])
         c = -ba if ab.is_zero() else ab if ba.is_zero() else Expr.sum([ab, -ba])
         if not c.is_zero():

@@ -393,6 +393,12 @@ def _name(p: _ExprParser, prefix: str = "") -> Token:
     return Token("id", name, SourceSpan(t.span.start + len(prefix), t.span.end))
 
 
+def _value_span(toks: List[Token]) -> SourceSpan:
+    """The span of a token list that ends with an "end" token: its first
+    token through its last before that end."""
+    return SourceSpan(toks[0].span.start, toks[-2].span.end)
+
+
 def parse_context(text: str) -> DependencyContext:
     """Parse a context file and validate it; error-level diagnostics raise."""
     declared = {"independent": [], "param": [], "dependent": []}
@@ -408,7 +414,7 @@ def parse_context(text: str) -> DependencyContext:
         offset += len(raw_line) + 1
         if len(toks) == 1:
             continue
-        whole = SourceSpan(toks[0].span.start, toks[-2].span.end)
+        whole = _value_span(toks)
         p = _ExprParser(toks, {}, {})
         kw = p.next().text
         try:
@@ -492,7 +498,7 @@ def parse_context(text: str) -> DependencyContext:
         try:
             return p.parse(p.sum_)
         except UnsupportedExpressionError as exc:
-            raise ParseError(str(exc), SourceSpan(toks[0].span.start, toks[-2].span.end)) from None
+            raise ParseError(str(exc), _value_span(toks)) from None
 
     ctable = CommutatorTable()
     for a, b, value in comms:
@@ -547,22 +553,19 @@ def parse_context(text: str) -> DependencyContext:
             raise ParseError(f"representation d{u.name}/d{v.name} is declared twice", indep.span)
         ctx.declare_representation(u, v, parse_sub(value))
 
-    # A representation that only a constraint gives, -g_v/g_u, is derived
-    # where it is used.  Over noncommuting independents g_u can be a sum the
-    # engine cannot divide by, so each one is derived here once and such a
-    # constraint is refused at its span.
+    # A constraint's representation -g_v/g_u is derived where it is used,
+    # and by validate where du/dv is declared.  Over noncommuting
+    # independents g_u can be a sum the engine cannot divide by, so each one
+    # is derived here once and such a constraint is refused at its span.
     if any(s.noncommuting for s in ctx.independents):
         for (lhs, _dep), (g, u) in zip(cons, constraints):
             for v in ctx.independents:
-                if (u, v) in ctx.representations:
-                    continue
                 try:
                     implicit_partial(g, u, v)
                 except DegenerateConstraintError:
-                    break  # raised where the representation is used, as in commuting mode
+                    break  # raised by validate or where it is used, as in commuting mode
                 except UnsupportedExpressionError as exc:
-                    span = SourceSpan(lhs[0].span.start, lhs[-2].span.end)
-                    raise ParseError(str(exc), span) from None
+                    raise ParseError(str(exc), _value_span(lhs)) from None
 
     errors = [d for d in ctx.validate() if d.level == "error"]
     if errors:

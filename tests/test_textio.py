@@ -448,6 +448,9 @@ _SUM_DENOMINATOR_CONSTRAINT = (
          "constraint w - 1/(p1 + p2) = 0 solves w\n", "w - 1/(p1 + p2)"),
         # -g_x/g_u = -u/(x + y), which only the constraint gives, at the constraint
         (_SUM_DENOMINATOR_CONSTRAINT, "u*(x+y) - 1"),
+        # validate would derive it to compare with the declared du/dx and du/dy
+        (_SUM_DENOMINATOR_CONSTRAINT + "representation du/dx = 1\n"
+         "representation du/dy = 1\n", "u*(x+y) - 1"),
     ],
     ids=["representation", "constraint", "commutator", "representation name",
          "commutator name", "constraint name", "opaque argument",
@@ -459,7 +462,8 @@ _SUM_DENOMINATOR_CONSTRAINT = (
          "representation twice", "constraint solving an independent",
          "constraint solving a parameter", "non-ascii name",
          "representation sum denominator", "commutator sum denominator",
-         "constraint sum denominator", "constraint-derived sum denominator"],
+         "constraint sum denominator", "constraint-derived sum denominator",
+         "declared constraint-derived sum denominator"],
 )
 def test_parse_context_sub_expression_error_spans(tmp_path, src, offending):
     with pytest.raises(ParseError) as exc:
@@ -473,22 +477,17 @@ def test_parse_context_sub_expression_error_spans(tmp_path, src, offending):
 def test_constraint_derived_representations_are_derived_at_parse_when_noncommuting(
         tmp_path, capsys):
     """The constraint-derived -u/(x + y) is refused at parse only where x and
-    y do not commute: under ordering commuting it is the derivative; where
-    each representation is declared it is not derived; and a constraint that
-    does not determine u is still refused where it is used."""
-    commuting = parse_context(_SUM_DENOMINATOR_CONSTRAINT + "ordering commuting\n")
-    u, x = (commuting.find_symbol(n) for n in ("u", "x"))
-    assert print_expr(commuting.representation(u, x)) == "(-u)/(x + y)"
+    y do not commute: under ordering commuting it is the derivative, and
+    parse derives nothing; and a constraint that does not determine u is
+    still refused where it is used."""
     derived = []
     real = textio.implicit_partial
-    for src in (_SUM_DENOMINATOR_CONSTRAINT + "ordering commuting\n",
-                "independent x y\ndependent u\nconstraint u - x = 0 solves u\n"
-                "representation du/dx = 1\nrepresentation du/dy = 0\n"
-                "commutator [x,y] = kappa\n"):
-        with pytest.MonkeyPatch.context() as m:
-            m.setattr(textio, "implicit_partial", lambda *a: derived.append(a) or real(*a))
-            parse_context(src)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(textio, "implicit_partial", lambda *a: derived.append(a) or real(*a))
+        commuting = parse_context(_SUM_DENOMINATOR_CONSTRAINT + "ordering commuting\n")
     assert derived == []
+    u, x = (commuting.find_symbol(n) for n in ("u", "x"))
+    assert print_expr(commuting.representation(u, x)) == "(-u)/(x + y)"
     with pytest.raises(ParseError):
         parse_context(_SUM_DENOMINATOR_CONSTRAINT)
     degenerate = tmp_path / "degenerate.ctx"
