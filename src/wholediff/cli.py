@@ -50,16 +50,19 @@ class _UsageError(Exception):
     pass
 
 
+def _warn(message: str) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def _load_context(path: str, ordering: Optional[str] = None) -> DependencyContext:
-    """Parse a context file; an --ordering is read as a last `ordering` line."""
+    """Parse a context file, printing its warnings; an --ordering stands in
+    for the file's ordering statement."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise _UsageError(f"cannot read context file: {exc}") from None
-    if ordering is not None:
-        text += f"\nordering {ordering}\n"
-    return parse_context(text)
+    return parse_context(text, ordering, _warn)
 
 
 def _write_out(out_dir: str, name: str, text: str) -> str:

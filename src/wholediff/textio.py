@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .depctx import ORDERING_MODES, DependencyContext, implicit_partial
 from .errors import ContextError, DegenerateConstraintError, ParseError, UnsupportedExpressionError
@@ -399,11 +399,14 @@ def _value_span(toks: List[Token]) -> SourceSpan:
     return SourceSpan(toks[0].span.start, toks[-2].span.end)
 
 
-def parse_context(text: str) -> DependencyContext:
-    """Parse a context file and validate it; error-level diagnostics raise."""
+def parse_context(text: str, ordering: Optional[str] = None,
+                  warn: Optional[Callable[[str], None]] = None) -> DependencyContext:
+    """Parse a context file and validate it; error-level diagnostics raise,
+    and warn receives the message of each warning.  An ordering given here
+    stands in for the file's own ordering statement."""
     declared = {"independent": [], "param": [], "dependent": []}
     reps, cons, opqs, comms = [], [], [], []
-    ordering = None
+    stated = None
 
     # Each line is lexed once.  Sub-expressions stay token slices until the
     # symbol table exists: commutator brackets and the ordering decide which
@@ -457,7 +460,7 @@ def parse_context(text: str) -> DependencyContext:
                 p.expect_op(")")
                 opqs.append((fn, args))
             elif kw == "ordering":
-                ordering = _name(p).text
+                mode = _name(p).text
             else:
                 raise ParseError("unknown keyword", whole)
             p.parse(lambda: None)  # nothing may follow the statement
@@ -466,13 +469,18 @@ def parse_context(text: str) -> DependencyContext:
             raise ParseError(f"unrecognized statement: {word!r}", whole) from None
         if kw == "dependent" and len(names) != 1:
             raise ParseError("one dependent per statement", whole)
-        if kw == "ordering" and ordering not in ORDERING_MODES:
-            raise ParseError(f"unknown ordering mode '{ordering}'", whole)
+        if kw == "ordering":
+            if mode not in ORDERING_MODES:
+                raise ParseError(f"unknown ordering mode '{mode}'", whole)
+            # a second statement would silently replace the first
+            if stated is not None:
+                raise ParseError(f"ordering is stated twice, first as '{stated}'", whole)
+            stated = mode
 
     # The one rule for which symbols commute: an independent is noncommuting
     # iff a commutator statement names it and the ordering is not commuting.
     if ordering is None:
-        ordering = "operator" if comms else "commuting"
+        ordering = stated or ("operator" if comms else "commuting")
     nc_names = {t.text for a, b, _ in comms for t in (a, b)} if ordering != "commuting" else ()
     table: Dict[str, Symbol] = {}
     syms = {}
@@ -567,9 +575,13 @@ def parse_context(text: str) -> DependencyContext:
                 except UnsupportedExpressionError as exc:
                     raise ParseError(str(exc), _value_span(lhs)) from None
 
-    errors = [d for d in ctx.validate() if d.level == "error"]
+    diags = ctx.validate()
+    errors = [d.message for d in diags if d.level == "error"]
     if errors:
-        raise ContextError("; ".join(d.message for d in errors))
+        raise ContextError("; ".join(errors))
+    if warn is not None:
+        for d in diags:  # no error is left, so each is a warning
+            warn(d.message)
     return ctx
 
 

@@ -2,6 +2,7 @@ import argparse
 import ast
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -104,16 +105,20 @@ def test_commutator_feynman_needs_three_momenta_in_the_file(tmp_path, capsys, sc
 
 def test_commutator_ordering_option_overrides_the_file(tmp_path, capsys):
     """--ordering without --feynman reorders the file's own context: the
-    result is that of the file with the ordering line."""
+    result is that of the file with the ordering line, whatever ordering
+    statement the file has."""
     outs = []
-    for name, extra in (("operator", ""), ("paper", "ordering paper\n")):
+    for name, extra, option in (("operator", "", ["--ordering", "paper"]),
+                                ("paper", "ordering paper\n", []),
+                                ("paper-twice", "ordering paper\n", ["--ordering", "paper"]),
+                                ("commuting", "ordering commuting\n", ["--ordering", "paper"])):
         path = tmp_path / f"{name}.ctx"
         path.write_text(MASS_SHELL_SRC + "commutator [p1, p2] = kappa12\n" + extra)
         argv = ["commutator", str(path), "--a", "W[p1]", "--b", "W[p2]", "--apply", "f"]
-        code, out, _ = run(capsys, *argv, *(["--ordering", "paper"] if not extra else []))
+        code, out, _ = run(capsys, *argv, *option)
         assert code == 0
         outs.append(out)
-    assert outs[0] == outs[1] == "kappa12*D[f,E]/E^3\n"
+    assert outs == ["kappa12*D[f,E]/E^3\n"] * 4
 
 
 def test_commuting_ordering_makes_declared_commutators_change_nothing(tmp_path, capsys):
@@ -151,13 +156,18 @@ def test_noncommuting_momenta_form_one_class(tmp_path, capsys):
 def test_commutator_without_a_commutator_symbol_is_a_context_error(tmp_path, capsys):
     """[p1, p2] = 1 is not of first order in a commutator symbol, so normal
     ordering would drop its second-order terms (p2^2 p1^2 would lose its
-    constant 2): the context is refused, exit 3."""
-    path = tmp_path / "const.ctx"
-    path.write_text(MASS_SHELL_SRC + "commutator [p1, p2] = 1\n")
-    code, out, err = run(capsys, "commutator", str(path), "--a", "W[p1]", "--b", "W[p2]",
-                         "--apply", "f")
-    assert code == 3 and out == ""
-    assert err.startswith("context error:") and "[p1, p2]" in err and "term 1 " in err
+    constant 2): the context is refused, exit 3, also in the dim-2
+    scenario's file."""
+    dim2 = _SCENARIO_FILES["--dim 2 --ordering operator"]
+    assert "commutator [p1,p2] = kappa12\n" in dim2
+    for src in (MASS_SHELL_SRC + "commutator [p1, p2] = 1\n",
+                dim2.replace("= kappa12\n", "= 1\n")):
+        path = tmp_path / "const.ctx"
+        path.write_text(src)
+        code, out, err = run(capsys, "commutator", str(path), "--a", "W[p1]", "--b", "W[p2]",
+                             "--apply", "f")
+        assert code == 3 and out == ""
+        assert err.startswith("context error:") and "[p1, p2]" in err and "term 1 " in err
 
 
 def test_commutator_operator_output(ctx_file, capsys):
@@ -213,6 +223,20 @@ representation dE/dp3 = p3/E
 opaque f(p1,p2,p3,E)
 ordering commuting
 """,
+    "--dim 3 --ordering paper": """\
+independent p1 p2 p3
+param m
+dependent E
+constraint -E^2 + m^2 + p1^2 + p2^2 + p3^2 = 0 solves E
+representation dE/dp1 = p1/E
+representation dE/dp2 = p2/E
+representation dE/dp3 = p3/E
+opaque f(p1,p2,p3,E)
+commutator [p1,p2] = kappa12
+commutator [p1,p3] = kappa13
+commutator [p2,p3] = kappa23
+ordering paper
+""",
     "--dim 3 --ordering paper --feynman": """\
 independent p1 p2 p3
 param m
@@ -230,11 +254,57 @@ ordering paper
 }
 
 
+_W12_W3_PAPER = (
+    "kappa12*p3*D[f,E]/E^5 - 2*kappa13*p2*D[f,E]/E^5 - 3*kappa23*p1*D[f,E]/E^5"
+    " - kappa12*p3*D[f,E,E]/E^4 + kappa13*p2*D[f,E,E]/E^4 + 2*kappa23*p1*D[f,E,E]/E^4"
+    " + kappa13*D[f,E,p2]/E^3 + kappa23*D[f,E,p1]/E^3"
+)
+# scenario options -> (argv run on the written file, exit code, stdout); the
+# operator ordering is the default, so "--dim 1 --ordering operator" also
+# pins the file of "scenario mass-shell --dim 1".
+_SCENARIO_OUTPUTS = {
+    "--dim 1 --ordering operator": [
+        (["derive", "--expr", "f", "--wrt", "p1"], 0, "p1*D[f,E]/E + D[f,p1]"),
+        (["derive", "--expr", "p1*f(p1,E)", "--wrt", "p1"], 0,
+         "p1^2*D[f,E]/E + p1*D[f,p1] + f(p1,E)"),
+        (["derive", "--expr", "p1*f(p1,E)", "--wrt", "p1", "--format", "latex"], 0,
+         r"\frac{p_{1}^{2}\,\frac{\partial f}{\partial E}}{E} + p_{1}\,"
+         r"\frac{\partial f}{\partial p_{1}} + f(p_{1}, E)"),
+        (["derive", "--expr", "-p1*f(p1,E)", "--wrt", "p1"], 0,
+         "-p1^2*D[f,E]/E - p1*D[f,p1] - f(p1,E)"),
+        (["commutator", "--a", "W[p1]", "--b", "D[E]", "--apply", "f"], 0, "p1*D[f,E]/E^2"),
+        (["verify", "--lhs", "E^2", "--rhs", "p1^2+m^2", "--samples", "1000"], 0,
+         "samples: 1000\nfailures: 0\nmax_abs_err: 8.881784197001252e-16\n"
+         "max_rel_err: 2.220340843612049e-16\nverdict: pass"),
+    ],
+    # operator mode multiplies the representation in, paper mode keeps it as
+    # a marker and symmetrizes, and under commuting every momentum commutes
+    "--dim 2 --ordering operator": [
+        (["commutator", "--a", "W[p1]", "--b", "W[p2]", "--apply", "f"], 0,
+         "kappa12*D[f,E]/E^3 - kappa12*D[f,E,E]/E^2"),
+        (["commutator", "--a", "W[p1]", "--b", "W[p2]", "--apply", "f", "--ordering", "paper"],
+         0, "kappa12*D[f,E]/E^3"),
+        (["commutator", "--a", "W[p1]", "--b", "W[p2]", "--apply", "f",
+          "--ordering", "commuting"], 0, "0"),
+    ],
+    # a third-order word, whose finalize symmetrizes and normal-orders in one pass
+    "--dim 3 --ordering paper": [
+        (["commutator", "--a", "W[p1]*W[p2]", "--b", "W[p3]", "--apply", "f",
+          "--ordering", "paper"], 0, _W12_W3_PAPER),
+    ],
+}
+
+
 @pytest.mark.parametrize("options", list(_SCENARIO_FILES))
 def test_scenario_mass_shell_file_is_pinned(tmp_path, capsys, options):
+    """The file each scenario writes, and what commands print on it."""
     code, _, _ = run(capsys, "scenario", "mass-shell", *options.split(), "--out", str(tmp_path))
     assert code == 0
-    assert (tmp_path / "mass-shell.ctx").read_text() == _SCENARIO_FILES[options]
+    path = tmp_path / "mass-shell.ctx"
+    assert path.read_text() == _SCENARIO_FILES[options]
+    for argv, want_code, want_out in _SCENARIO_OUTPUTS.get(options, ()):
+        got = run(capsys, argv[0], str(path), *argv[1:])
+        assert got == (want_code, want_out + "\n", ""), argv
 
 
 def test_scenario_retarded(tmp_path, capsys):
@@ -385,6 +455,22 @@ def test_verify_third_energy_partial_of_poly_closure_is_zero(ctx_file, capsys):
     )
     assert "failures: 0" in out
     assert code == 0
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "verify evaluates the written words, in which numbers commute, and binds no "
+    "commutator symbol (ROADMAP item 19)"))
+@pytest.mark.parametrize("rhs, code", [("p1*p2", 1), ("p1*p2 - kappa12", 0)],
+                         ids=["false", "true"])
+def test_verify_sees_the_commutator_of_noncommuting_momenta(tmp_path, capsys, rhs, code):
+    """On the dim-3 operator shell p2*p1 is p1*p2 - kappa12: verify must fail
+    p2*p1 = p1*p2 (exit 1) and pass p2*p1 = p1*p2 - kappa12 (exit 0)."""
+    path = tmp_path / "operator.ctx"
+    path.write_text(MASS_SHELL_SRC + "commutator [p1,p2] = kappa12\n"
+                    "commutator [p1,p3] = kappa13\ncommutator [p2,p3] = kappa23\n"
+                    "ordering operator\n")
+    got = run(capsys, "verify", str(path), "--lhs", "p2*p1", "--rhs", rhs, "--samples", "3")
+    assert got[0] == code
 
 
 @pytest.mark.parametrize(
@@ -702,8 +788,15 @@ def test_each_subcommand_imports_only_the_modules_it_runs(
 ):
     """A process compiles what it imports, so each subcommand loads its own
     modules only: numcheck for verify, physcases for scenarios."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
     argv = [a.format(ctx=ctx_file, out=str(tmp_path)) for a in argv]
+    modules = _modules_loaded(argv, str(Path(__file__).resolve().parent.parent / "src"))
+    assert loaded <= modules
+    assert not absent & modules
+
+
+def _modules_loaded(argv, src):
+    """The package's submodules in sys.modules after main(argv) in a new
+    interpreter that imports the package from src."""
     code = (
         "import sys\n"
         "from wholediff.cli import main\n"
@@ -717,9 +810,81 @@ def test_each_subcommand_imports_only_the_modules_it_runs(
         env=dict(os.environ, PYTHONPATH=src),
     )
     assert proc.returncode == 0, proc.stderr
-    modules = set(proc.stderr.split())
-    assert loaded <= modules
-    assert not absent & modules
+    return set(proc.stderr.split())
+
+
+def _patched_package(tmp_path, module, patch):
+    """A copy of the package under tmp_path whose module's text is
+    patch(text); the directory to import it from."""
+    dst = tmp_path / "src" / "wholediff"
+    shutil.copytree(Path(wholediff.__file__).resolve().parent, dst,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    path = dst / module
+    text = path.read_text()
+    patched = patch(text)
+    assert patched != text, f"the patch leaves {module} as it is"
+    path.write_text(patched)
+    return str(dst.parent)
+
+
+def test_lean_import_guard_sees_a_stray_package_import(ctx_file, tmp_path):
+    """Canary: with `from . import numcheck` in diffop, the sys.modules check
+    behind the commutator row above reports numcheck as loaded."""
+    src = _patched_package(tmp_path, "diffop.py", lambda text: text + "from . import numcheck\n")
+    argv = ["commutator", ctx_file, "--a", "W[p1]", "--b", "D[E]", "--apply", "f"]
+    assert "numcheck" in _modules_loaded(argv, src)
+
+
+# verify's peak memory at 1,000 and at 80,000 box samples: every sample is
+# off the shell, so every one fails and verify exits 1.
+_PEAK_ARGV = ["verify", "mass-shell.ctx", "--sampler", "box", "--lhs", "E^2*D[f,p1]",
+              "--rhs", "D[f,p1]*(p1^2+p2^2+p3^2+m^2)", "--closure", "rational"]
+# Each run has a Python parent of its own, so RUSAGE_CHILDREN's peak is that
+# run's alone (KiB on Linux).
+_PEAK_PARENT = (
+    "import resource, subprocess, sys\n"
+    "rc = subprocess.run([sys.executable, '-m', 'wholediff', *sys.argv[1:]],"
+    " stdout=subprocess.DEVNULL).returncode\n"
+    "print(rc, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+)
+
+
+def _verify_peak_growth_kib(src, workdir):
+    """Peak RSS of verify at 80,000 samples minus that at 1,000, in KiB."""
+    (workdir / "mass-shell.ctx").write_text(_SCENARIO_FILES["--dim 3 --ordering commuting"])
+    peaks = []
+    for samples in ("1000", "80000"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _PEAK_PARENT, *_PEAK_ARGV, "--samples", samples],
+            cwd=workdir, capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert proc.returncode == 0, proc.stderr
+        rc, peak = map(int, proc.stdout.split())
+        assert rc == 1
+        peaks.append(peak)
+    return peaks[1] - peaks[0]
+
+
+_LINUX_ONLY = pytest.mark.skipif(not sys.platform.startswith("linux"),
+                                 reason="ru_maxrss is in KiB on Linux")
+
+
+@_LINUX_ONLY
+def test_verify_memory_does_not_grow_with_samples(tmp_path):
+    """verify checks each sample before it draws the next, so its peak
+    memory does not grow with --samples, also when every sample fails."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    assert abs(_verify_peak_growth_kib(src, tmp_path)) <= 4096
+
+
+@_LINUX_ONLY
+def test_memory_guard_sees_samples_listed_before_they_are_checked(tmp_path):
+    """Canary: a verify_identity that lists every sample before it evaluates
+    any grows with --samples, and the guard above sees it."""
+    loop = "for k, vals in enumerate(sampler._samples(ctx, seed, 0, samples)):"
+    src = _patched_package(tmp_path, "numcheck.py", lambda text: text.replace(
+        loop, "for k, vals in enumerate(list(sampler._samples(ctx, seed, 0, samples))):"))
+    assert _verify_peak_growth_kib(src, tmp_path) > 4096
 
 
 def test_verify_json_byte_stable(ctx_file, capsys):
@@ -761,11 +926,15 @@ def test_malformed_context_exit2(tmp_path, capsys):
 def test_constraint_solving_no_dependent_exit2(tmp_path, capsys, solved, command):
     """A constraint is imposed only through the dependent it solves, so one
     that solves an independent or a parameter is refused, not ignored."""
+    src = MASS_SHELL_SRC + f"constraint p1 - m = 0 solves {solved}\n"
     bad = tmp_path / "bad.ctx"
-    bad.write_text(MASS_SHELL_SRC + f"constraint p1 - m = 0 solves {solved}\n")
+    bad.write_text(src)
     code, out, err = run(capsys, command[0], str(bad), *command[1:])
     assert (code, out) == (2, "")
     assert err.startswith("parse error: ") and f"'{solved}' is not one" in err
+    # the span covers the solved name, the last one of the file
+    end = len(src) - 1
+    assert err.endswith(f"(at {end - len(solved)}..{end})\n")
 
 
 CHAIN_SRC = (
@@ -815,9 +984,29 @@ def test_representation_with_commutator_symbol_warns(tmp_path, capsys):
     assert "dE/dp1 was not checked" in warnings[0] and "'kappa'" in warnings[0]
     path = tmp_path / "kappa.ctx"
     path.write_text(src)
-    code, out, _ = run(capsys, "derive", str(path), "--expr", "f", "--wrt", "p1")
+    code, out, err = run(capsys, "derive", str(path), "--expr", "f", "--wrt", "p1")
     assert code == 0
     assert out == "kappa*p1*D[f,E]/E + D[f,p1]\n"
+    assert err == f"warning: {warnings[0]}\n"
+
+
+def test_context_warnings_are_printed_once(tmp_path, capsys, monkeypatch):
+    """p1/sqrt(m^2 + p1^2) is dE/dp1 on the sheet E > 0 only: the warning
+    that says so goes to stderr once, from one round of samples, and
+    stdout holds the result alone."""
+    import wholediff.numcheck as numcheck
+
+    dim1 = _SCENARIO_FILES["--dim 1 --ordering operator"]
+    path = tmp_path / "sqrt.ctx"
+    path.write_text(dim1.replace("dE/dp1 = p1/E", "dE/dp1 = p1/sqrt(m^2+p1^2)"))
+    draws = []
+    real = numcheck.sample_on_shell
+    monkeypatch.setattr(numcheck, "sample_on_shell", lambda *a, **k: draws.append(a) or real(*a, **k))
+    code, out, err = run(capsys, "derive", str(path), "--expr", "E", "--wrt", "p1")
+    assert (code, out) == (0, "(p1*sqrt(m^2 + p1^2))/(m^2 + p1^2)\n")
+    assert err == ("warning: declared representation dE/dp1 disagrees with the "
+                   "constraint-derived form on the constraint surface\n")
+    assert len(draws) == 2  # one per sheet
 
 
 def test_cli_matches_golden_digests(bench_workloads, tmp_path):

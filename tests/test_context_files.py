@@ -41,7 +41,7 @@ def _value(draw, names):
 def context_files(draw):
     """The text of a context file: declarations, constraints (one that
     mentions a second dependent now and then), representations, an opaque
-    function, commutators, ordering statements, comments and blank lines,
+    function, commutators, an ordering statement, comments and blank lines,
     the statements in any order."""
     indeps = draw(st.lists(st.sampled_from(INDEPENDENTS), min_size=1, max_size=3, unique=True))
     params = draw(st.lists(st.sampled_from(PARAMS), max_size=2, unique=True))
@@ -80,7 +80,7 @@ def context_files(draw):
                                                       (indeps[1], indeps[-1], "k2")]),
                                      max_size=2, unique=True)):
             stmts.append(f"commutator [{a},{b}] = {k}")
-    stmts += [f"ordering {mode}" for mode in draw(st.lists(st.sampled_from(MODES), max_size=2))]
+    stmts += [f"ordering {mode}" for mode in draw(st.lists(st.sampled_from(MODES), max_size=1))]
     stmts = draw(st.permutations(stmts))
     lines = []
     for s in stmts:
@@ -129,12 +129,12 @@ def test_deleting_a_statement_changes_the_file(text):
 @pytest.mark.xfail(
     strict=True,
     reason="ROADMAP item 16: an ordering statement has no effect when it names the "
-    "default mode (commuting without commutators, operator with them) or when a later "
-    "ordering statement replaces it; serialize_context writes the mode in every file",
+    "default mode (commuting without commutators, operator with them), because "
+    "serialize_context writes the mode in every file; omitting it there changes the "
+    "scenario golden digests, so it lands with a benchmark change",
 )
 @_SETTINGS
 @example(text="independent x\nordering commuting\n")
-@example(text="independent x\nordering paper\nordering commuting\n")
 @given(text=context_files())
 def test_deleting_an_ordering_statement_changes_the_file(text):
     canonical = _accepted(text)

@@ -548,3 +548,15 @@ def test_compiled_long_sum_matches_reference_walk():
         vals = {f"x{i}": rng.uniform(-2.0, 2.0) for i in range(80)}
         b = NumericBinding(values=dict(vals, E=e_val, m=4.0))
         assert _outcome(lambda: evaluate(e, b)) == _outcome(lambda: _reference_evaluate(e, b))
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "the sampler brackets the root of tp - tp^3/10 + x - t in a fixed interval, not "
+    "below t on the branch where |x0'(tp)| < 1 (ROADMAP item 21)"))
+def test_retarded_cubic_samples_are_retarded_and_subluminal():
+    """Sheet +1 is the retarded root: the signal is emitted before it is
+    observed (t > tp), by a source slower than light (|x0'(tp)| < 1)."""
+    cubic = build_retarded(RetardedScenario(trajectory=Expr.symbol(RETARDED_TP) ** 3 / 10))
+    samples = sample_on_shell(cubic, 200, 7, sign=+1)
+    assert all(s["t"].real > s["tp"].real for s in samples)
+    assert all(abs(3 * s["tp"] ** 2 / 10) < 1 for s in samples)

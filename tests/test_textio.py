@@ -451,6 +451,8 @@ _SUM_DENOMINATOR_CONSTRAINT = (
         # validate would derive it to compare with the declared du/dx and du/dy
         (_SUM_DENOMINATOR_CONSTRAINT + "representation du/dx = 1\n"
          "representation du/dy = 1\n", "u*(x+y) - 1"),
+        # a second ordering statement would silently replace the first
+        (MASS_SHELL_SRC + "ordering paper\nordering commuting\n", "ordering commuting"),
     ],
     ids=["representation", "constraint", "commutator", "representation name",
          "commutator name", "constraint name", "opaque argument",
@@ -463,7 +465,7 @@ _SUM_DENOMINATOR_CONSTRAINT = (
          "constraint solving a parameter", "non-ascii name",
          "representation sum denominator", "commutator sum denominator",
          "constraint sum denominator", "constraint-derived sum denominator",
-         "declared constraint-derived sum denominator"],
+         "declared constraint-derived sum denominator", "ordering twice"],
 )
 def test_parse_context_sub_expression_error_spans(tmp_path, src, offending):
     with pytest.raises(ParseError) as exc:
@@ -543,6 +545,9 @@ def test_constraint_derived_representations_are_derived_at_parse_when_noncommuti
         # one commutator per pair, in either order
         ("commutator [p1,p2] = kappa\ncommutator [p2,p1] = kappa", ParseError),
         ("commutator [p1,p2] = kappa\ncommutator [p1,p2] = kappa", ParseError),
+        # one ordering statement, even when both name the same mode
+        ("ordering paper\nordering commuting", ParseError),
+        ("ordering paper\nordering paper", ParseError),
     ],
 )
 def test_parse_context_statement_table(stmt, expect):
@@ -581,11 +586,24 @@ def test_parse_context_commuting_ordering_keeps_the_commutators():
     """ordering commuting makes every symbol commute; the commutator lines
     are still read and written back."""
     src = MASS_SHELL_SRC + "commutator [p1,p2] = kappa12\n"
-    for tail, klass in (("ordering commuting\n", 0), ("", 1),
-                        ("ordering commuting\nordering paper\n", 1)):
+    for tail, klass in (("ordering commuting\n", 0), ("", 1)):
         ctx = parse_context(src + tail)
         assert [s.klass for s in ctx.independents] == [klass, klass, 0]
         assert "commutator [p1,p2] = kappa12" in serialize_context(ctx)
+
+
+def test_parse_context_ordering_argument_stands_in_for_the_statement():
+    """An ordering passed to parse_context (commutator --ordering) replaces
+    the file's statement, which is still read and checked."""
+    src = MASS_SHELL_SRC + "commutator [p1,p2] = kappa12\n"
+    for tail in ("", "ordering paper\n", "ordering commuting\n"):
+        ctx = parse_context(src + tail, "commuting")
+        assert ctx.ordering_mode == "commuting"
+        assert [s.klass for s in ctx.independents] == [0, 0, 0]
+        assert parse_context(src + tail, "paper").ordering_mode == "paper"
+    for tail in ("ordering sideways\n", "ordering paper\nordering paper\n"):
+        with pytest.raises(ParseError):
+            parse_context(src + tail, "paper")
 
 
 def test_parse_context_semantic_errors():
